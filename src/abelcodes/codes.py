@@ -16,11 +16,12 @@ from typing import Iterable, Sequence
 from .cyclotomic import verify_class_structure
 from .gf2 import (
     bit_indices,
+    gf2_rank,
     gray_code,
     gray_flip_sequence,
     independent_row_indices,
 )
-from .group_algebra import AlgebraElement, Subgroup, cyclic_exponent
+from .group_algebra import AlgebraElement, Subgroup, cyclic_exponent, ideal_translates
 from .idempotents import IdempotentFamily
 from .number_theory import crt_inverses
 
@@ -45,26 +46,9 @@ class FalsificationError(AssertionError):
     """A value the theory pins down exactly came out different."""
 
 
-def ideal_translates(e: AlgebraElement) -> list[int]:
-    group = e.group
-    return [group.translate_bits(e.bits, g) for g in group.elements()]
-
-
 def ideal_dimension(e: AlgebraElement) -> int:
     """Rank over F2 of the translate matrix of e."""
-    rows = ideal_translates(e)
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            high = row.bit_length() - 1
-            pivot = pivots.get(high)
-            if pivot is None:
-                pivots[high] = row
-                rank += 1
-                break
-            row ^= pivot
-    return rank
+    return gf2_rank(ideal_translates(e))
 
 
 def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:

@@ -9,12 +9,19 @@ An algebra element is an int used as a bitset: bit k is the coefficient of the
 rank-k group element.  Addition is XOR, weight is a popcount, and squaring is
 the doubling permutation on exponents.  This fixes a bit-exact export order:
 serialized coefficients are the bitset as little-endian bytes, hex-encoded.
+
+Translation by a group element is a per-factor block rotation of the bitset.
+Adding s to factor i moves each rank by s*places[i] inside its block of
+places[i]*orders[i] consecutive ranks, wrapping at the block end, so each factor
+with a nonzero shift costs two masks, two shifts and an OR.  The only state this
+needs is one block-repeat pattern per factor (a 1 at the start of every block),
+built on first use; the masks are formed from it per call.  Multiplication is
+the XOR of the translates of one operand over the support of the other.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -22,14 +29,11 @@ from .gf2 import bit_indices
 
 GroupElement = tuple[int, ...]
 
-# Beyond this order, translation permutations are computed per call instead of cached.
-_PERM_CACHE_MAX_ORDER = 4096
-
 
 class AbelianGroup:
     """Finite abelian group given by the orders of its cyclic factors."""
 
-    __slots__ = ("factor_orders", "order", "_places", "_elements", "_perm_cache")
+    __slots__ = ("factor_orders", "order", "_places", "_elements", "_block_patterns")
 
     def __init__(self, factor_orders: Sequence[int]) -> None:
         orders = tuple(int(x) for x in factor_orders)
@@ -44,9 +48,7 @@ class AbelianGroup:
         self.order = total
         self._places = tuple(places)
         self._elements: list[GroupElement] | None = None
-        self._perm_cache: dict[GroupElement, array] | None = (
-            {} if total <= _PERM_CACHE_MAX_ORDER else None
-        )
+        self._block_patterns: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
         return f"AbelianGroup({list(self.factor_orders)})"
@@ -107,25 +109,32 @@ class AbelianGroup:
     def element_order(self, a: GroupElement) -> int:
         return math.lcm(*(n // math.gcd(x, n) for x, n in zip(a, self.factor_orders)))
 
-    def translation_permutation(self, shift: GroupElement) -> array:
-        """Permutation of ranks induced by adding `shift`."""
-        cache = self._perm_cache
-        if cache is not None:
-            perm = cache.get(shift)
-            if perm is not None:
-                return perm
-        table = self._element_table()
-        perm = array("l", (self.rank(self.add(e, shift)) for e in table))
-        if cache is not None:
-            cache[shift] = perm
-        return perm
+    def _patterns(self) -> tuple[int, ...]:
+        """Per factor, the bitset with a 1 at the first rank of each rotation block."""
+        if self._block_patterns is None:
+            order = self.order
+            patterns = []
+            for n, place in zip(self.factor_orders, self._places):
+                pattern, span = 1, n * place
+                while span < order:
+                    pattern |= pattern << span
+                    span <<= 1
+                patterns.append(pattern & ((1 << order) - 1))
+            self._block_patterns = tuple(patterns)
+        return self._block_patterns
 
     def translate_bits(self, bits: int, shift: GroupElement) -> int:
-        perm = self.translation_permutation(shift)
-        out = 0
-        for k in bit_indices(bits):
-            out |= 1 << perm[k]
-        return out
+        """Support bitset of g*x for x = bits, g = shift: one block rotation per factor."""
+        for s, n, place, pattern in zip(shift, self.factor_orders, self._places, self._patterns()):
+            s %= n
+            if s:
+                # ranks in the low (n - s)*place bits of each block move up by s*place;
+                # the rest wrap around to the block start.  Blocks do not overlap, so
+                # the subtraction forms the repeated low mask without carries.
+                stay = (n - s) * place
+                low = bits & ((pattern << stay) - pattern)
+                bits = (low << s * place) | ((bits ^ low) >> stay)
+        return bits
 
     def permute_bits_by_scaling(self, bits: int, k: int) -> int:
         """Apply the power map g -> g**k to a support bitset."""
@@ -242,6 +251,12 @@ class AlgebraElement:
         return cls(group, bits)
 
 
+def ideal_translates(e: AlgebraElement) -> list[int]:
+    """The rows g*e for every g in rank order; their span is the ideal F2[G]e."""
+    group = e.group
+    return [group.translate_bits(e.bits, g) for g in group.elements()]
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by generators, with its element set enumerated."""
@@ -333,6 +348,7 @@ __all__ = [
     "AbelianGroup",
     "AlgebraElement",
     "Subgroup",
+    "ideal_translates",
     "cyclic_exponent",
     "as_cyclic",
     "from_cyclic_exponents",

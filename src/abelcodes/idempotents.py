@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .cyclotomic import class_count, class_sum, cyclotomic_classes
-from .gf2 import gf2_rank, gray_flip_sequence, independent_row_indices
-from .group_algebra import AbelianGroup, AlgebraElement, GroupElement, Subgroup
+from .gf2 import gray_flip_sequence, independent_row_indices
+from .group_algebra import AbelianGroup, AlgebraElement, GroupElement, Subgroup, ideal_translates
 from .number_theory import (
     ConsistencyError,
     HypothesisError,
@@ -656,17 +656,6 @@ def family_two_factor(
     )
 
 
-def _ideal_dimension(e: AlgebraElement) -> int:
-    group = e.group
-    return gf2_rank([group.translate_bits(e.bits, g) for g in group.elements()])
-
-
-def _ideal_basis_bits(e: AlgebraElement) -> list[int]:
-    group = e.group
-    rows = [group.translate_bits(e.bits, g) for g in group.elements()]
-    return [rows[i] for i in independent_row_indices(rows)]
-
-
 def verify_primitivity(
     e: AlgebraElement,
     predicted_dim: int | None = None,
@@ -686,7 +675,9 @@ def verify_primitivity(
     """
     if e * e != e:
         raise ValueError("element is not idempotent")
-    dim = _ideal_dimension(e)
+    translates = ideal_translates(e)
+    kept = independent_row_indices(translates)
+    dim = len(kept)
     report: dict[str, object] = {
         "dimension": dim,
         "predicted_dimension": predicted_dim,
@@ -699,7 +690,7 @@ def verify_primitivity(
             for r in cls.member_ranks:
                 m |= 1 << r
             masks.append(m)
-        rows = _ideal_basis_bits(e)
+        rows = [translates[i] for i in kept]
         found = 1  # the zero element
         word = 0
         for flip in gray_flip_sequence(dim):

@@ -1,3 +1,7 @@
+import math
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,9 +28,38 @@ SMALL_ODD_GROUPS = [
 ]
 
 
+# Non-coprime and even factor orders: the rotation must not rely on a cyclic group.
+NAMED_TRANSLATE_GROUPS = [[3, 3], [9, 3], [2, 4], [2, 2, 2], [3, 5, 7]]
+
+
 def random_element(group, data):
     bits = data.draw(st.integers(0, (1 << group.order) - 1))
     return AlgebraElement(group, bits)
+
+
+def reference_translate(group, bits, shift):
+    """The per-bit translation: rank(add(unrank(k), shift)) for every set bit k."""
+    out = 0
+    for k in range(group.order):
+        if bits >> k & 1:
+            out |= 1 << group.rank(group.add(group.unrank(k), shift))
+    return out
+
+
+def reference_product(x, y):
+    """Convolution by the double loop over support pairs (g, h)."""
+    group = x.group
+    out = 0
+    for g in x.support():
+        for h in y.support():
+            out ^= 1 << group.rank(group.add(g, h))
+    return AlgebraElement(group, out)
+
+
+factor_orders = st.one_of(
+    st.sampled_from(NAMED_TRANSLATE_GROUPS),
+    st.lists(st.integers(2, 9), min_size=1, max_size=4).filter(lambda o: math.prod(o) <= 512),
+)
 
 
 class TestAddition:
@@ -100,6 +133,19 @@ class TestMultiplication:
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
 
+    @settings(max_examples=60, deadline=None)
+    @given(factor_orders, st.data())
+    def test_matches_pairwise_double_loop(self, orders, data):
+        group = AbelianGroup(orders)
+        bits = st.integers(0, (1 << group.order) - 1)
+        if group.order > 64:
+            # sparse operands keep the double loop short on the larger groups
+            ranks = st.lists(st.integers(0, group.order - 1), max_size=12)
+            bits = ranks.map(lambda rs: sum(1 << r for r in set(rs)))
+        x = AlgebraElement(group, data.draw(bits))
+        y = AlgebraElement(group, data.draw(bits))
+        assert x * y == reference_product(x, y)
+
 
 class TestFrobenius:
     @settings(max_examples=40, deadline=None)
@@ -145,6 +191,40 @@ class TestTranslate:
     def test_subgroup_sum_is_stable(self):
         a_hat = Subgroup.from_generators(C15, [(5,)]).hat()
         assert a_hat.translated((5,)) == a_hat
+
+    @pytest.mark.parametrize("orders", NAMED_TRANSLATE_GROUPS)
+    def test_every_shift_matches_per_bit_reference(self, orders):
+        group = AbelianGroup(orders)
+        rng = random.Random(group.order)
+        words = [0, 1, (1 << group.order) - 1, rng.getrandbits(group.order)]
+        for shift in group.elements():
+            for bits in words:
+                assert group.translate_bits(bits, shift) == reference_translate(group, bits, shift)
+
+    @settings(max_examples=200, deadline=None)
+    @given(factor_orders, st.data())
+    def test_matches_per_bit_reference(self, orders, data):
+        group = AbelianGroup(orders)
+        bits = data.draw(st.integers(0, (1 << group.order) - 1))
+        shift = tuple(
+            data.draw(st.one_of(st.just(0), st.integers(0, n - 1))) for n in group.factor_orders
+        )
+        assert group.translate_bits(bits, shift) == reference_translate(group, bits, shift)
+
+    def test_memory_stays_within_a_few_patterns(self):
+        # |G| = 300009: a per-element table or per-shift masks would need far more
+        group = AbelianGroup([3, 100003])
+        word = random.Random(7).getrandbits(group.order)
+        tracemalloc.start()
+        try:
+            for shift in [(1, 0), (0, 1), (2, 99999), (1, 50001), (0, 0)]:
+                group.translate_bits(word, shift)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
+        corner = 1 << group.rank((2, 100002))
+        assert group.translate_bits(corner, (1, 1)) == 1
 
 
 class TestAugmentation:
