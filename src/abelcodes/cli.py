@@ -31,6 +31,7 @@ EXIT_BUDGET = 3
 EXIT_FALSIFIED = 4
 
 MAX_GROUP_ORDER = 10**6
+MAX_BUDGET = 1 << 64  # far beyond any enumeration that can finish
 THREADS_ENV_VAR = "ABELCODES_THREADS"
 
 
@@ -64,16 +65,32 @@ class GroupShape:
         return self.p**self.m * self.q**self.n
 
 
-def _parse_prime_power(text: str) -> tuple[int, int]:
-    if "^" in text:
-        base_text, exp_text = text.split("^", 1)
-        base, exp = int(base_text), int(exp_text)
-        if exp < 1:
-            raise UsageError(f"exponent in {text!r} must be positive")
+def _parse_power(text: str, limit: int, what: str) -> int:
+    """Parse "b^e" or a plain integer, refusing values above `limit`.
+
+    The size of b**e is bounded from the bit length of b before the power is
+    computed, so a huge exponent is refused at once.
+    """
+    base_text, caret, exp_text = text.partition("^")
+    try:
+        base = int(base_text)
+        exp = int(exp_text) if caret else 1
+    except ValueError:
+        raise UsageError(f"cannot parse {what} {text!r}") from None
+    if exp < 1:
+        raise UsageError(f"exponent in {text!r} must be positive")
+    # |b| >= 2**(bits - 1), so a large (bits - 1) * e proves |b**e| > limit unevaluated
+    if (abs(base).bit_length() - 1) * exp < limit.bit_length():
         value = base**exp
-    else:
-        value = int(text)
-    factors = factorize(value)
+        if value <= limit:
+            return value
+    shown = f"2^{limit.bit_length() - 1}" if limit & (limit - 1) == 0 else str(limit)
+    raise UsageError(f"{what} {text!r} exceeds the {shown} guard")
+
+
+def _parse_prime_power(text: str) -> tuple[int, int]:
+    value = _parse_power(text, MAX_GROUP_ORDER, "group order")
+    factors = factorize(value) if value >= 2 else {}
     if len(factors) != 1:
         raise UsageError(f"{text!r} is not a prime power")
     ((p, m),) = factors.items()
@@ -87,10 +104,7 @@ def parse_group_spec(spec: str) -> GroupShape:
         raise UsageError("empty group specification")
     parts = text.split("x")
     if len(parts) == 1:
-        try:
-            value = int(parts[0])
-        except ValueError:
-            raise UsageError(f"cannot parse group spec {spec!r}") from None
+        value = _parse_power(parts[0], MAX_GROUP_ORDER, "group order")
         if value < 2:
             raise UsageError(f"group order {value} is too small")
         factors = factorize(value)
@@ -141,11 +155,7 @@ class RunConfig:
 
 
 def parse_budget(text: str) -> int:
-    if "^" in text:
-        base_text, exp_text = text.split("^", 1)
-        value = int(base_text) ** int(exp_text)
-    else:
-        value = int(text)
+    value = _parse_power(text, MAX_BUDGET, "budget")
     if value < MIN_BUDGET:
         raise UsageError(f"budget must be at least {MIN_BUDGET} (2^10)")
     return value
@@ -235,14 +245,16 @@ def run(config: RunConfig) -> tuple[int, dict, str]:
                 f"support={e.support_ranks()}"
             )
 
-    needs_reports = {"dims", "weights", "distribution"} & set(config.analyses)
+    # One analysis pass serves every section; only dims needs no enumeration.
+    want_weights = bool({"weights", "distribution", "verify"} & set(config.analyses))
     reports = None
-    if needs_reports:
+    if want_weights or "dims" in config.analyses:
         reports = codes.analyze_family(
             family,
             budget=config.budget,
             threads=config.threads,
             want_distribution="distribution" in config.analyses,
+            want_weights=want_weights,
         )
 
     if "dims" in config.analyses and reports is not None:
@@ -328,7 +340,7 @@ def run(config: RunConfig) -> tuple[int, dict, str]:
 
     if "verify" in config.analyses:
         outcome = codes.family_verification(
-            family, budget=config.budget, threads=config.threads
+            family, budget=config.budget, threads=config.threads, reports=reports
         )
         report["verify"] = {
             "passed": outcome["passed"],
@@ -394,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--budget",
         default=str(DEFAULT_BUDGET),
-        help="enumeration budget as a codeword count, e.g. 2^20 (min 2^10)",
+        help="enumeration budget as a codeword count, e.g. 2^20 (min 2^10, max 2^64)",
     )
     parser.add_argument(
         "--threads",

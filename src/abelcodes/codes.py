@@ -161,6 +161,7 @@ class WeightResult:
     exact: bool
     witness: AlgebraElement | None = None
     notes: tuple[str, ...] = ()
+    distribution: dict[int, int] | None = None  # histogram of the enumeration, if taken
 
     @property
     def value(self) -> int | None:
@@ -183,26 +184,37 @@ def minimum_weight(
     threads: int = 1,
     theory_lower: int | None = None,
     probes: Iterable[AlgebraElement] = (),
+    basis: Sequence[AlgebraElement] | None = None,
+    want_distribution: bool = False,
 ) -> WeightResult:
     """Exact minimum weight by enumeration, or bounds when it does not fit.
 
     The fallback lower bound is 2 for augmentation-zero idempotents (all
     codewords then have even weight) and any supplied theory bound; the upper
-    bound is the lightest among e itself and the probe codewords.
+    bound is the lightest among e itself and the probe codewords.  `basis`
+    saves rebuilding the ideal's basis.  With `want_distribution` the one
+    enumeration also takes the weight histogram, kept in the result's
+    `distribution` after its consistency checks.
     """
-    basis = ideal_basis(e)
+    if basis is None:
+        basis = ideal_basis(e)
     k = len(basis)
     n = e.group.order
     if (1 << k) <= budget:
-        best, word, _ = scan_codewords(
-            [x.bits for x in basis], ncols=n, want_hist=False, threads=threads
+        best, word, hist = scan_codewords(
+            [x.bits for x in basis], ncols=n, want_hist=want_distribution, threads=threads
         )
+        if hist is not None and (
+            sum(hist.values()) != (1 << k) - 1 or (hist and min(hist) != best)
+        ):
+            raise RuntimeError("weight histogram failed its internal consistency checks")
         return WeightResult(
             lower=best,
             upper=best,
             exact=True,
             witness=AlgebraElement(e.group, word),
             notes=(f"enumerated all 2**{k} - 1 nonzero codewords",),
+            distribution=hist,
         )
     notes = [f"enumeration refused: 2**{k} exceeds budget {budget}"]
     lower = 1
@@ -227,20 +239,29 @@ def minimum_weight(
 
 
 def weight_distribution(
-    e: AlgebraElement, *, budget: int = DEFAULT_BUDGET, threads: int = 1
+    e: AlgebraElement,
+    *,
+    budget: int = DEFAULT_BUDGET,
+    threads: int = 1,
+    basis: Sequence[AlgebraElement] | None = None,
+    scanned: WeightResult | None = None,
 ) -> dict[int, int]:
-    """Full weight histogram of the nonzero codewords; refuses beyond budget."""
-    basis = ideal_basis(e)
+    """Full weight histogram of the nonzero codewords; refuses beyond budget.
+
+    `scanned`, a minimum_weight result that already took the histogram of
+    this code, is read instead of enumerating the code again.
+    """
+    if basis is None:
+        basis = ideal_basis(e)
     k = len(basis)
     if (1 << k) > budget:
         raise BudgetExceededError(k, budget)
-    best, _, hist = scan_codewords(
-        [x.bits for x in basis], ncols=e.group.order, want_hist=True, threads=threads
-    )
-    assert hist is not None
-    if sum(hist.values()) != (1 << k) - 1 or (hist and min(hist) != best):
-        raise RuntimeError("weight histogram failed its internal consistency checks")
-    return hist
+    if scanned is None or scanned.distribution is None:
+        scanned = minimum_weight(
+            e, budget=budget, threads=threads, basis=basis, want_distribution=True
+        )
+    assert scanned.distribution is not None
+    return scanned.distribution
 
 
 def code_seed_word(family: IdempotentFamily, label: str = "e3") -> AlgebraElement:
@@ -461,7 +482,7 @@ class CodeReport:
     predicted_dimension: int
     idempotent_weight: int
     basis: list[AlgebraElement]
-    min_weight: WeightResult
+    min_weight: WeightResult | None  # None when no weights were asked for
     theory: TheoryWeight
     theory_match: bool | None
     distribution: dict[int, int] | None = None
@@ -482,7 +503,7 @@ class CodeReport:
             "predicted_dimension": self.predicted_dimension,
             "dimension_matches": self.dimension_matches,
             "idempotent_weight": self.idempotent_weight,
-            "min_weight": self.min_weight.to_json(),
+            "min_weight": self.min_weight.to_json() if self.min_weight is not None else None,
             "theory": self.theory.to_json(),
             "theory_match": self.theory_match,
         }
@@ -511,41 +532,54 @@ def analyze_code(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
     want_distribution: bool = False,
+    want_weights: bool = True,
+    theory_map: dict[str, TheoryWeight] | None = None,
+    probes: dict[str, AlgebraElement] | None = None,
 ) -> CodeReport:
-    """Dimension, basis, minimum weight and optional distribution for one label."""
+    """Dimension, basis, minimum weight and optional distribution for one label.
+
+    The basis is built and checked once, and the codewords are enumerated at
+    most once: with the histogram when a distribution is wanted, and then the
+    minimum weight and its witness come from that same enumeration.  Without
+    `want_weights` or `want_distribution` nothing is enumerated and
+    `min_weight` is None.  `theory_map` and `probes` are the family's
+    theoretical_expectations and _theory_probes, built here when not given.
+    """
     e = family.elements[label]
     basis = ideal_basis(e)
     check_basis(basis, e)
-    theory_map = theoretical_expectations(family)
+    if theory_map is None:
+        theory_map = theoretical_expectations(family)
     theory = theory_map.get(label, TheoryWeight("none", source="no stated value"))
-    probes = _theory_probes(family)
-    result = minimum_weight(
-        e,
-        budget=budget,
-        threads=threads,
-        theory_lower=theory.lower if theory.kind == "bounds" else None,
-        probes=[probes[label]] if label in probes else [],
-    )
-    match: bool | None
-    if theory.kind == "exact":
-        match = result.value == theory.value if result.exact else None
-    elif theory.kind == "bounds":
-        if result.exact:
-            match = theory.lower <= result.value <= theory.upper  # type: ignore[operator]
-        else:
-            match = None
-    elif theory.kind == "conjecture":
-        match = result.value == theory.value if result.exact else None
-    else:
-        match = None
-
+    result = None
     distribution = None
     refused = None
-    if want_distribution:
-        try:
-            distribution = weight_distribution(e, budget=budget, threads=threads)
-        except BudgetExceededError as exc:
-            refused = exc.required_budget
+    if want_weights or want_distribution:
+        if probes is None:
+            probes = _theory_probes(family)
+        result = minimum_weight(
+            e,
+            budget=budget,
+            threads=threads,
+            theory_lower=theory.lower if theory.kind == "bounds" else None,
+            probes=[probes[label]] if label in probes else [],
+            basis=basis,
+            want_distribution=want_distribution,
+        )
+        if want_distribution:
+            try:
+                distribution = weight_distribution(
+                    e, budget=budget, threads=threads, basis=basis, scanned=result
+                )
+            except BudgetExceededError as exc:
+                refused = exc.required_budget
+
+    match: bool | None = None
+    if result is not None and result.exact:
+        if theory.kind in ("exact", "conjecture"):
+            match = result.value == theory.value
+        elif theory.kind == "bounds":
+            match = theory.lower <= result.value <= theory.upper  # type: ignore[operator]
 
     return CodeReport(
         label=label,
@@ -567,7 +601,11 @@ def analyze_family(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
     want_distribution: bool = False,
+    want_weights: bool = True,
 ) -> dict[str, CodeReport]:
+    """analyze_code for every label, with the theory values built once for the family."""
+    theory_map = theoretical_expectations(family)
+    probes = _theory_probes(family) if want_weights or want_distribution else {}
     return {
         label: analyze_code(
             family,
@@ -575,6 +613,9 @@ def analyze_family(
             budget=budget,
             threads=threads,
             want_distribution=want_distribution,
+            want_weights=want_weights,
+            theory_map=theory_map,
+            probes=probes,
         )
         for label in family.labels
     }
@@ -639,16 +680,20 @@ def family_verification(
     *,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
+    reports: dict[str, CodeReport] | None = None,
 ) -> dict:
     """The full invariant suite for one family; any failed check is a falsification.
 
     Covers the family axioms, per-label dimension agreement, the dimension sum,
     and every weight statement the theory makes that fits the budget.
-    Conjectured values are recorded but never falsify.
+    Conjectured values are recorded but never falsify.  `reports`, from
+    analyze_family with weights at the same budget, are checked instead of
+    analyzing the family again.
     """
     checks: list[dict] = list(family.verify_axioms())
 
-    reports = analyze_family(family, budget=budget, threads=threads)
+    if reports is None:
+        reports = analyze_family(family, budget=budget, threads=threads)
     dim_bad = [
         lab for lab in family.labels if not reports[lab].dimension_matches
     ]

@@ -1,13 +1,21 @@
 import json
+import threading
+import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abelcodes import codes
 from abelcodes.cli import (
     EXIT_BUDGET,
     EXIT_FALSIFIED,
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_BUDGET,
+    MIN_BUDGET,
     RunConfig,
     UsageError,
     main,
@@ -52,6 +60,50 @@ class TestGroupSpecParsing:
             parse_group_spec(bad)
 
 
+SPEC_TEXT = st.text(alphabet="0123456789^x ", max_size=14)
+
+
+class TestParserFuzz:
+    @settings(max_examples=400, deadline=timedelta(milliseconds=250))
+    @given(SPEC_TEXT)
+    def test_group_spec_returns_or_raises_usage_error(self, text):
+        try:
+            shape = parse_group_spec(text)
+        except UsageError:
+            return
+        assert shape.kind in ("pq", "prime_power", "three_primes")
+
+    @settings(max_examples=400, deadline=timedelta(milliseconds=250))
+    @given(SPEC_TEXT)
+    def test_budget_returns_or_raises_usage_error(self, text):
+        try:
+            value = parse_budget(text)
+        except UsageError:
+            return
+        assert MIN_BUDGET <= value <= MAX_BUDGET
+
+
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["999999999999999989"],
+            ["3^100000000x5"],
+            ["15", "--budget", "2^99999999999"],
+        ],
+    )
+    def test_oversized_spec_exits_1_within_a_second(self, argv, capsys):
+        outcome = []
+        worker = threading.Thread(target=lambda: outcome.append(main(argv)), daemon=True)
+        start = time.perf_counter()
+        worker.start()
+        worker.join(timeout=1.0)
+        elapsed = time.perf_counter() - start
+        assert not worker.is_alive() and elapsed < 1.0
+        assert outcome == [EXIT_USAGE]
+        assert "exceeds" in capsys.readouterr().err
+
+
 class TestBudget:
     def test_power_notation(self):
         assert parse_budget("2^20") == 1 << 20
@@ -62,6 +114,11 @@ class TestBudget:
     def test_minimum_enforced(self):
         with pytest.raises(UsageError):
             parse_budget("512")
+
+    def test_maximum_enforced(self):
+        assert parse_budget("2^64") == MAX_BUDGET
+        with pytest.raises(UsageError):
+            parse_budget("2^65")
 
 
 class TestRun:
@@ -171,3 +228,35 @@ class TestMain:
         assert main(["15"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "idempotents" in out and "dimensions" in out
+
+
+class TestDimsWithoutEnumeration:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        original = codes.scan_codewords
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(codes, "scan_codewords", counted)
+        return calls
+
+    @pytest.mark.parametrize("flags", [["--dims"], []])
+    def test_dims_enumerate_no_codeword(self, flags, scans, capsys):
+        assert main(["3x5x11", *flags, "--format", "json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert scans == []
+        assert report["dimensions"]["sum_matches_order"]
+
+    def test_dims_section_is_the_one_an_enumerating_run_reports(self, scans, capsys):
+        assert main(["45", "--dims", "--format", "json"]) == EXIT_OK
+        alone = json.loads(capsys.readouterr().out)
+        assert scans == []
+        assert main(["45", "--dims", "--weights", "--format", "json"]) == EXIT_OK
+        both = json.loads(capsys.readouterr().out)
+        assert scans
+        del both["weights"]
+        both["config"]["analyses"] = ["dims"]
+        assert alone == both

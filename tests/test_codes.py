@@ -257,3 +257,83 @@ class TestFamilyVerification:
         assert mins["I01"] == 18
         assert mins["I10"] == 30
         assert mins["I20"] == 10
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the arguments of each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneAnalysisPass:
+    def test_cli_builds_each_basis_once_and_scans_each_code_once(self, fam15, monkeypatch):
+        from abelcodes import codes
+        from abelcodes.cli import RunConfig, run
+
+        bases = _count_calls(monkeypatch, codes, "ideal_basis")
+        scans = _count_calls(monkeypatch, codes, "scan_codewords")
+        config = RunConfig(
+            group_spec="15", analyses=("weights", "distribution", "verify"), threads=1
+        )
+        code, report, _ = run(config)
+        labels = report["group"]["labels"]
+        assert code == 0 and report["verify"]["passed"]
+        assert len(bases) == len(labels)
+        assert [args[0] for args, _ in bases] == [fam15.elements[lab] for lab in labels]
+        assert len(scans) <= len(labels)
+        assert all(kwargs["want_hist"] for _, kwargs in scans)
+
+    def test_weights_with_verify_scan_once_without_histogram(self, monkeypatch):
+        from abelcodes import codes
+        from abelcodes.cli import RunConfig, run
+
+        scans = _count_calls(monkeypatch, codes, "scan_codewords")
+        code, report, _ = run(
+            RunConfig(group_spec="33", analyses=("weights", "verify"), threads=1)
+        )
+        assert code == 0
+        assert len(scans) == len(report["group"]["labels"])
+        assert not any(kwargs["want_hist"] for _, kwargs in scans)
+
+    @pytest.mark.parametrize("fixture", ["fam15", "fam33", "fam45"])
+    def test_one_pass_reports_match_the_oracles(self, fixture, request):
+        fam = request.getfixturevalue(fixture)
+        reports = analyze_family(fam, budget=1 << 14, want_distribution=True)
+        for label in fam.labels:
+            e = fam.elements[label]
+            rep = reports[label]
+            rows = [x.bits for x in ideal_basis(e)]
+            assert rep.distribution == naive_weight_distribution(rows), label
+            alone = minimum_weight(e, budget=1 << 14)
+            assert rep.min_weight.exact and rep.min_weight.value == alone.value, label
+            witness = rep.min_weight.witness
+            assert witness.weight == alone.value and witness * e == witness, label
+            assert rep.theory_match == analyze_family(fam, budget=1 << 14)[label].theory_match
+
+    @pytest.mark.parametrize("fixture", ["fam15", "fam45"])
+    def test_verification_of_given_reports_matches_a_fresh_run(self, fixture, request):
+        fam = request.getfixturevalue(fixture)
+        reports = analyze_family(fam, budget=1 << 12, want_distribution=True)
+        given = family_verification(fam, budget=1 << 12, reports=reports)
+        fresh = family_verification(fam, budget=1 << 12)
+        assert given["passed"] and given["checks"] == fresh["checks"]
+        assert given["reports"] is reports
+
+    def test_dims_only_reports_enumerate_nothing(self, fam45, monkeypatch):
+        from abelcodes import codes
+
+        scans = _count_calls(monkeypatch, codes, "scan_codewords")
+        reports = analyze_family(fam45, budget=1 << 14, want_weights=False)
+        assert scans == []
+        assert all(rep.min_weight is None for rep in reports.values())
+        full = analyze_family(fam45, budget=1 << 14)
+        assert {lab: r.dimension for lab, r in reports.items()} == {
+            lab: r.dimension for lab, r in full.items()
+        }
