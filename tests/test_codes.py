@@ -1,5 +1,7 @@
 import pytest
 
+from abelcodes import codes
+from abelcodes.cli import RunConfig, run
 from abelcodes.codes import (
     BudgetExceededError,
     analyze_family,
@@ -274,9 +276,6 @@ def _count_calls(monkeypatch, module, name):
 
 class TestOneAnalysisPass:
     def test_cli_builds_each_basis_once_and_scans_each_code_once(self, fam15, monkeypatch):
-        from abelcodes import codes
-        from abelcodes.cli import RunConfig, run
-
         bases = _count_calls(monkeypatch, codes, "ideal_basis")
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         config = RunConfig(
@@ -291,9 +290,6 @@ class TestOneAnalysisPass:
         assert all(kwargs["want_hist"] for _, kwargs in scans)
 
     def test_weights_with_verify_scan_once_without_histogram(self, monkeypatch):
-        from abelcodes import codes
-        from abelcodes.cli import RunConfig, run
-
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         code, report, _ = run(
             RunConfig(group_spec="33", analyses=("weights", "verify"), threads=1)
@@ -306,6 +302,7 @@ class TestOneAnalysisPass:
     def test_one_pass_reports_match_the_oracles(self, fixture, request):
         fam = request.getfixturevalue(fixture)
         reports = analyze_family(fam, budget=1 << 14, want_distribution=True)
+        minimum_only = analyze_family(fam, budget=1 << 14)
         for label in fam.labels:
             e = fam.elements[label]
             rep = reports[label]
@@ -315,7 +312,7 @@ class TestOneAnalysisPass:
             assert rep.min_weight.exact and rep.min_weight.value == alone.value, label
             witness = rep.min_weight.witness
             assert witness.weight == alone.value and witness * e == witness, label
-            assert rep.theory_match == analyze_family(fam, budget=1 << 14)[label].theory_match
+            assert rep.theory_match == minimum_only[label].theory_match, label
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam45"])
     def test_verification_of_given_reports_matches_a_fresh_run(self, fixture, request):
@@ -327,8 +324,6 @@ class TestOneAnalysisPass:
         assert given["reports"] is reports
 
     def test_dims_only_reports_enumerate_nothing(self, fam45, monkeypatch):
-        from abelcodes import codes
-
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         reports = analyze_family(fam45, budget=1 << 14, want_weights=False)
         assert scans == []
