@@ -245,16 +245,15 @@ def run(config: RunConfig) -> tuple[int, dict, str]:
                 f"support={e.support_ranks()}"
             )
 
-    # One analysis pass serves every section; only dims needs no enumeration.
-    want_weights = bool({"weights", "distribution", "verify"} & set(config.analyses))
+    # --verify reuses the cached bases and enumerations; --dims alone enumerates nothing.
     reports = None
-    if want_weights or "dims" in config.analyses:
+    if {"dims", "weights", "distribution"} & set(config.analyses):
         reports = codes.analyze_family(
             family,
             budget=config.budget,
             threads=config.threads,
             want_distribution="distribution" in config.analyses,
-            want_weights=want_weights,
+            want_weights="weights" in config.analyses,
         )
 
     if "dims" in config.analyses and reports is not None:
@@ -340,7 +339,7 @@ def run(config: RunConfig) -> tuple[int, dict, str]:
 
     if "verify" in config.analyses:
         outcome = codes.family_verification(
-            family, budget=config.budget, threads=config.threads, reports=reports
+            family, budget=config.budget, threads=config.threads
         )
         report["verify"] = {
             "passed": outcome["passed"],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cyclotomic import verify_class_structure
@@ -27,6 +28,7 @@ from .number_theory import crt_inverses
 
 DEFAULT_BUDGET = 1 << 24
 MIN_BUDGET = 1 << 10
+MAX_CACHED_CODES = 256  # bases and enumerations kept; a family has far fewer labels
 
 
 class BudgetExceededError(RuntimeError):
@@ -52,10 +54,20 @@ def ideal_dimension(e: AlgebraElement) -> int:
 
 
 def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
-    """A deterministic basis: the first maximal independent set of translates."""
+    """A deterministic basis: the first maximal independent set of translates.
+
+    The basis is built and passed through check_basis once per element; later
+    calls return a new list of the same words.
+    """
+    return list(_checked_basis(e))
+
+
+@lru_cache(maxsize=MAX_CACHED_CODES)
+def _checked_basis(e: AlgebraElement) -> tuple[AlgebraElement, ...]:
     rows = ideal_translates(e)
-    kept = independent_row_indices(rows)
-    return [AlgebraElement(e.group, rows[i]) for i in kept]
+    basis = tuple(AlgebraElement(e.group, rows[i]) for i in independent_row_indices(rows))
+    check_basis(basis, e)
+    return basis
 
 
 def check_basis(basis: Sequence[AlgebraElement], e: AlgebraElement) -> None:
@@ -134,6 +146,42 @@ def scan_codewords(
     return best, best_word, (hist if want_hist else None)
 
 
+_enumerations: dict[tuple[int, tuple[int, ...]], tuple[int, int, dict[int, int] | None]] = {}
+
+
+def _enumerate_code(
+    rows: tuple[int, ...], *, ncols: int, want_hist: bool, threads: int
+) -> tuple[int, int, dict[int, int] | None]:
+    """scan_codewords, run at most once per code.
+
+    A histogram scan also answers later minimum-only requests; its histogram
+    is checked against the scan's own count and minimum before it is kept.
+    The result does not depend on `threads`, so it is not part of the key.
+    """
+    key = (ncols, rows)
+    hit = _enumerations.get(key)
+    if hit is not None and (hit[2] is not None or not want_hist):
+        return hit
+    best, word, hist = scan_codewords(
+        list(rows), ncols=ncols, want_hist=want_hist, threads=threads
+    )
+    if hist is not None and (
+        sum(hist.values()) != (1 << len(rows)) - 1 or (hist and min(hist) != best)
+    ):
+        raise RuntimeError("weight histogram failed its internal consistency checks")
+    _enumerations.pop(key, None)
+    if len(_enumerations) >= MAX_CACHED_CODES:
+        del _enumerations[next(iter(_enumerations))]
+    _enumerations[key] = (best, word, hist)
+    return best, word, hist
+
+
+def clear_caches() -> None:
+    """Forget every cached basis and enumeration (for cold measurements and tests)."""
+    _checked_basis.cache_clear()
+    _enumerations.clear()
+
+
 def naive_weight_distribution(rows: Sequence[int]) -> dict[int, int]:
     """Independent oracle: recompute every codeword from scratch per subset."""
     k = len(rows)
@@ -161,7 +209,6 @@ class WeightResult:
     exact: bool
     witness: AlgebraElement | None = None
     notes: tuple[str, ...] = ()
-    distribution: dict[int, int] | None = None  # histogram of the enumeration, if taken
 
     @property
     def value(self) -> int | None:
@@ -184,37 +231,29 @@ def minimum_weight(
     threads: int = 1,
     theory_lower: int | None = None,
     probes: Iterable[AlgebraElement] = (),
-    basis: Sequence[AlgebraElement] | None = None,
     want_distribution: bool = False,
 ) -> WeightResult:
     """Exact minimum weight by enumeration, or bounds when it does not fit.
 
     The fallback lower bound is 2 for augmentation-zero idempotents (all
     codewords then have even weight) and any supplied theory bound; the upper
-    bound is the lightest among e itself and the probe codewords.  `basis`
-    saves rebuilding the ideal's basis.  With `want_distribution` the one
-    enumeration also takes the weight histogram, kept in the result's
-    `distribution` after its consistency checks.
+    bound is the lightest among e itself and the probe codewords.  With
+    `want_distribution` the enumeration also takes the weight histogram, so a
+    following weight_distribution(e) does not enumerate the code again.
     """
-    if basis is None:
-        basis = ideal_basis(e)
+    basis = ideal_basis(e)
     k = len(basis)
     n = e.group.order
     if (1 << k) <= budget:
-        best, word, hist = scan_codewords(
-            [x.bits for x in basis], ncols=n, want_hist=want_distribution, threads=threads
+        best, word, _ = _enumerate_code(
+            tuple(x.bits for x in basis), ncols=n, want_hist=want_distribution, threads=threads
         )
-        if hist is not None and (
-            sum(hist.values()) != (1 << k) - 1 or (hist and min(hist) != best)
-        ):
-            raise RuntimeError("weight histogram failed its internal consistency checks")
         return WeightResult(
             lower=best,
             upper=best,
             exact=True,
             witness=AlgebraElement(e.group, word),
             notes=(f"enumerated all 2**{k} - 1 nonzero codewords",),
-            distribution=hist,
         )
     notes = [f"enumeration refused: 2**{k} exceeds budget {budget}"]
     lower = 1
@@ -239,29 +278,18 @@ def minimum_weight(
 
 
 def weight_distribution(
-    e: AlgebraElement,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-    basis: Sequence[AlgebraElement] | None = None,
-    scanned: WeightResult | None = None,
+    e: AlgebraElement, *, budget: int = DEFAULT_BUDGET, threads: int = 1
 ) -> dict[int, int]:
-    """Full weight histogram of the nonzero codewords; refuses beyond budget.
-
-    `scanned`, a minimum_weight result that already took the histogram of
-    this code, is read instead of enumerating the code again.
-    """
-    if basis is None:
-        basis = ideal_basis(e)
+    """Full weight histogram of the nonzero codewords; refuses beyond budget."""
+    basis = ideal_basis(e)
     k = len(basis)
     if (1 << k) > budget:
         raise BudgetExceededError(k, budget)
-    if scanned is None or scanned.distribution is None:
-        scanned = minimum_weight(
-            e, budget=budget, threads=threads, basis=basis, want_distribution=True
-        )
-    assert scanned.distribution is not None
-    return scanned.distribution
+    _, _, hist = _enumerate_code(
+        tuple(x.bits for x in basis), ncols=e.group.order, want_hist=True, threads=threads
+    )
+    assert hist is not None
+    return dict(hist)
 
 
 def code_seed_word(family: IdempotentFamily, label: str = "e3") -> AlgebraElement:
@@ -538,16 +566,15 @@ def analyze_code(
 ) -> CodeReport:
     """Dimension, basis, minimum weight and optional distribution for one label.
 
-    The basis is built and checked once, and the codewords are enumerated at
-    most once: with the histogram when a distribution is wanted, and then the
-    minimum weight and its witness come from that same enumeration.  Without
-    `want_weights` or `want_distribution` nothing is enumerated and
-    `min_weight` is None.  `theory_map` and `probes` are the family's
-    theoretical_expectations and _theory_probes, built here when not given.
+    The codewords are enumerated at most once: with the histogram when a
+    distribution is wanted, and then the minimum weight and its witness come
+    from that same enumeration.  Without `want_weights` or `want_distribution`
+    nothing is enumerated and `min_weight` is None.  `theory_map` and `probes`
+    are the family's theoretical_expectations and _theory_probes, built here
+    when not given.
     """
     e = family.elements[label]
     basis = ideal_basis(e)
-    check_basis(basis, e)
     if theory_map is None:
         theory_map = theoretical_expectations(family)
     theory = theory_map.get(label, TheoryWeight("none", source="no stated value"))
@@ -563,14 +590,11 @@ def analyze_code(
             threads=threads,
             theory_lower=theory.lower if theory.kind == "bounds" else None,
             probes=[probes[label]] if label in probes else [],
-            basis=basis,
             want_distribution=want_distribution,
         )
         if want_distribution:
             try:
-                distribution = weight_distribution(
-                    e, budget=budget, threads=threads, basis=basis, scanned=result
-                )
+                distribution = weight_distribution(e, budget=budget, threads=threads)
             except BudgetExceededError as exc:
                 refused = exc.required_budget
 
@@ -680,20 +704,18 @@ def family_verification(
     *,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    reports: dict[str, CodeReport] | None = None,
 ) -> dict:
     """The full invariant suite for one family; any failed check is a falsification.
 
     Covers the family axioms, per-label dimension agreement, the dimension sum,
     and every weight statement the theory makes that fits the budget.
-    Conjectured values are recorded but never falsify.  `reports`, from
-    analyze_family with weights at the same budget, are checked instead of
-    analyzing the family again.
+    Conjectured values are recorded but never falsify.  Bases and
+    enumerations that an earlier analysis of the family already made are
+    reused, not repeated.
     """
     checks: list[dict] = list(family.verify_axioms())
 
-    if reports is None:
-        reports = analyze_family(family, budget=budget, threads=threads)
+    reports = analyze_family(family, budget=budget, threads=threads)
     dim_bad = [
         lab for lab in family.labels if not reports[lab].dimension_matches
     ]
@@ -843,6 +865,7 @@ __all__ = [
     "ideal_dimension",
     "ideal_basis",
     "check_basis",
+    "clear_caches",
     "scan_codewords",
     "naive_weight_distribution",
     "minimum_weight",

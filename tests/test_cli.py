@@ -233,6 +233,7 @@ class TestMain:
 class TestDimsWithoutEnumeration:
     @pytest.fixture
     def scans(self, monkeypatch):
+        codes.clear_caches()
         calls = []
         original = codes.scan_codewords
 

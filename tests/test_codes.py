@@ -276,7 +276,9 @@ def _count_calls(monkeypatch, module, name):
 
 class TestOneAnalysisPass:
     def test_cli_builds_each_basis_once_and_scans_each_code_once(self, fam15, monkeypatch):
-        bases = _count_calls(monkeypatch, codes, "ideal_basis")
+        codes.clear_caches()
+        checked = _count_calls(monkeypatch, codes, "check_basis")
+        translated = _count_calls(monkeypatch, codes, "ideal_translates")
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         config = RunConfig(
             group_spec="15", analyses=("weights", "distribution", "verify"), threads=1
@@ -284,12 +286,13 @@ class TestOneAnalysisPass:
         code, report, _ = run(config)
         labels = report["group"]["labels"]
         assert code == 0 and report["verify"]["passed"]
-        assert len(bases) == len(labels)
-        assert [args[0] for args, _ in bases] == [fam15.elements[lab] for lab in labels]
-        assert len(scans) <= len(labels)
+        assert [args[0] for args, _ in translated] == [fam15.elements[lab] for lab in labels]
+        assert [args[1] for args, _ in checked] == [fam15.elements[lab] for lab in labels]
+        assert len(scans) == len(labels)
         assert all(kwargs["want_hist"] for _, kwargs in scans)
 
     def test_weights_with_verify_scan_once_without_histogram(self, monkeypatch):
+        codes.clear_caches()
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         code, report, _ = run(
             RunConfig(group_spec="33", analyses=("weights", "verify"), threads=1)
@@ -301,6 +304,7 @@ class TestOneAnalysisPass:
     @pytest.mark.parametrize("fixture", ["fam15", "fam33", "fam45"])
     def test_one_pass_reports_match_the_oracles(self, fixture, request):
         fam = request.getfixturevalue(fixture)
+        codes.clear_caches()
         reports = analyze_family(fam, budget=1 << 14, want_distribution=True)
         minimum_only = analyze_family(fam, budget=1 << 14)
         for label in fam.labels:
@@ -308,6 +312,7 @@ class TestOneAnalysisPass:
             rep = reports[label]
             rows = [x.bits for x in ideal_basis(e)]
             assert rep.distribution == naive_weight_distribution(rows), label
+            codes.clear_caches()
             alone = minimum_weight(e, budget=1 << 14)
             assert rep.min_weight.exact and rep.min_weight.value == alone.value, label
             witness = rep.min_weight.witness
@@ -315,13 +320,28 @@ class TestOneAnalysisPass:
             assert rep.theory_match == minimum_only[label].theory_match, label
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam45"])
-    def test_verification_of_given_reports_matches_a_fresh_run(self, fixture, request):
+    def test_verification_after_an_analysis_matches_a_cold_run(self, fixture, request):
         fam = request.getfixturevalue(fixture)
-        reports = analyze_family(fam, budget=1 << 12, want_distribution=True)
-        given = family_verification(fam, budget=1 << 12, reports=reports)
-        fresh = family_verification(fam, budget=1 << 12)
-        assert given["passed"] and given["checks"] == fresh["checks"]
-        assert given["reports"] is reports
+        codes.clear_caches()
+        analyze_family(fam, budget=1 << 12, want_distribution=True, threads=3)
+        warm = family_verification(fam, budget=1 << 12)
+        codes.clear_caches()
+        cold = family_verification(fam, budget=1 << 12)
+        assert warm["passed"] and warm["checks"] == cold["checks"]
+        for label in fam.labels:
+            hot, fresh = warm["reports"][label], cold["reports"][label]
+            assert hot.to_json() == fresh.to_json(), label
+            assert hot.min_weight.witness == fresh.min_weight.witness, label
+
+    def test_cached_results_are_handed_out_as_copies(self, fam45):
+        e = fam45.elements["I01"]
+        first = ideal_basis(e)
+        first.clear()
+        assert len(ideal_basis(e)) == fam45.predicted_dims["I01"]
+        hist = weight_distribution(e, budget=1 << 14)
+        hist.clear()
+        again = weight_distribution(e, budget=1 << 14)
+        assert sum(again.values()) == (1 << len(ideal_basis(e))) - 1
 
     def test_dims_only_reports_enumerate_nothing(self, fam45, monkeypatch):
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
