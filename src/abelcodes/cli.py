@@ -197,6 +197,7 @@ def _group_section(shape: GroupShape, family: IdempotentFamily) -> dict:
 def run(config: RunConfig) -> tuple[int, dict, str]:
     """Execute a run; returns (exit code, JSON report, text rendering)."""
     shape = parse_group_spec(config.group_spec)
+    codes.clear_caches()  # each run starts cold and drops the previous run's codes
     try:
         family = build_family(shape, override=config.override)
     except HypothesisError as exc:

@@ -28,7 +28,7 @@ from .number_theory import crt_inverses
 
 DEFAULT_BUDGET = 1 << 24
 MIN_BUDGET = 1 << 10
-MAX_CACHED_CODES = 256  # bases and enumerations kept; a family has far fewer labels
+MAX_CACHED_CODES = 256  # bound for library callers; cli.run empties the caches per run
 
 
 class BudgetExceededError(RuntimeError):
@@ -146,6 +146,8 @@ def scan_codewords(
     return best, best_word, (hist if want_hist else None)
 
 
+# Evicted oldest first: a run reads each code right after scanning it and
+# once more in the verification pass, in label order, so first-in is least used.
 _enumerations: dict[tuple[int, tuple[int, ...]], tuple[int, int, dict[int, int] | None]] = {}
 
 
@@ -177,7 +179,7 @@ def _enumerate_code(
 
 
 def clear_caches() -> None:
-    """Forget every cached basis and enumeration (for cold measurements and tests)."""
+    """Forget every cached basis and enumeration; cli.run starts each run with it."""
     _checked_basis.cache_clear()
     _enumerations.clear()
 
@@ -231,22 +233,19 @@ def minimum_weight(
     threads: int = 1,
     theory_lower: int | None = None,
     probes: Iterable[AlgebraElement] = (),
-    want_distribution: bool = False,
 ) -> WeightResult:
     """Exact minimum weight by enumeration, or bounds when it does not fit.
 
     The fallback lower bound is 2 for augmentation-zero idempotents (all
     codewords then have even weight) and any supplied theory bound; the upper
-    bound is the lightest among e itself and the probe codewords.  With
-    `want_distribution` the enumeration also takes the weight histogram, so a
-    following weight_distribution(e) does not enumerate the code again.
+    bound is the lightest among e itself and the probe codewords.
     """
     basis = ideal_basis(e)
     k = len(basis)
     n = e.group.order
     if (1 << k) <= budget:
         best, word, _ = _enumerate_code(
-            tuple(x.bits for x in basis), ncols=n, want_hist=want_distribution, threads=threads
+            tuple(x.bits for x in basis), ncols=n, want_hist=False, threads=threads
         )
         return WeightResult(
             lower=best,
@@ -566,37 +565,36 @@ def analyze_code(
 ) -> CodeReport:
     """Dimension, basis, minimum weight and optional distribution for one label.
 
-    The codewords are enumerated at most once: with the histogram when a
-    distribution is wanted, and then the minimum weight and its witness come
-    from that same enumeration.  Without `want_weights` or `want_distribution`
-    nothing is enumerated and `min_weight` is None.  `theory_map` and `probes`
-    are the family's theoretical_expectations and _theory_probes, built here
-    when not given.
+    The codewords are enumerated at most once: the distribution goes first,
+    and the minimum weight and its witness then come from that same
+    enumeration.  Without `want_weights` or `want_distribution` nothing is
+    enumerated and `min_weight` is None.  `theory_map` and `probes` are the
+    family's theoretical_expectations and _theory_probes, built here when not
+    given.
     """
     e = family.elements[label]
     basis = ideal_basis(e)
     if theory_map is None:
         theory_map = theoretical_expectations(family)
+    if probes is None:
+        probes = _theory_probes(family)
     theory = theory_map.get(label, TheoryWeight("none", source="no stated value"))
     result = None
     distribution = None
     refused = None
+    if want_distribution:
+        try:
+            distribution = weight_distribution(e, budget=budget, threads=threads)
+        except BudgetExceededError as exc:
+            refused = exc.required_budget
     if want_weights or want_distribution:
-        if probes is None:
-            probes = _theory_probes(family)
         result = minimum_weight(
             e,
             budget=budget,
             threads=threads,
             theory_lower=theory.lower if theory.kind == "bounds" else None,
             probes=[probes[label]] if label in probes else [],
-            want_distribution=want_distribution,
         )
-        if want_distribution:
-            try:
-                distribution = weight_distribution(e, budget=budget, threads=threads)
-            except BudgetExceededError as exc:
-                refused = exc.required_budget
 
     match: bool | None = None
     if result is not None and result.exact:
@@ -629,7 +627,7 @@ def analyze_family(
 ) -> dict[str, CodeReport]:
     """analyze_code for every label, with the theory values built once for the family."""
     theory_map = theoretical_expectations(family)
-    probes = _theory_probes(family) if want_weights or want_distribution else {}
+    probes = _theory_probes(family)
     return {
         label: analyze_code(
             family,
@@ -865,7 +863,6 @@ __all__ = [
     "ideal_dimension",
     "ideal_basis",
     "check_basis",
-    "clear_caches",
     "scan_codewords",
     "naive_weight_distribution",
     "minimum_weight",

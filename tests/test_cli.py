@@ -180,7 +180,15 @@ class TestRun:
 
 
 class TestMain:
-    def test_json_output_is_deterministic_across_threads(self, capsys):
+    def test_json_output_is_deterministic_across_threads(self, capsys, monkeypatch):
+        scans = []
+        original = codes.scan_codewords
+
+        def counted(*args, **kwargs):
+            scans.append(kwargs["threads"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(codes, "scan_codewords", counted)
         outputs = []
         for threads in ("1", "2", "8"):
             assert main(["33", "--distribution", "--format", "json",
@@ -189,6 +197,9 @@ class TestMain:
         assert outputs[0] == outputs[1] == outputs[2]
         parsed = json.loads(outputs[0])
         assert "distributions" in parsed
+        # every run enumerates afresh at its own thread count
+        per_run = len(scans) // 3
+        assert per_run > 0 and scans == [1] * per_run + [2] * per_run + [8] * per_run
 
     def test_missing_group_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -250,6 +261,15 @@ class TestDimsWithoutEnumeration:
         report = json.loads(capsys.readouterr().out)
         assert scans == []
         assert report["dimensions"]["sum_matches_order"]
+
+    def test_dims_still_checks_the_seed_words(self, scans, monkeypatch, capsys):
+        seeds = []
+        original = codes.code_seed_word
+        monkeypatch.setattr(
+            codes, "code_seed_word", lambda *args: seeds.append(args[1]) or original(*args)
+        )
+        assert main(["15", "--dims", "--format", "json"]) == EXIT_OK
+        assert scans == [] and seeds == ["e3", "e4"]
 
     def test_dims_section_is_the_one_an_enumerating_run_reports(self, scans, capsys):
         assert main(["45", "--dims", "--format", "json"]) == EXIT_OK
