@@ -179,7 +179,7 @@ def _enumerate_code(
 
 
 def clear_caches() -> None:
-    """Forget every cached basis and enumeration; cli.run starts each run with it."""
+    """Forget every cached basis and enumeration; cli.run calls it as each run starts."""
     _checked_basis.cache_clear()
     _enumerations.clear()
 
