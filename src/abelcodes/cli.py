@@ -1,8 +1,9 @@
 """Command-line front end: analysis runs, verification suites, and exports.
 
 Exit codes: 0 ok, 1 usage, 2 hypothesis failure, 3 budget refusal,
-4 falsified invariant.  JSON output is byte-identical for a fixed config
-regardless of the thread count.
+4 falsified invariant.  A run builds one JSON report; the text view and the
+exit code are pure functions of it.  JSON output is byte-identical for a fixed
+config regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import codes
-from .codes import DEFAULT_BUDGET, MIN_BUDGET
+from .codes import DEFAULT_BUDGET, MIN_BUDGET, FalsificationError
 from .idempotents import (
     IdempotentFamily,
     family_pq,
@@ -32,6 +33,7 @@ EXIT_FALSIFIED = 4
 
 MAX_GROUP_ORDER = 10**6
 MAX_BUDGET = 1 << 64  # far beyond any enumeration that can finish
+MAX_THREADS = 64  # the scan starts one thread per chunk, and they share the GIL
 THREADS_ENV_VAR = "ABELCODES_THREADS"
 
 
@@ -149,8 +151,6 @@ class RunConfig:
     analyses: tuple[str, ...]
     budget: int = DEFAULT_BUDGET
     threads: int = 1
-    fmt: str = "text"
-    export_path: str | None = None
     override: bool = False
 
 
@@ -161,14 +161,19 @@ def parse_budget(text: str) -> int:
     return value
 
 
-def default_threads() -> int:
+def resolve_threads(flag: int | None = None) -> int:
+    """--threads if given, else $ABELCODES_THREADS, else the CPU count, capped at MAX_THREADS."""
     env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if flag is None and not env:
+        return min(os.cpu_count() or 1, MAX_THREADS)
+    source, value = ("--threads", flag) if flag is not None else (f"${THREADS_ENV_VAR}", env)
+    try:
+        threads = int(value)
+    except ValueError:
+        raise UsageError(f"{source} {value!r} is not an integer") from None
+    if not 1 <= threads <= MAX_THREADS:
+        raise UsageError(f"{source} {threads} is outside 1..{MAX_THREADS}")
+    return threads
 
 
 def build_family(shape: GroupShape, *, override: bool = False) -> IdempotentFamily:
@@ -182,7 +187,7 @@ def build_family(shape: GroupShape, *, override: bool = False) -> IdempotentFami
 
 
 def _group_section(shape: GroupShape, family: IdempotentFamily) -> dict:
-    section = {
+    return {
         "kind": family.shape,
         "spec": shape.text,
         "factor_orders": list(family.group.factor_orders),
@@ -191,180 +196,6 @@ def _group_section(shape: GroupShape, family: IdempotentFamily) -> dict:
         "parameters": {k: v for k, v in sorted(family.params.items())},
         "squaring_orbit_count": class_count(family.group),
     }
-    return section
-
-
-def run(config: RunConfig) -> tuple[int, dict, str]:
-    """Execute a run; returns (exit code, JSON report, text rendering)."""
-    shape = parse_group_spec(config.group_spec)
-    codes.clear_caches()  # each run starts cold and drops the previous run's codes
-    try:
-        family = build_family(shape, override=config.override)
-    except HypothesisError as exc:
-        report = {
-            "config": _config_section(config),
-            "hypotheses": {"satisfied": False, "failures": list(exc.failures)},
-        }
-        text = "hypothesis failure:\n" + "\n".join(f"  - {f}" for f in exc.failures)
-        return EXIT_HYPOTHESIS, report, text
-    except ConsistencyError as exc:
-        # reachable only in override mode: the construction itself breaks down
-        # when the standing conditions fail badly enough
-        failures = [f"construction failed under overridden hypotheses: {exc}"]
-        report = {
-            "config": _config_section(config),
-            "hypotheses": {"satisfied": False, "failures": failures},
-        }
-        text = "hypothesis failure:\n" + "\n".join(f"  - {f}" for f in failures)
-        return EXIT_HYPOTHESIS, report, text
-
-    warnings = list(family.params.get("hypothesis_warnings", []))
-    report: dict = {
-        "config": _config_section(config),
-        "group": _group_section(shape, family),
-        "hypotheses": {"satisfied": not warnings, "failures": warnings},
-    }
-    lines: list[str] = [
-        f"group {shape.text}: {family.shape}, factors {list(family.group.factor_orders)}, "
-        f"order {family.group.order}, {len(family.labels)} idempotents"
-    ]
-    if warnings:
-        lines.append("WARNING: running with unverified hypotheses:")
-        lines.extend(f"  - {w}" for w in warnings)
-
-    falsified = False
-    refused = False
-
-    if "idempotents" in config.analyses:
-        report["idempotents"] = family.to_json()["idempotents"]
-        lines.append("")
-        lines.append("idempotents (label, weight, predicted dimension, support):")
-        for lab in family.labels:
-            e = family.elements[lab]
-            lines.append(
-                f"  {lab:8s} w={e.weight:5d} dim={family.predicted_dims[lab]:4d} "
-                f"support={e.support_ranks()}"
-            )
-
-    # --verify reuses the cached bases and enumerations; --dims alone enumerates nothing.
-    reports = None
-    if {"dims", "weights", "distribution"} & set(config.analyses):
-        reports = codes.analyze_family(
-            family,
-            budget=config.budget,
-            threads=config.threads,
-            want_distribution="distribution" in config.analyses,
-            want_weights="weights" in config.analyses,
-        )
-
-    if "dims" in config.analyses and reports is not None:
-        per_label = {
-            lab: {
-                "computed": reports[lab].dimension,
-                "predicted": reports[lab].predicted_dimension,
-                "match": reports[lab].dimension_matches,
-            }
-            for lab in family.labels
-        }
-        total = sum(r.dimension for r in reports.values())
-        n_orbits = class_count(family.group)
-        report["dimensions"] = {
-            "per_label": per_label,
-            "sum": total,
-            "sum_matches_order": total == family.group.order,
-            "family_size": len(family.labels),
-            "squaring_orbit_count": n_orbits,
-            "count_matches": len(family.labels) == n_orbits,
-        }
-        if not all(v["match"] for v in per_label.values()):
-            falsified = True
-        if total != family.group.order or len(family.labels) != n_orbits:
-            falsified = True
-        lines.append("")
-        lines.append("dimensions (computed / predicted):")
-        for lab in family.labels:
-            r = reports[lab]
-            flag = "" if r.dimension_matches else "  MISMATCH"
-            lines.append(f"  {lab:8s} {r.dimension:4d} / {r.predicted_dimension:4d}{flag}")
-        lines.append(f"  sum {total} (order {family.group.order}); "
-                     f"{len(family.labels)} members vs {n_orbits} squaring orbits")
-
-    if "weights" in config.analyses and reports is not None:
-        section = {}
-        lines.append("")
-        lines.append("minimum weights:")
-        for lab in family.labels:
-            r = reports[lab]
-            section[lab] = {
-                "dimension": r.dimension,
-                "min_weight": r.min_weight.to_json(),
-                "theory": r.theory.to_json(),
-                "theory_match": r.theory_match,
-            }
-            if r.falsified:
-                falsified = True
-            if r.min_weight.exact:
-                shown = f"{r.min_weight.value} (exact)"
-            else:
-                shown = f"in [{r.min_weight.lower}, {r.min_weight.upper}] (bounded)"
-            theory_note = ""
-            if r.theory.kind == "exact":
-                theory_note = f"  expected {r.theory.value} [{r.theory.source}]"
-            elif r.theory.kind == "bounds":
-                theory_note = f"  expected in [{r.theory.lower}, {r.theory.upper}] [{r.theory.source}]"
-            elif r.theory.kind == "conjecture":
-                theory_note = f"  conjectured {r.theory.value} [{r.theory.source}]"
-            lines.append(f"  {lab:8s} {shown}{theory_note}")
-        report["weights"] = section
-
-    if "distribution" in config.analyses and reports is not None:
-        section = {}
-        lines.append("")
-        lines.append("weight distributions:")
-        for lab in family.labels:
-            r = reports[lab]
-            if r.distribution is not None:
-                section[lab] = {str(w): c for w, c in sorted(r.distribution.items())}
-                body = ", ".join(f"{w}:{c}" for w, c in sorted(r.distribution.items()))
-                lines.append(f"  {lab:8s} {{{body}}}")
-            else:
-                refused = True
-                section[lab] = {
-                    "refused": True,
-                    "required_budget": r.distribution_refused,
-                }
-                lines.append(
-                    f"  {lab:8s} refused, required budget {r.distribution_refused}"
-                )
-        report["distributions"] = section
-
-    if "verify" in config.analyses:
-        outcome = codes.family_verification(
-            family, budget=config.budget, threads=config.threads
-        )
-        report["verify"] = {
-            "passed": outcome["passed"],
-            "checks": [
-                {"name": c["name"], "passed": c["passed"], "detail": c["detail"]}
-                for c in outcome["checks"]
-            ],
-        }
-        if not outcome["passed"]:
-            falsified = True
-        lines.append("")
-        lines.append("verification suite:")
-        for c in outcome["checks"]:
-            mark = "ok " if c["passed"] else "FAIL"
-            lines.append(f"  [{mark}] {c['name']}: {c['detail']}")
-        lines.append(f"verification {'passed' if outcome['passed'] else 'FAILED'}")
-
-    if falsified:
-        code = EXIT_FALSIFIED
-    elif refused:
-        code = EXIT_BUDGET
-    else:
-        code = EXIT_OK
-    return code, report, "\n".join(lines)
 
 
 def _config_section(config: RunConfig) -> dict:
@@ -374,6 +205,194 @@ def _config_section(config: RunConfig) -> dict:
         "budget": config.budget,
         "override": config.override,
     }
+
+
+def _code_sections(
+    report: dict, reports: dict[str, codes.CodeReport], analyses: tuple[str, ...]
+) -> None:
+    """Add the dims, weights and distributions sections asked for to `report`."""
+    if "dims" in analyses:
+        total = sum(r.dimension for r in reports.values())
+        n_orbits = report["group"]["squaring_orbit_count"]
+        report["dimensions"] = {
+            "per_label": {
+                lab: {"computed": r.dimension, "predicted": r.predicted_dimension,
+                      "match": r.dimension_matches}
+                for lab, r in reports.items()
+            },
+            "sum": total,
+            "sum_matches_order": total == report["group"]["order"],
+            "family_size": len(reports),
+            "squaring_orbit_count": n_orbits,
+            "count_matches": len(reports) == n_orbits,
+        }
+    if "weights" in analyses:
+        report["weights"] = {
+            lab: {
+                "dimension": r.dimension,
+                "min_weight": r.min_weight.to_json(),
+                "theory": r.theory.to_json(),
+                "theory_match": r.theory_match,
+            }
+            for lab, r in reports.items()
+        }
+    if "distribution" in analyses:
+        report["distributions"] = {
+            lab: (
+                {str(w): c for w, c in sorted(r.distribution.items())}
+                if r.distribution is not None
+                else {"refused": True, "required_budget": r.distribution_refused}
+            )
+            for lab, r in reports.items()
+        }
+
+
+def build_report(config: RunConfig) -> dict:
+    """Compute the JSON report of a run, the one source of its text and exit code."""
+    shape = parse_group_spec(config.group_spec)
+    codes.clear_caches()  # each run starts cold and drops the previous run's codes
+    report: dict = {"config": _config_section(config)}
+    try:
+        family = build_family(shape, override=config.override)
+    except (HypothesisError, ConsistencyError) as exc:
+        # a ConsistencyError is reachable only in override mode: the construction
+        # itself breaks down when the standing conditions fail badly enough
+        failures = getattr(exc, "failures", None) or [
+            f"construction failed under overridden hypotheses: {exc}"
+        ]
+        report["hypotheses"] = {"satisfied": False, "failures": list(failures)}
+        return report
+
+    warnings = list(family.params.get("hypothesis_warnings", []))
+    report["group"] = _group_section(shape, family)
+    report["hypotheses"] = {"satisfied": not warnings, "failures": warnings}
+    if "idempotents" in config.analyses:
+        report["idempotents"] = family.to_json()["idempotents"]
+    # --verify reuses the cached bases and enumerations; --dims alone enumerates nothing.
+    if {"dims", "weights", "distribution"} & set(config.analyses):
+        try:
+            reports = codes.analyze_family(
+                family,
+                budget=config.budget,
+                threads=config.threads,
+                want_distribution="distribution" in config.analyses,
+                want_weights="weights" in config.analyses,
+            )
+        except FalsificationError as exc:
+            report["falsification"] = str(exc)
+        else:
+            _code_sections(report, reports, config.analyses)
+    if "verify" in config.analyses:
+        outcome = codes.family_verification(
+            family, budget=config.budget, threads=config.threads
+        )
+        report["verify"] = {key: outcome[key] for key in ("passed", "checks")}
+    return report
+
+
+def exit_code(report: dict) -> int:
+    """The exit code a report stands for; a falsification outranks a refusal."""
+    if "group" not in report:
+        return EXIT_HYPOTHESIS
+    dims = report.get("dimensions", {"sum_matches_order": True, "count_matches": True})
+    holds = [
+        "falsification" not in report,
+        report.get("verify", {"passed": True})["passed"],
+        dims["sum_matches_order"] and dims["count_matches"],
+        *(d["match"] for d in dims.get("per_label", {}).values()),
+        *(  # CodeReport.falsified, read off the weights section
+            w["theory_match"] is not False or w["theory"]["kind"] not in ("exact", "bounds")
+            for w in report.get("weights", {}).values()
+        ),
+    ]
+    if not all(holds):
+        return EXIT_FALSIFIED
+    if any("refused" in d for d in report.get("distributions", {}).values()):
+        return EXIT_BUDGET
+    return EXIT_OK
+
+
+_THEORY_NOTES = {
+    "exact": "  expected {value} [{source}]",
+    "bounds": "  expected in [{lower}, {upper}] [{source}]",
+    "conjecture": "  conjectured {value} [{source}]",
+}
+
+
+def _weight_text(entry: dict) -> str:
+    found, theory = entry["min_weight"], entry["theory"]
+    if found["exact"]:
+        shown = f"{found['min_weight']} (exact)"
+    else:
+        shown = f"in [{found['lower']}, {found['upper']}] (bounded)"
+    return shown + _THEORY_NOTES.get(theory["kind"], "").format(**theory)
+
+
+def _distribution_text(dist: dict) -> str:
+    if "refused" in dist:
+        return f"refused, required budget {dist['required_budget']}"
+    body = ", ".join(f"{w}:{c}" for w, c in sorted(dist.items(), key=lambda wc: int(wc[0])))
+    return f"{{{body}}}"
+
+
+def render_text(report: dict) -> str:
+    """The text view of a report; reads nothing but the report itself."""
+    failures = report["hypotheses"]["failures"]
+    if "group" not in report:
+        return "hypothesis failure:\n" + "\n".join(f"  - {f}" for f in failures)
+    group = report["group"]
+    labels = group["labels"]
+    lines = [
+        f"group {group['spec']}: {group['kind']}, factors {group['factor_orders']}, "
+        f"order {group['order']}, {len(labels)} idempotents"
+    ]
+    if failures:
+        lines.append("WARNING: running with unverified hypotheses:")
+        lines.extend(f"  - {w}" for w in failures)
+    if "idempotents" in report:
+        lines += ["", "idempotents (label, weight, predicted dimension, support):"]
+        for lab in labels:
+            e = report["idempotents"][lab]
+            lines.append(
+                f"  {lab:8s} w={e['weight']:5d} dim={e['predicted_dimension']:4d} "
+                f"support={e['support_ranks']}"
+            )
+    if "dimensions" in report:
+        dims = report["dimensions"]
+        lines += ["", "dimensions (computed / predicted):"]
+        for lab in labels:
+            d = dims["per_label"][lab]
+            flag = "" if d["match"] else "  MISMATCH"
+            lines.append(f"  {lab:8s} {d['computed']:4d} / {d['predicted']:4d}{flag}")
+        lines.append(
+            f"  sum {dims['sum']} (order {group['order']}); "
+            f"{dims['family_size']} members vs {dims['squaring_orbit_count']} squaring orbits"
+        )
+    if "weights" in report:
+        lines += ["", "minimum weights:"]
+        lines.extend(f"  {lab:8s} {_weight_text(report['weights'][lab])}" for lab in labels)
+    if "distributions" in report:
+        lines += ["", "weight distributions:"]
+        lines.extend(
+            f"  {lab:8s} {_distribution_text(report['distributions'][lab])}" for lab in labels
+        )
+    if "falsification" in report:
+        lines += ["", f"FALSIFIED: {report['falsification']}"]
+    if "verify" in report:
+        verify = report["verify"]
+        lines += ["", "verification suite:"]
+        lines.extend(
+            f"  [{'ok ' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']}"
+            for c in verify["checks"]
+        )
+        lines.append(f"verification {'passed' if verify['passed'] else 'FAILED'}")
+    return "\n".join(lines)
+
+
+def run(config: RunConfig) -> tuple[int, dict, str]:
+    """Execute a run; returns (exit code, JSON report, text rendering)."""
+    report = build_report(config)
+    return exit_code(report), report, render_text(report)
 
 
 def render_json(report: dict) -> str:
@@ -388,7 +407,9 @@ def main(argv: list[str] | None = None) -> int:
             "algebra and analyze the minimal codes they generate."
         ),
     )
-    parser.add_argument("group", nargs="?", help="group spec, e.g. 15, 3x11, 9x25, 3x5x11")
+    parser.add_argument(
+        "group", nargs="?", help="group spec, e.g. 15, 3x11, 9x25, 3x5x11 (order at most 10^6)"
+    )
     parser.add_argument("-g", "--group", dest="group_flag", help="group spec (flag form)")
     parser.add_argument("--idempotents", action="store_true", help="export the idempotents")
     parser.add_argument("--dims", action="store_true", help="computed vs predicted dimensions")
@@ -412,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         "--threads",
         type=int,
         default=None,
-        help=f"worker threads (default: ${THREADS_ENV_VAR} or machine parallelism)",
+        help=f"worker threads, 1 to {MAX_THREADS} (default: ${THREADS_ENV_VAR} or the CPU count)",
     )
     parser.add_argument(
         "--allow-unverified-hypotheses",
@@ -440,25 +461,20 @@ def main(argv: list[str] | None = None) -> int:
             group_spec=spec,
             analyses=tuple(analyses),
             budget=parse_budget(args.budget),
-            threads=max(1, args.threads) if args.threads else default_threads(),
-            fmt=args.format,
-            export_path=args.export,
+            threads=resolve_threads(args.threads),
             override=args.allow_unverified_hypotheses,
         )
         code, report, text = run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if config.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(render_json(report))
     else:
         print(text)
-    if config.export_path:
-        with open(config.export_path, "w", encoding="utf-8") as fh:
+    if args.export:
+        with open(args.export, "w", encoding="utf-8") as fh:
             fh.write(render_json(report))
     return code
 

@@ -697,6 +697,55 @@ def split_swap_map_matches(family: IdempotentFamily) -> bool:
     return image == family.elements["e4"].bits
 
 
+def _check(name: str, passed: bool, detail: str) -> dict:
+    return {"name": name, "passed": passed, "detail": detail}
+
+
+def _report_checks(family: IdempotentFamily, reports: dict[str, CodeReport]) -> list[dict]:
+    """The checks read off the family's code reports: dimensions and weights."""
+    dim_bad = [lab for lab in family.labels if not reports[lab].dimension_matches]
+    total = sum(reports[lab].dimension for lab in family.labels)
+    weight_bad = []
+    recorded = []
+    for lab in family.labels:
+        rep = reports[lab]
+        if rep.falsified:
+            weight_bad.append(lab)
+        if rep.theory.kind == "conjecture":
+            recorded.append(
+                f"{lab}: enumerated "
+                f"{rep.min_weight.value if rep.min_weight.exact else 'bounds'} "
+                f"vs conjectured {rep.theory.value} "
+                f"({'match' if rep.theory_match else 'no match' if rep.theory_match is False else 'not enumerated'})"
+            )
+    checks = [
+        _check(
+            "computed dimensions match predictions",
+            not dim_bad,
+            f"failing labels: {dim_bad}" if dim_bad else "all labels agree",
+        ),
+        _check(
+            "dimensions sum to the group order",
+            total == family.group.order,
+            f"{total} vs {family.group.order}",
+        ),
+        _check(
+            "exact weight statements hold within budget",
+            not weight_bad,
+            f"failing labels: {weight_bad}" if weight_bad else "no contradictions",
+        ),
+    ]
+    if recorded:
+        checks.append(
+            _check(
+                "conjectured split-code weights (recorded, not asserted)",
+                True,
+                "; ".join(recorded),
+            )
+        )
+    return checks
+
+
 def family_verification(
     family: IdempotentFamily,
     *,
@@ -709,120 +758,53 @@ def family_verification(
     and every weight statement the theory makes that fits the budget.
     Conjectured values are recorded but never falsify.  Bases and
     enumerations that an earlier analysis of the family already made are
-    reused, not repeated.
+    reused, not repeated.  A FalsificationError raised while analyzing the
+    codes becomes a failed check, and the checks that need no code report
+    still run.
     """
     checks: list[dict] = list(family.verify_axioms())
-
-    reports = analyze_family(family, budget=budget, threads=threads)
-    dim_bad = [
-        lab for lab in family.labels if not reports[lab].dimension_matches
-    ]
-    checks.append(
-        {
-            "name": "computed dimensions match predictions",
-            "passed": not dim_bad,
-            "detail": f"failing labels: {dim_bad}" if dim_bad else "all labels agree",
-        }
-    )
-    total = sum(reports[lab].dimension for lab in family.labels)
-    checks.append(
-        {
-            "name": "dimensions sum to the group order",
-            "passed": total == family.group.order,
-            "detail": f"{total} vs {family.group.order}",
-        }
-    )
-
-    weight_bad = []
-    recorded = []
-    for lab in family.labels:
-        rep = reports[lab]
-        if rep.theory.kind in ("exact", "bounds") and rep.theory_match is False:
-            weight_bad.append(lab)
-        if rep.theory.kind == "conjecture":
-            recorded.append(
-                f"{lab}: enumerated "
-                f"{rep.min_weight.value if rep.min_weight.exact else 'bounds'} "
-                f"vs conjectured {rep.theory.value} "
-                f"({'match' if rep.theory_match else 'no match' if rep.theory_match is False else 'not enumerated'})"
-            )
-    checks.append(
-        {
-            "name": "exact weight statements hold within budget",
-            "passed": not weight_bad,
-            "detail": f"failing labels: {weight_bad}" if weight_bad else "no contradictions",
-        }
-    )
-    if recorded:
-        checks.append(
-            {
-                "name": "conjectured split-code weights (recorded, not asserted)",
-                "passed": True,
-                "detail": "; ".join(recorded),
-            }
-        )
+    try:
+        reports = analyze_family(family, budget=budget, threads=threads)
+    except FalsificationError as exc:
+        reports = {}
+        checks.append(_check("every code of the family is analyzed", False, str(exc)))
+    else:
+        checks.extend(_report_checks(family, reports))
 
     if family.shape == "pq" and family.params.get("case") is not None:
         p, q = int(family.params["p"]), int(family.params["q"])
         structure = verify_class_structure((p, q))
         checks.append(
-            {
-                "name": "squaring orbits match their residue description",
-                "passed": structure.ok,
-                "detail": "; ".join(structure.mismatches) or f"case {structure.case}",
-            }
+            _check(
+                "squaring orbits match their residue description",
+                structure.ok,
+                "; ".join(structure.mismatches) or f"case {structure.case}",
+            )
         )
+        name = "short split codeword has weight p + q"
         try:
-            y = code_seed_word(family, "e3")
-            checks.append(
-                {
-                    "name": "short split codeword has weight p + q",
-                    "passed": True,
-                    "detail": f"weight {y.weight}",
-                }
-            )
+            checks.append(_check(name, True, f"weight {code_seed_word(family, 'e3').weight}"))
         except FalsificationError as exc:
-            checks.append(
-                {
-                    "name": "short split codeword has weight p + q",
-                    "passed": False,
-                    "detail": str(exc),
-                }
-            )
+            checks.append(_check(name, False, str(exc)))
         checks.append(
-            {
-                "name": "mixed-class power map carries e3 onto e4",
-                "passed": split_swap_map_matches(family),
-                "detail": "support sets compared",
-            }
+            _check(
+                "mixed-class power map carries e3 onto e4",
+                split_swap_map_matches(family),
+                "support sets compared",
+            )
         )
-        if reports["e3"].min_weight.exact and reports["e4"].min_weight.exact:
-            same = reports["e3"].min_weight.value == reports["e4"].min_weight.value
+        if reports and reports["e3"].min_weight.exact and reports["e4"].min_weight.exact:
+            w3, w4 = reports["e3"].min_weight.value, reports["e4"].min_weight.value
             checks.append(
-                {
-                    "name": "the two split codes have equal minimum weight",
-                    "passed": same,
-                    "detail": f"{reports['e3'].min_weight.value} vs {reports['e4'].min_weight.value}",
-                }
+                _check("the two split codes have equal minimum weight", w3 == w4, f"{w3} vs {w4}")
             )
     if family.shape == "prime_power":
+        name = "single-factor weight witnesses have the table weights"
         try:
             witnesses = table_witness_words(family)
-            checks.append(
-                {
-                    "name": "single-factor weight witnesses have the table weights",
-                    "passed": True,
-                    "detail": f"{len(witnesses)} witnesses constructed",
-                }
-            )
+            checks.append(_check(name, True, f"{len(witnesses)} witnesses constructed"))
         except FalsificationError as exc:
-            checks.append(
-                {
-                    "name": "single-factor weight witnesses have the table weights",
-                    "passed": False,
-                    "detail": str(exc),
-                }
-            )
+            checks.append(_check(name, False, str(exc)))
     if family.shape == "three_primes":
         one = AlgebraElement.one(family.group)
         hats = one
@@ -836,11 +818,11 @@ def family_verification(
             + family.elements["e13"]
         )
         checks.append(
-            {
-                "name": "deep split idempotents sum to the triple-complement unity",
-                "passed": four == hats,
-                "detail": "bitset comparison",
-            }
+            _check(
+                "deep split idempotents sum to the triple-complement unity",
+                four == hats,
+                "bitset comparison",
+            )
         )
 
     return {

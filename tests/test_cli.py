@@ -2,12 +2,13 @@ import json
 import threading
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelcodes import codes
+from abelcodes import cli, codes
 from abelcodes.cli import (
     EXIT_BUDGET,
     EXIT_FALSIFIED,
@@ -15,14 +16,26 @@ from abelcodes.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_BUDGET,
+    MAX_THREADS,
     MIN_BUDGET,
+    THREADS_ENV_VAR,
     RunConfig,
     UsageError,
+    exit_code,
     main,
     parse_budget,
     parse_group_spec,
+    render_json,
+    render_text,
+    resolve_threads,
     run,
 )
+from abelcodes.codes import FalsificationError, family_verification
+from abelcodes.idempotents import family_pq, family_prime_power
+
+# text stdout and exit code of ten commands, recorded before the text view was
+# derived from the JSON report
+TEXT_VIEWS = json.loads((Path(__file__).parent / "data" / "text_views.json").read_text())
 
 
 class TestGroupSpecParsing:
@@ -281,3 +294,107 @@ class TestDimsWithoutEnumeration:
         del both["weights"]
         both["config"]["analyses"] = ["dims"]
         assert alone == both
+
+
+class TestTextView:
+    @pytest.mark.parametrize("view", TEXT_VIEWS, ids=lambda v: " ".join(v["argv"]))
+    def test_text_stdout_and_exit_code_are_unchanged(self, view, capsys):
+        assert main(view["argv"]) == view["exit"]
+        assert capsys.readouterr().out == view["text"]
+
+    @pytest.mark.parametrize("view", TEXT_VIEWS, ids=lambda v: " ".join(v["argv"]))
+    def test_text_and_exit_code_come_from_the_json_alone(self, view, capsys, monkeypatch):
+        runs = []
+        original = cli.run
+
+        def recorded(config):
+            runs.append(original(config))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run", recorded)
+        assert main(view["argv"]) == view["exit"]
+        capsys.readouterr()
+        ((code, report, text),) = runs
+        parsed = json.loads(render_json(report))
+        assert render_text(parsed) == text
+        assert exit_code(parsed) == code
+
+
+def _raise_falsification(*args, **kwargs):
+    raise FalsificationError("probe word has the wrong weight")
+
+
+class TestFalsifiedProbeWords:
+    @pytest.mark.parametrize(
+        "flags", [["--dims"], ["--verify"], ["--weights", "--verify"]]
+    )
+    def test_seed_word_failure_exits_4(self, flags, monkeypatch, capsys):
+        monkeypatch.setattr(codes, "code_seed_word", _raise_falsification)
+        argv = ["15", *flags, "--budget", "2^12", "--format", "json"]
+        assert main(argv) == EXIT_FALSIFIED
+        report = json.loads(capsys.readouterr().out)
+        if "--dims" in flags or "--weights" in flags:
+            assert report["falsification"] == "probe word has the wrong weight"
+        if "--verify" in flags:
+            failed = [c["name"] for c in report["verify"]["checks"] if not c["passed"]]
+            assert "short split codeword has weight p + q" in failed
+
+    def test_witness_word_failure_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(codes, "table_witness_words", _raise_falsification)
+        assert main(["45", "--verify", "--budget", "2^14"]) == EXIT_FALSIFIED
+        out = capsys.readouterr().out
+        assert "[FAIL] single-factor weight witnesses have the table weights" in out
+        assert out.rstrip().endswith("verification FAILED")
+
+    def test_family_verification_lists_the_failing_checks(self, monkeypatch):
+        monkeypatch.setattr(codes, "code_seed_word", _raise_falsification)
+        outcome = family_verification(family_pq(3, 5), budget=1 << 12)
+        assert not outcome["passed"]
+        failed = {c["name"] for c in outcome["checks"] if not c["passed"]}
+        assert failed == {
+            "every code of the family is analyzed",
+            "short split codeword has weight p + q",
+        }
+
+    def test_family_verification_names_a_failing_witness(self, monkeypatch):
+        monkeypatch.setattr(codes, "table_witness_words", _raise_falsification)
+        outcome = family_verification(family_prime_power(3, 2, 5, 1), budget=1 << 14)
+        assert not outcome["passed"]
+        failed = {c["name"] for c in outcome["checks"] if not c["passed"]}
+        assert "single-factor weight witnesses have the table weights" in failed
+
+
+class TestThreadsGuard:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda config: calls.append(config))
+        return calls
+
+    @pytest.mark.parametrize("threads", ["0", "-1", str(MAX_THREADS + 1), "1000000"])
+    def test_flag_outside_range_exits_1_before_any_work(self, threads, runs, capsys):
+        assert main(["3x5x11", "--dims", "--threads", threads]) == EXIT_USAGE
+        assert runs == []
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3", str(MAX_THREADS + 1), "1000000", "many"])
+    def test_environment_outside_range_exits_1_before_any_work(
+        self, value, runs, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(THREADS_ENV_VAR, value)
+        assert main(["3x5x11", "--dims"]) == EXIT_USAGE
+        assert runs == []
+        assert THREADS_ENV_VAR in capsys.readouterr().err
+
+    def test_range_ends_are_accepted(self, capsys):
+        assert MAX_THREADS >= 8
+        for threads in ("1", str(MAX_THREADS)):
+            assert main(["3x5x11", "--dims", "--threads", threads]) == EXIT_OK
+        capsys.readouterr()
+
+    def test_cpu_count_default_is_capped(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1_000_000)
+        assert resolve_threads() == MAX_THREADS
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert resolve_threads() == 1
