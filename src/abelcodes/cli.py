@@ -33,7 +33,7 @@ EXIT_FALSIFIED = 4
 
 MAX_GROUP_ORDER = 10**6
 MAX_BUDGET = 1 << 64  # far beyond any enumeration that can finish
-MAX_THREADS = 64  # the scan starts one thread per chunk, and they share the GIL
+MAX_THREADS = 64  # --threads is validated and kept for compatibility; enumeration is single-threaded
 THREADS_ENV_VAR = "ABELCODES_THREADS"
 
 
@@ -150,7 +150,6 @@ class RunConfig:
     group_spec: str
     analyses: tuple[str, ...]
     budget: int = DEFAULT_BUDGET
-    threads: int = 1
     override: bool = False
 
 
@@ -274,7 +273,6 @@ def build_report(config: RunConfig) -> dict:
             reports = codes.analyze_family(
                 family,
                 budget=config.budget,
-                threads=config.threads,
                 want_distribution="distribution" in config.analyses,
                 want_weights="weights" in config.analyses,
             )
@@ -283,9 +281,7 @@ def build_report(config: RunConfig) -> dict:
         else:
             _code_sections(report, reports, config.analyses)
     if "verify" in config.analyses:
-        outcome = codes.family_verification(
-            family, budget=config.budget, threads=config.threads
-        )
+        outcome = codes.family_verification(family, budget=config.budget)
         report["verify"] = {key: outcome[key] for key in ("passed", "checks")}
     return report
 
@@ -399,6 +395,15 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an --export path that cannot be opened for writing; leaves a file's content alone."""
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cannot write --export {path}: {exc.strerror or exc}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(
         prog="analyze",
@@ -433,7 +438,10 @@ def main(argv: list[str] | None = None) -> int:
         "--threads",
         type=int,
         default=None,
-        help=f"worker threads, 1 to {MAX_THREADS} (default: ${THREADS_ENV_VAR} or the CPU count)",
+        help=(
+            f"thread count, 1 to {MAX_THREADS} (default: ${THREADS_ENV_VAR} or the CPU "
+            "count); checked and accepted, but enumeration is single-threaded"
+        ),
     )
     parser.add_argument(
         "--allow-unverified-hypotheses",
@@ -461,9 +469,11 @@ def main(argv: list[str] | None = None) -> int:
             group_spec=spec,
             analyses=tuple(analyses),
             budget=parse_budget(args.budget),
-            threads=resolve_threads(args.threads),
             override=args.allow_unverified_hypotheses,
         )
+        resolve_threads(args.threads)
+        if args.export:
+            _check_writable(args.export)
         code, report, text = run(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,30 +1,33 @@
 """Turning idempotents into codes: bases, exact minimum weights, distributions.
 
 A code here is the ideal generated by an idempotent e: the span over F2 of the
-translates g*e.  Minimum weights and weight distributions are computed by
-exhaustive Gray-code enumeration of the ideal whenever 2**dim fits the
-enumeration budget; otherwise honest bounds are reported, with the provenance
-of each bound recorded.
+translates g*e.  Minimum weights and weight distributions are exact whenever
+2**dim fits the enumeration budget; otherwise honest bounds are reported, with
+the provenance of each bound recorded.  The enumeration visits one codeword per
+translation orbit, as the powers of a certified generator of the ideal's field
+(scan_codewords); the Gray-code walk over every codeword runs only for an ideal
+that is not certified a field, and serves the tests as an oracle.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 from .cyclotomic import verify_class_structure
 from .gf2 import (
-    bit_indices,
+    berlekamp_massey,
     gf2_rank,
-    gray_code,
     gray_flip_sequence,
     independent_row_indices,
+    poly_is_irreducible,
+    poly_powmod,
 )
 from .group_algebra import AlgebraElement, Subgroup, cyclic_exponent, ideal_translates
 from .idempotents import IdempotentFamily
-from .number_theory import crt_inverses
+from .number_theory import crt_inverses, factorize, multiplicative_order
 
 DEFAULT_BUDGET = 1 << 24
 MIN_BUDGET = 1 << 10
@@ -59,15 +62,26 @@ def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
     The basis is built and passed through check_basis once per element; later
     calls return a new list of the same words.
     """
-    return list(_checked_basis(e))
+    return list(_checked_ideal(e).basis)
+
+
+@dataclass(frozen=True)
+class _Ideal:
+    """The checked basis of F2[G]e, and the rank of the first g giving each distinct g*e."""
+
+    basis: tuple[AlgebraElement, ...]
+    translate_ranks: tuple[int, ...]  # ascending; rank 0, the identity, comes first
 
 
 @lru_cache(maxsize=MAX_CACHED_CODES)
-def _checked_basis(e: AlgebraElement) -> tuple[AlgebraElement, ...]:
+def _checked_ideal(e: AlgebraElement) -> _Ideal:
     rows = ideal_translates(e)
     basis = tuple(AlgebraElement(e.group, rows[i]) for i in independent_row_indices(rows))
     check_basis(basis, e)
-    return basis
+    first: dict[int, int] = {}
+    for rank, row in enumerate(rows):
+        first.setdefault(row, rank)
+    return _Ideal(basis, tuple(first.values()))
 
 
 def check_basis(basis: Sequence[AlgebraElement], e: AlgebraElement) -> None:
@@ -80,107 +94,164 @@ def check_basis(basis: Sequence[AlgebraElement], e: AlgebraElement) -> None:
         raise FalsificationError("basis elements are linearly dependent")
 
 
-def _scan_chunk(
-    rows: Sequence[int], lo: int, hi: int, flips: bytes, want_hist: bool, ncols: int
-) -> tuple[int, int, list[int] | None]:
-    """Walk Gray steps lo..hi-1; the running word is seeded from gray(lo-1)."""
-    seed = gray_code(lo - 1)
-    word = 0
-    for j in bit_indices(seed):
-        word ^= rows[j]
-    best = ncols + 1
-    best_word = 0
-    bc = int.bit_count
-    if want_hist:
-        hist = [0] * (ncols + 1)
-        for f in flips[lo - 1 : hi - 1]:
-            word ^= rows[f]
-            w = bc(word)
-            hist[w] += 1
-            if w < best:
-                best, best_word = w, word
-        return best, best_word, hist
-    for f in flips[lo - 1 : hi - 1]:
+def gray_scan_codewords(
+    rows: Sequence[int], *, ncols: int, want_hist: bool
+) -> tuple[int, int, dict[int, int] | None]:
+    """Enumerate every nonzero word of the span of `rows` in Gray-code order.
+
+    The enumerator for ideals that scan_codewords cannot certify as fields,
+    and the test oracle for scan_codewords.  Returns (min weight, the first
+    word attaining it, histogram or None).
+    """
+    if not rows:
+        return 0, 0, {} if want_hist else None
+    best, best_word, word = ncols + 1, 0, 0
+    hist = [0] * (ncols + 1)
+    for f in gray_flip_sequence(len(rows)):
         word ^= rows[f]
-        w = bc(word)
+        w = word.bit_count()
+        hist[w] += 1
         if w < best:
             best, best_word = w, word
-    return best, best_word, None
+    return best, best_word, _hist_dict(hist) if want_hist else None
+
+
+def _hist_dict(hist: list[int]) -> dict[int, int]:
+    return {w: n for w, n in enumerate(hist) if n}
+
+
+# one translation as AbelianGroup.rotation_steps gives it
+_Plan = tuple[tuple[int, int, int], ...]
+
+
+def _multiples(x: int, plans: Sequence[_Plan]) -> Iterator[int]:
+    """x, c*x, c**2*x, ... for c = 1 + the sum of the group elements with these rotation plans."""
+    while True:
+        yield x
+        y = x
+        for steps in plans:
+            z = x
+            for mask, up, down in steps:
+                low = z & mask
+                z = (low << up) | ((z ^ low) >> down)
+            y ^= z
+        x = y
+
+
+def _orbit_multiplier(
+    e: AlgebraElement, k: int, translate_ranks: Sequence[int]
+) -> tuple[_Plan, ...] | None:
+    """Rotation plans of g_1, ..., g_s such that beta = e + g_1*e + ... + g_s*e
+    generates F*/T (see scan_codewords), or None when none is found.
+
+    Candidates come in a fixed order: each translate g*e != e alone, in rank
+    order, then pairs, and so on.  Berlekamp-Massey on the identity
+    coefficients of e, beta, ..., beta**(2k - 1) gives their minimal
+    polynomial f, which divides the minimal polynomial of multiplication by
+    beta on the k-dimensional ideal.  If f is irreducible of degree k, it is
+    that polynomial, and the ideal is the field F2[beta]; if also
+    x**((2**k - 1)/r) != 1 mod f for every prime r dividing N, then
+    beta**(N/r) lies outside T, so beta generates F*/T.  The search is skipped unless n' divides 2**k - 1 and
+    k == ord_n'(2), which every field ideal satisfies (it is spanned by its
+    translates, so it is F2[T]), and it stops once it has walked as many
+    words as a Gray scan of the ideal would.
+    """
+    orbit = len(translate_ranks)
+    total = (1 << k) - 1
+    if orbit < 2 or total % orbit or multiplicative_order(2, orbit) != k:
+        return None
+    primes = factorize(total // orbit)
+    group = e.group
+    plans = [group.rotation_steps(group.unrank(r)) for r in translate_ranks[1:]]
+    spent = 0
+    for size in range(1, len(plans) + 1):
+        for chosen in combinations(plans, size):
+            if spent >= total:
+                return None
+            spent += 2 * k
+            f = berlekamp_massey([x & 1 for x in islice(_multiples(e.bits, chosen), 2 * k)])
+            if (
+                f.bit_length() - 1 == k
+                and poly_is_irreducible(f)
+                and all(poly_powmod(0b10, total // r, f) != 1 for r in primes)
+            ):
+                return chosen
+    return None
 
 
 def scan_codewords(
-    rows: Sequence[int], *, ncols: int, want_hist: bool, threads: int = 1
+    rows: Sequence[int], *, e: AlgebraElement, want_hist: bool
 ) -> tuple[int, int, dict[int, int] | None]:
-    """Enumerate all nonzero words of the span of `rows` in Gray-code order.
+    """Minimum weight, the first word attaining it, and optionally the weight
+    histogram of the nonzero words of the ideal F2[G]e, whose basis rows are `rows`.
 
-    The step range is split into contiguous chunks, each seeding its own
-    running word, so the result is identical for every thread count.
-    Returns (min weight, one word attaining it, histogram or None).
+    A minimal ideal is a field F = F_{2**k} in which translation by g is
+    multiplication by g*e, and the n' distinct translates of e form a cyclic
+    subgroup T of F*.  So every weight is constant on the translation orbits
+    xT, and one word per orbit suffices: when beta generates F*/T, the words
+    e, beta, ..., beta**(N - 1), N = (2**k - 1)/n', meet each orbit once,
+    and each weight counts n' times.  When N == 1 the translates of e are all
+    the nonzero words.  An ideal that _orbit_multiplier cannot certify as a
+    field, such as a sum of two minimal ideals, is scanned word by word by
+    gray_scan_codewords.
     """
-    k = len(rows)
+    k, group = len(rows), e.group
+    ideal = _checked_ideal(e)
+    orbit = len(ideal.translate_ranks)
     total = (1 << k) - 1
-    if total == 0:
-        return 0, 0, {} if want_hist else None
-    flips = gray_flip_sequence(k)
-    chunks = max(1, min(threads, total))
-    bounds = [1 + (total * i) // chunks for i in range(chunks)] + [total + 1]
-    jobs = [
-        (rows, bounds[i], bounds[i + 1], flips, want_hist, ncols)
-        for i in range(chunks)
-        if bounds[i] < bounds[i + 1]
-    ]
-    if len(jobs) == 1:
-        results = [_scan_chunk(*jobs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(lambda args: _scan_chunk(*args), jobs))
-    best, best_word = ncols + 1, 0
-    hist: dict[int, int] = {}
-    for chunk_best, chunk_word, chunk_hist in results:
-        if chunk_best < best:
-            best, best_word = chunk_best, chunk_word
-        if chunk_hist is not None:
-            for w, n in enumerate(chunk_hist):
-                if n:
-                    hist[w] = hist.get(w, 0) + n
-    return best, best_word, (hist if want_hist else None)
+    if total == orbit:
+        w = e.weight
+        return w, e.bits, {w: orbit} if want_hist else None
+    plans = _orbit_multiplier(e, k, ideal.translate_ranks)
+    if plans is None:
+        return gray_scan_codewords(rows, ncols=group.order, want_hist=want_hist)
+    best, best_word = group.order + 1, 0
+    hist = [0] * (group.order + 1)
+    powers = _multiples(e.bits, plans)
+    for x in islice(powers, total // orbit):
+        w = x.bit_count()
+        hist[w] += orbit
+        if w < best:
+            best, best_word = w, x
+    last = next(powers)
+    if all(group.translate_bits(e.bits, group.unrank(r)) != last for r in ideal.translate_ranks):
+        raise RuntimeError("the orbit walk did not close on a translate of e")
+    return best, best_word, _hist_dict(hist) if want_hist else None
 
 
 # Evicted oldest first: a run reads each code right after scanning it and
 # once more in the verification pass, in label order, so first-in is least used.
-_enumerations: dict[tuple[int, tuple[int, ...]], tuple[int, int, dict[int, int] | None]] = {}
+_enumerations: dict[AlgebraElement, tuple[int, int, dict[int, int] | None]] = {}
 
 
 def _enumerate_code(
-    rows: tuple[int, ...], *, ncols: int, want_hist: bool, threads: int
+    e: AlgebraElement, *, want_hist: bool
 ) -> tuple[int, int, dict[int, int] | None]:
     """scan_codewords, run at most once per code.
 
     A histogram scan also answers later minimum-only requests; its histogram
-    is checked against the scan's own count and minimum before it is kept.
-    The result does not depend on `threads`, so it is not part of the key.
+    is checked against the number of nonzero codewords and the scan's own
+    minimum before it is kept.
     """
-    key = (ncols, rows)
-    hit = _enumerations.get(key)
+    hit = _enumerations.get(e)
     if hit is not None and (hit[2] is not None or not want_hist):
         return hit
-    best, word, hist = scan_codewords(
-        list(rows), ncols=ncols, want_hist=want_hist, threads=threads
-    )
+    rows = [x.bits for x in _checked_ideal(e).basis]
+    best, word, hist = scan_codewords(rows, e=e, want_hist=want_hist)
     if hist is not None and (
         sum(hist.values()) != (1 << len(rows)) - 1 or (hist and min(hist) != best)
     ):
         raise RuntimeError("weight histogram failed its internal consistency checks")
-    _enumerations.pop(key, None)
+    _enumerations.pop(e, None)
     if len(_enumerations) >= MAX_CACHED_CODES:
         del _enumerations[next(iter(_enumerations))]
-    _enumerations[key] = (best, word, hist)
+    _enumerations[e] = (best, word, hist)
     return best, word, hist
 
 
 def clear_caches() -> None:
     """Forget every cached basis and enumeration; cli.run calls it as each run starts."""
-    _checked_basis.cache_clear()
+    _checked_ideal.cache_clear()
     _enumerations.clear()
 
 
@@ -230,7 +301,6 @@ def minimum_weight(
     e: AlgebraElement,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     theory_lower: int | None = None,
     probes: Iterable[AlgebraElement] = (),
 ) -> WeightResult:
@@ -242,11 +312,8 @@ def minimum_weight(
     """
     basis = ideal_basis(e)
     k = len(basis)
-    n = e.group.order
     if (1 << k) <= budget:
-        best, word, _ = _enumerate_code(
-            tuple(x.bits for x in basis), ncols=n, want_hist=False, threads=threads
-        )
+        best, word, _ = _enumerate_code(e, want_hist=False)
         return WeightResult(
             lower=best,
             upper=best,
@@ -276,17 +343,13 @@ def minimum_weight(
     )
 
 
-def weight_distribution(
-    e: AlgebraElement, *, budget: int = DEFAULT_BUDGET, threads: int = 1
-) -> dict[int, int]:
+def weight_distribution(e: AlgebraElement, *, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Full weight histogram of the nonzero codewords; refuses beyond budget."""
     basis = ideal_basis(e)
     k = len(basis)
     if (1 << k) > budget:
         raise BudgetExceededError(k, budget)
-    _, _, hist = _enumerate_code(
-        tuple(x.bits for x in basis), ncols=e.group.order, want_hist=True, threads=threads
-    )
+    _, _, hist = _enumerate_code(e, want_hist=True)
     assert hist is not None
     return dict(hist)
 
@@ -524,23 +587,6 @@ class CodeReport:
         """True when an exact theory value is contradicted by an exact computation."""
         return self.theory_match is False and self.theory.kind in ("exact", "bounds")
 
-    def to_json(self) -> dict:
-        out = {
-            "dimension": self.dimension,
-            "predicted_dimension": self.predicted_dimension,
-            "dimension_matches": self.dimension_matches,
-            "idempotent_weight": self.idempotent_weight,
-            "min_weight": self.min_weight.to_json() if self.min_weight is not None else None,
-            "theory": self.theory.to_json(),
-            "theory_match": self.theory_match,
-        }
-        if self.distribution is not None:
-            out["distribution"] = {str(w): c for w, c in sorted(self.distribution.items())}
-        if self.distribution_refused is not None:
-            out["distribution_refused"] = True
-            out["required_budget"] = self.distribution_refused
-        return out
-
 
 def _theory_probes(family: IdempotentFamily) -> dict[str, AlgebraElement]:
     probes: dict[str, AlgebraElement] = {}
@@ -557,7 +603,6 @@ def analyze_code(
     label: str,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     want_distribution: bool = False,
     want_weights: bool = True,
     theory_map: dict[str, TheoryWeight] | None = None,
@@ -584,14 +629,13 @@ def analyze_code(
     refused = None
     if want_distribution:
         try:
-            distribution = weight_distribution(e, budget=budget, threads=threads)
+            distribution = weight_distribution(e, budget=budget)
         except BudgetExceededError as exc:
             refused = exc.required_budget
     if want_weights or want_distribution:
         result = minimum_weight(
             e,
             budget=budget,
-            threads=threads,
             theory_lower=theory.lower if theory.kind == "bounds" else None,
             probes=[probes[label]] if label in probes else [],
         )
@@ -621,7 +665,6 @@ def analyze_family(
     family: IdempotentFamily,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     want_distribution: bool = False,
     want_weights: bool = True,
 ) -> dict[str, CodeReport]:
@@ -633,7 +676,6 @@ def analyze_family(
             family,
             label,
             budget=budget,
-            threads=threads,
             want_distribution=want_distribution,
             want_weights=want_weights,
             theory_map=theory_map,
@@ -750,7 +792,6 @@ def family_verification(
     family: IdempotentFamily,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> dict:
     """The full invariant suite for one family; any failed check is a falsification.
 
@@ -764,7 +805,7 @@ def family_verification(
     """
     checks: list[dict] = list(family.verify_axioms())
     try:
-        reports = analyze_family(family, budget=budget, threads=threads)
+        reports = analyze_family(family, budget=budget)
     except FalsificationError as exc:
         reports = {}
         checks.append(_check("every code of the family is analyzed", False, str(exc)))
@@ -846,6 +887,7 @@ __all__ = [
     "ideal_basis",
     "check_basis",
     "scan_codewords",
+    "gray_scan_codewords",
     "naive_weight_distribution",
     "minimum_weight",
     "weight_distribution",

@@ -1,12 +1,15 @@
-"""GF(2) bitset helpers: bit iteration, rank, and Gray-code scan order.
+"""GF(2) bitset helpers: bit iteration, rank, Gray-code scan order, and GF(2)[x].
 
-Rows and vectors are plain Python ints used as bitsets; XOR is addition.
+Rows and vectors are plain Python ints used as bitsets; XOR is addition.  A
+polynomial over GF(2) is an int too: bit i is the coefficient of x**i.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterator, Sequence
+
+from .number_theory import factorize
 
 
 def bit_indices(bits: int) -> Iterator[int]:
@@ -51,17 +54,12 @@ def independent_row_indices(rows: Sequence[int]) -> list[int]:
     return kept
 
 
-def gray_code(i: int) -> int:
-    """The i-th Gray code."""
-    return i ^ (i >> 1)
-
-
 @lru_cache(maxsize=6)
 def gray_flip_sequence(k: int) -> bytes:
     """Flip order of a k-bit Gray walk: entry i-1 is the row index toggled at step i.
 
     The walk starts at the zero word; after step i the live word is the XOR of
-    the rows selected by gray_code(i).  Length is 2**k - 1.
+    the rows selected by the bits of the Gray code i ^ (i >> 1).  Length is 2**k - 1.
     """
     if k < 0 or k > 255:
         raise ValueError(f"unsupported Gray dimension {k}")
@@ -71,10 +69,100 @@ def gray_flip_sequence(k: int) -> bytes:
     return seq
 
 
+def berlekamp_massey(seq: Sequence[int]) -> int:
+    """Minimal polynomial of a 0/1 sequence: the monic f of least degree L with
+    sum(f_j * seq[t + j] for j in 0..L) == 0 for every t + L < len(seq).
+
+    The answer is the sequence's true minimal polynomial once len(seq) is at
+    least twice its linear complexity (Massey, IEEE Trans. IT 15, 1969).
+    """
+    conn, prev = 1, 1  # connection polynomials: 1 + c_1 x + ... + c_L x**L
+    length, gap = 0, 1
+    for i, s in enumerate(seq):
+        d = s
+        for j in range(1, length + 1):
+            d ^= (conn >> j) & seq[i - j]
+        if not d:
+            gap += 1
+        elif 2 * length <= i:
+            conn, prev = conn ^ (prev << gap), conn
+            length, gap = i + 1 - length, 1
+        else:
+            conn ^= prev << gap
+            gap += 1
+    # the minimal polynomial is the degree-L reciprocal of the connection polynomial
+    return sum(1 << (length - j) for j in range(length + 1) if (conn >> j) & 1)
+
+
+def poly_mod(a: int, f: int) -> int:
+    """a mod f over GF(2)."""
+    deg = f.bit_length()
+    while a.bit_length() >= deg:
+        a ^= f << (a.bit_length() - deg)
+    return a
+
+
+def poly_mulmod(a: int, b: int, f: int) -> int:
+    """a * b mod f over GF(2), for a already reduced mod f."""
+    top = 1 << (f.bit_length() - 1)
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= f
+    return out
+
+
+def poly_powmod(a: int, exp: int, f: int) -> int:
+    """a ** exp mod f over GF(2)."""
+    a = poly_mod(a, f)
+    out = poly_mod(1, f)
+    while exp:
+        if exp & 1:
+            out = poly_mulmod(out, a, f)
+        exp >>= 1
+        if exp:
+            a = poly_mulmod(a, a, f)
+    return out
+
+
+def poly_gcd(a: int, b: int) -> int:
+    """Greatest common divisor over GF(2)."""
+    while b:
+        a, b = b, poly_mod(a, b)
+    return a
+
+
+def poly_is_irreducible(f: int) -> bool:
+    """Rabin's test: f of degree k >= 1 is irreducible over GF(2) iff
+    x**(2**k) == x (mod f) and gcd(x**(2**(k/r)) - x, f) == 1 for every prime r | k.
+    """
+    k = f.bit_length() - 1
+    x = poly_mod(0b10, f)
+
+    def frobenius_power(m: int) -> int:  # x**(2**m) mod f
+        y = x
+        for _ in range(m):
+            y = poly_mulmod(y, y, f)
+        return y
+
+    if frobenius_power(k) != x:
+        return False
+    return all(poly_gcd(f, frobenius_power(k // r) ^ x) == 1 for r in factorize(k))
+
+
 __all__ = [
     "bit_indices",
     "gf2_rank",
     "independent_row_indices",
-    "gray_code",
     "gray_flip_sequence",
+    "berlekamp_massey",
+    "poly_mod",
+    "poly_mulmod",
+    "poly_powmod",
+    "poly_gcd",
+    "poly_is_irreducible",
 ]

@@ -136,6 +136,22 @@ class AbelianGroup:
                 bits = (low << s * place) | ((bits ^ low) >> stay)
         return bits
 
+    def rotation_steps(self, shift: GroupElement) -> tuple[tuple[int, int, int], ...]:
+        """translate_bits(., shift) as (low mask, up, down) steps, one per shifted factor.
+
+        For callers that translate many words by one shift: each step is
+        `low = bits & mask; bits = (low << up) | ((bits ^ low) >> down)`.
+        translate_bits forms the same masks per call instead, which is cheaper
+        when every call has its own shift.
+        """
+        steps = []
+        for s, n, place, pattern in zip(shift, self.factor_orders, self._places, self._patterns()):
+            s %= n
+            if s:
+                stay = (n - s) * place
+                steps.append(((pattern << stay) - pattern, s * place, stay))
+        return tuple(steps)
+
     def permute_bits_by_scaling(self, bits: int, k: int) -> int:
         """Apply the power map g -> g**k to a support bitset."""
         out = 0

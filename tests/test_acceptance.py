@@ -246,16 +246,17 @@ def test_criterion_09_property_suites():
                 g = group.unrank(rng.randrange(group.order))
                 assert x.translated(g).weight == x.weight
 
-        # Gray-code enumeration equals the naive recomputation oracle (dim <= 12)
+        # the production enumerator equals the naive recomputation oracle (dim <= 12)
         for fam, labels in (
             (family_pq(3, 5), ("e1", "e2", "e3", "e4")),
             (family_pq(3, 11), ("e3",)),
             (family_prime_power(3, 2, 5, 1), ("I20", "I21*")),
         ):
             for label in labels:
-                rows = [x.bits for x in ideal_basis(fam.elements[label])]
+                e = fam.elements[label]
+                rows = [x.bits for x in ideal_basis(e)]
                 assert len(rows) <= 12
-                _, _, hist = scan_codewords(rows, ncols=fam.group.order, want_hist=True)
+                _, _, hist = scan_codewords(rows, e=e, want_hist=True)
                 assert hist == naive_weight_distribution(rows)
 
         # residue class cardinalities for every p = 3 mod 4 under 200

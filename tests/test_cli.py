@@ -198,21 +198,23 @@ class TestMain:
         original = codes.scan_codewords
 
         def counted(*args, **kwargs):
-            scans.append(kwargs["threads"])
+            scans.append(kwargs)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(codes, "scan_codewords", counted)
         outputs = []
+        scans_per_run = []
         for threads in ("1", "2", "8"):
+            before = len(scans)
             assert main(["33", "--distribution", "--format", "json",
                          "--threads", threads]) == EXIT_OK
             outputs.append(capsys.readouterr().out)
+            scans_per_run.append(len(scans) - before)
         assert outputs[0] == outputs[1] == outputs[2]
         parsed = json.loads(outputs[0])
         assert "distributions" in parsed
-        # every run enumerates afresh at its own thread count
-        per_run = len(scans) // 3
-        assert per_run > 0 and scans == [1] * per_run + [2] * per_run + [8] * per_run
+        # every run enumerates afresh, whatever the thread count
+        assert scans_per_run[0] > 0 and scans_per_run == [scans_per_run[0]] * 3
 
     def test_missing_group_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -232,6 +234,24 @@ class TestMain:
         e3 = payload["idempotents"]["e3"]
         assert len(e3["hex"]) == 4  # two little-endian bytes
         assert e3["predicted_dimension"] == 4
+
+    def test_export_holds_the_stdout_json_bytes(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["33", "--weights", "--format", "json", "--export", str(path)]) == EXIT_OK
+        assert path.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["/nonexistent/dir/x.json", "{tmp}"])
+    def test_unwritable_export_path_exits_1_before_any_work(
+        self, where, tmp_path, monkeypatch, capsys
+    ):
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda config: runs.append(config))
+        path = where.format(tmp=tmp_path)  # a directory cannot be written as a file
+        assert main(["15", "--export", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert runs == [] and captured.out == ""
+        assert captured.err.count("\n") == 1 and "--export" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_exported_hex_reconstructs_the_elements(self, tmp_path, capsys):
         from abelcodes.group_algebra import AbelianGroup, AlgebraElement

@@ -13,6 +13,7 @@ from abelcodes.codes import (
     minimum_weight,
     naive_weight_distribution,
     explicit_bases,
+    gray_scan_codewords,
     scan_codewords,
     split_swap_map_matches,
     table_witness_words,
@@ -20,7 +21,7 @@ from abelcodes.codes import (
     weight_distribution,
 )
 from abelcodes.group_algebra import AlgebraElement
-from abelcodes.idempotents import family_pq, family_prime_power
+from abelcodes.idempotents import family_pq, family_prime_power, family_three_primes
 
 
 @pytest.fixture(scope="module")
@@ -148,18 +149,23 @@ class TestWeightDistribution:
         ]
         for fam, labels in cases:
             for label in labels:
-                rows = [x.bits for x in ideal_basis(fam.elements[label])]
+                e = fam.elements[label]
+                rows = [x.bits for x in ideal_basis(e)]
                 assert len(rows) <= 12
-                _, _, hist = scan_codewords(
-                    rows, ncols=fam.group.order, want_hist=True
-                )
-                assert hist == naive_weight_distribution(rows)
+                naive = naive_weight_distribution(rows)
+                _, _, hist = scan_codewords(rows, e=e, want_hist=True)
+                assert hist == naive
+                _, _, gray = gray_scan_codewords(rows, ncols=fam.group.order, want_hist=True)
+                assert gray == naive
 
-    def test_threaded_scan_matches_single(self, fam33):
-        rows = [x.bits for x in ideal_basis(fam33.elements["e3"])]
-        single = scan_codewords(rows, ncols=33, want_hist=True, threads=1)
-        for threads in (2, 3, 8):
-            assert scan_codewords(rows, ncols=33, want_hist=True, threads=threads) == single
+    def test_orbit_walk_matches_gray_scan(self, fam33):
+        e = fam33.elements["e3"]
+        rows = [x.bits for x in ideal_basis(e)]
+        best, word, hist = scan_codewords(rows, e=e, want_hist=True)
+        gray_best, _, gray_hist = gray_scan_codewords(rows, ncols=33, want_hist=True)
+        assert (best, hist) == (gray_best, gray_hist)
+        assert word.bit_count() == best
+        assert scan_codewords(rows, e=e, want_hist=False) == (best, word, None)
 
     def test_orbit_reduced_crosscheck_c33(self, fam33):
         # every codeword weight is constant on its translation orbit, so the
@@ -168,7 +174,7 @@ class TestWeightDistribution:
         group = fam33.group
         rows = [x.bits for x in ideal_basis(e)]
         hist = weight_distribution(e, budget=1 << 10)
-        _, _, full = scan_codewords(rows, ncols=33, want_hist=True)
+        _, _, full = scan_codewords(rows, e=e, want_hist=True)
         # enumerate all words once more, canonicalizing by translation orbit
         seen: set[int] = set()
         rebuilt: dict[int, int] = {}
@@ -185,6 +191,73 @@ class TestWeightDistribution:
             assert all(o.bit_count() == w for o in orbit)
             rebuilt[w] = rebuilt.get(w, 0) + len(orbit)
         assert rebuilt == hist == full
+
+
+ORACLE_FAMILIES = {
+    "15": lambda: family_pq(3, 5),
+    "33": lambda: family_pq(3, 11),  # "3x11" names the same family
+    "45": lambda: family_prime_power(3, 2, 5, 1),
+    "3x5x11": lambda: family_three_primes(3, 5, 11),
+    "9x25": lambda: family_prime_power(3, 2, 5, 2),
+    "27x25": lambda: family_prime_power(3, 3, 5, 2),
+}
+
+
+class TestOrbitWalk:
+    @pytest.mark.parametrize("spec", sorted(ORACLE_FAMILIES))
+    def test_small_codes_match_the_naive_oracle(self, spec):
+        fam = ORACLE_FAMILIES[spec]()
+        checked = 0
+        for label in fam.labels:
+            e = fam.elements[label]
+            rows = [x.bits for x in ideal_basis(e)]
+            if len(rows) > 16:
+                continue
+            best, word, hist = scan_codewords(rows, e=e, want_hist=True)
+            assert hist == naive_weight_distribution(rows), label
+            witness = AlgebraElement(fam.group, word)
+            assert best == min(hist) == witness.weight, label
+            assert witness * e == witness, label
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("spec", ["3x5x11", "9x25"])
+    def test_dimension_20_codes_match_the_gray_scan(self, spec, monkeypatch):
+        fam = ORACLE_FAMILIES[spec]()
+        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
+        labels = [lab for lab in fam.labels if fam.predicted_dims[lab] == 20]
+        assert len(labels) >= 3
+        for label in labels:
+            e = fam.elements[label]
+            rows = [x.bits for x in ideal_basis(e)]
+            best, word, hist = scan_codewords(rows, e=e, want_hist=True)
+            assert gray_calls == [], label  # every dim-20 code is certified a field
+            gray_best, _, gray_hist = gray_scan_codewords(
+                rows, ncols=fam.group.order, want_hist=True
+            )
+            assert (best, hist) == (gray_best, gray_hist), label
+            witness = AlgebraElement(fam.group, word)
+            assert witness.weight == best and witness * e == witness, label
+
+    @pytest.mark.parametrize("fixture", ["fam15", "fam33"])
+    def test_split_pair_sum_goes_through_the_gray_fallback(self, fixture, request, monkeypatch):
+        fam = request.getfixturevalue(fixture)
+        e = fam.elements["e3"] + fam.elements["e4"]  # not a minimal ideal, so not a field
+        codes.clear_caches()
+        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
+        result = minimum_weight(e, budget=1 << 20)
+        assert len(gray_calls) == 1
+        assert result.exact and result.value == 4 and result.witness.weight == 4
+        assert result.witness * e == result.witness
+
+    def test_cold_runs_give_the_same_witness(self):
+        fam = family_three_primes(3, 5, 11)
+        witnesses = []
+        for _ in range(2):
+            codes.clear_caches()
+            witnesses.append(minimum_weight(fam.elements["e8"], budget=1 << 20).witness)
+        assert witnesses[0] == witnesses[1]
+        assert witnesses[0].weight == 48
 
 
 class TestTheory:
@@ -280,9 +353,7 @@ class TestOneAnalysisPass:
         checked = _count_calls(monkeypatch, codes, "check_basis")
         translated = _count_calls(monkeypatch, codes, "ideal_translates")
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
-        config = RunConfig(
-            group_spec="15", analyses=("weights", "distribution", "verify"), threads=1
-        )
+        config = RunConfig(group_spec="15", analyses=("weights", "distribution", "verify"))
         code, report, _ = run(config)
         labels = report["group"]["labels"]
         assert code == 0 and report["verify"]["passed"]
@@ -295,7 +366,7 @@ class TestOneAnalysisPass:
         codes.clear_caches()
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         code, report, _ = run(
-            RunConfig(group_spec="33", analyses=("weights", "verify"), threads=1)
+            RunConfig(group_spec="33", analyses=("weights", "verify"))
         )
         assert code == 0
         assert len(scans) == len(report["group"]["labels"])
@@ -323,15 +394,14 @@ class TestOneAnalysisPass:
     def test_verification_after_an_analysis_matches_a_cold_run(self, fixture, request):
         fam = request.getfixturevalue(fixture)
         codes.clear_caches()
-        analyze_family(fam, budget=1 << 12, want_distribution=True, threads=3)
+        analyze_family(fam, budget=1 << 12, want_distribution=True)
         warm = family_verification(fam, budget=1 << 12)
         codes.clear_caches()
         cold = family_verification(fam, budget=1 << 12)
         assert warm["passed"] and warm["checks"] == cold["checks"]
         for label in fam.labels:
             hot, fresh = warm["reports"][label], cold["reports"][label]
-            assert hot.to_json() == fresh.to_json(), label
-            assert hot.min_weight.witness == fresh.min_weight.witness, label
+            assert hot == fresh, label
 
     def test_cached_results_are_handed_out_as_copies(self, fam45):
         e = fam45.elements["I01"]

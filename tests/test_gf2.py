@@ -1,0 +1,82 @@
+import random
+
+import pytest
+
+from abelcodes.gf2 import (
+    berlekamp_massey,
+    poly_gcd,
+    poly_is_irreducible,
+    poly_mod,
+    poly_mulmod,
+    poly_powmod,
+)
+
+
+def clmul(a, b):
+    """Product in GF(2)[x] by schoolbook shifts."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def annihilates(f, seq):
+    """Whether sum(f_j * seq[t + j]) vanishes for every window of the sequence."""
+    deg = f.bit_length() - 1
+    return all(
+        not sum((f >> j) & seq[t + j] for j in range(deg + 1)) & 1
+        for t in range(len(seq) - deg)
+    )
+
+
+def has_no_factor(f):
+    """Irreducibility by trial division with every polynomial of degree 1..deg/2."""
+    deg = f.bit_length() - 1
+    return all(poly_mod(f, d) for d in range(2, 1 << (deg // 2 + 1)))
+
+
+class TestBerlekampMassey:
+    def test_least_degree_annihilator_of_random_sequences(self):
+        rng = random.Random(3)
+        for length in range(1, 13):
+            for _ in range(40):
+                seq = [rng.getrandbits(1) for _ in range(length)]
+                f = berlekamp_massey(seq)
+                deg = f.bit_length() - 1
+                assert annihilates(f, seq)
+                assert not any(
+                    annihilates((1 << d) | tail, seq) for d in range(deg) for tail in range(1 << d)
+                )
+
+    def test_m_sequence_gives_its_primitive_polynomial(self):
+        f = 0b10000011  # x**7 + x + 1, primitive
+        state, seq = 1, []
+        for _ in range(14):
+            seq.append(state & 1)
+            state = poly_mulmod(state, 0b10, f)
+        assert berlekamp_massey(seq) == f
+
+
+class TestPolynomials:
+    @pytest.mark.parametrize("deg", range(1, 11))
+    def test_irreducibility_matches_trial_division(self, deg):
+        for f in range(1 << deg, 1 << (deg + 1)):
+            assert poly_is_irreducible(f) == has_no_factor(f), bin(f)
+
+    def test_powmod_and_gcd_match_schoolbook_products(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            f = rng.getrandbits(12) | (1 << 12)
+            a = rng.getrandbits(16)
+            exp = rng.randrange(40)
+            expected = 1
+            for _ in range(exp):
+                expected = clmul(expected, a)
+            assert poly_powmod(a, exp, f) == poly_mod(expected, f)
+            common = rng.getrandbits(5) | (1 << 5)
+            g = poly_gcd(clmul(f, common), clmul(a | 1, common))
+            assert poly_mod(g, common) == 0
+            assert poly_mod(clmul(f, common), g) == 0 and poly_mod(clmul(a | 1, common), g) == 0

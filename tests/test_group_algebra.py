@@ -198,8 +198,14 @@ class TestTranslate:
         rng = random.Random(group.order)
         words = [0, 1, (1 << group.order) - 1, rng.getrandbits(group.order)]
         for shift in group.elements():
+            steps = group.rotation_steps(shift)
             for bits in words:
-                assert group.translate_bits(bits, shift) == reference_translate(group, bits, shift)
+                expected = reference_translate(group, bits, shift)
+                assert group.translate_bits(bits, shift) == expected
+                for mask, up, down in steps:
+                    low = bits & mask
+                    bits = (low << up) | ((bits ^ low) >> down)
+                assert bits == expected
 
     @settings(max_examples=200, deadline=None)
     @given(factor_orders, st.data())
