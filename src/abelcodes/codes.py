@@ -7,12 +7,16 @@ the provenance of each bound recorded.  The enumeration visits one codeword per
 translation orbit, as the powers of a certified generator of the ideal's field
 (scan_codewords); the Gray-code walk over every codeword runs only for an ideal
 that is not certified a field, and serves the tests as an oracle.
+
+Each ideal has one cached record: its checked basis, its translate ranks and,
+once a weight is asked for, its one enumeration, which gives the minimum
+weight, a witness word and the weight histogram together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -31,7 +35,7 @@ from .number_theory import crt_inverses, factorize, multiplicative_order
 
 DEFAULT_BUDGET = 1 << 24
 MIN_BUDGET = 1 << 10
-MAX_CACHED_CODES = 256  # bound for library callers; cli.run empties the caches per run
+MAX_CACHED_CODES = 256  # bound for library callers; cli.run empties the cache per run
 
 
 class BudgetExceededError(RuntimeError):
@@ -67,10 +71,25 @@ def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
 
 @dataclass(frozen=True)
 class _Ideal:
-    """The checked basis of F2[G]e, and the rank of the first g giving each distinct g*e."""
+    """The checked basis of F2[G]e, the rank of the first g giving each distinct
+    g*e, and, once read, the one scan of the code."""
 
+    e: AlgebraElement
     basis: tuple[AlgebraElement, ...]
     translate_ranks: tuple[int, ...]  # ascending; rank 0, the identity, comes first
+
+    @cached_property
+    def scan(self) -> tuple[int, int, dict[int, int]]:
+        """scan_codewords of the ideal, run once; callers copy the histogram.
+
+        The histogram is checked against the number of nonzero codewords and
+        the scan's own minimum before it is kept.
+        """
+        rows = [x.bits for x in self.basis]
+        best, word, hist = scan_codewords(rows, e=self.e)
+        if sum(hist.values()) != (1 << len(rows)) - 1 or (hist and min(hist) != best):
+            raise RuntimeError("weight histogram failed its internal consistency checks")
+        return best, word, hist
 
 
 @lru_cache(maxsize=MAX_CACHED_CODES)
@@ -81,7 +100,7 @@ def _checked_ideal(e: AlgebraElement) -> _Ideal:
     first: dict[int, int] = {}
     for rank, row in enumerate(rows):
         first.setdefault(row, rank)
-    return _Ideal(basis, tuple(first.values()))
+    return _Ideal(e, basis, tuple(first.values()))
 
 
 def check_basis(basis: Sequence[AlgebraElement], e: AlgebraElement) -> None:
@@ -94,17 +113,15 @@ def check_basis(basis: Sequence[AlgebraElement], e: AlgebraElement) -> None:
         raise FalsificationError("basis elements are linearly dependent")
 
 
-def gray_scan_codewords(
-    rows: Sequence[int], *, ncols: int, want_hist: bool
-) -> tuple[int, int, dict[int, int] | None]:
+def gray_scan_codewords(rows: Sequence[int], *, ncols: int) -> tuple[int, int, dict[int, int]]:
     """Enumerate every nonzero word of the span of `rows` in Gray-code order.
 
     The enumerator for ideals that scan_codewords cannot certify as fields,
     and the test oracle for scan_codewords.  Returns (min weight, the first
-    word attaining it, histogram or None).
+    word attaining it, weight histogram).
     """
     if not rows:
-        return 0, 0, {} if want_hist else None
+        return 0, 0, {}
     best, best_word, word = ncols + 1, 0, 0
     hist = [0] * (ncols + 1)
     for f in gray_flip_sequence(len(rows)):
@@ -113,7 +130,7 @@ def gray_scan_codewords(
         hist[w] += 1
         if w < best:
             best, best_word = w, word
-    return best, best_word, _hist_dict(hist) if want_hist else None
+    return best, best_word, _hist_dict(hist)
 
 
 def _hist_dict(hist: list[int]) -> dict[int, int]:
@@ -179,11 +196,9 @@ def _orbit_multiplier(
     return None
 
 
-def scan_codewords(
-    rows: Sequence[int], *, e: AlgebraElement, want_hist: bool
-) -> tuple[int, int, dict[int, int] | None]:
-    """Minimum weight, the first word attaining it, and optionally the weight
-    histogram of the nonzero words of the ideal F2[G]e, whose basis rows are `rows`.
+def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int, dict[int, int]]:
+    """Minimum weight, the first word attaining it, and the weight histogram
+    of the nonzero words of the ideal F2[G]e, whose basis rows are `rows`.
 
     A minimal ideal is a field F = F_{2**k} in which translation by g is
     multiplication by g*e, and the n' distinct translates of e form a cyclic
@@ -201,10 +216,10 @@ def scan_codewords(
     total = (1 << k) - 1
     if total == orbit:
         w = e.weight
-        return w, e.bits, {w: orbit} if want_hist else None
+        return w, e.bits, {w: orbit}
     plans = _orbit_multiplier(e, k, ideal.translate_ranks)
     if plans is None:
-        return gray_scan_codewords(rows, ncols=group.order, want_hist=want_hist)
+        return gray_scan_codewords(rows, ncols=group.order)
     best, best_word = group.order + 1, 0
     hist = [0] * (group.order + 1)
     powers = _multiples(e.bits, plans)
@@ -216,43 +231,12 @@ def scan_codewords(
     last = next(powers)
     if all(group.translate_bits(e.bits, group.unrank(r)) != last for r in ideal.translate_ranks):
         raise RuntimeError("the orbit walk did not close on a translate of e")
-    return best, best_word, _hist_dict(hist) if want_hist else None
-
-
-# Evicted oldest first: a run reads each code right after scanning it and
-# once more in the verification pass, in label order, so first-in is least used.
-_enumerations: dict[AlgebraElement, tuple[int, int, dict[int, int] | None]] = {}
-
-
-def _enumerate_code(
-    e: AlgebraElement, *, want_hist: bool
-) -> tuple[int, int, dict[int, int] | None]:
-    """scan_codewords, run at most once per code.
-
-    A histogram scan also answers later minimum-only requests; its histogram
-    is checked against the number of nonzero codewords and the scan's own
-    minimum before it is kept.
-    """
-    hit = _enumerations.get(e)
-    if hit is not None and (hit[2] is not None or not want_hist):
-        return hit
-    rows = [x.bits for x in _checked_ideal(e).basis]
-    best, word, hist = scan_codewords(rows, e=e, want_hist=want_hist)
-    if hist is not None and (
-        sum(hist.values()) != (1 << len(rows)) - 1 or (hist and min(hist) != best)
-    ):
-        raise RuntimeError("weight histogram failed its internal consistency checks")
-    _enumerations.pop(e, None)
-    if len(_enumerations) >= MAX_CACHED_CODES:
-        del _enumerations[next(iter(_enumerations))]
-    _enumerations[e] = (best, word, hist)
-    return best, word, hist
+    return best, best_word, _hist_dict(hist)
 
 
 def clear_caches() -> None:
-    """Forget every cached basis and enumeration; cli.run calls it as each run starts."""
+    """Forget every cached ideal record; cli.run calls it as each run starts."""
     _checked_ideal.cache_clear()
-    _enumerations.clear()
 
 
 def naive_weight_distribution(rows: Sequence[int]) -> dict[int, int]:
@@ -313,7 +297,7 @@ def minimum_weight(
     basis = ideal_basis(e)
     k = len(basis)
     if (1 << k) <= budget:
-        best, word, _ = _enumerate_code(e, want_hist=False)
+        best, word, _ = _checked_ideal(e).scan
         return WeightResult(
             lower=best,
             upper=best,
@@ -349,9 +333,7 @@ def weight_distribution(e: AlgebraElement, *, budget: int = DEFAULT_BUDGET) -> d
     k = len(basis)
     if (1 << k) > budget:
         raise BudgetExceededError(k, budget)
-    _, _, hist = _enumerate_code(e, want_hist=True)
-    assert hist is not None
-    return dict(hist)
+    return dict(_checked_ideal(e).scan[2])
 
 
 def code_seed_word(family: IdempotentFamily, label: str = "e3") -> AlgebraElement:
@@ -451,21 +433,17 @@ def table_witness_words(family: IdempotentFamily) -> dict[str, AlgebraElement]:
     a_hat = Subgroup.from_generators(group, [(1, 0)]).hat()
     b_hat = Subgroup.from_generators(group, [(0, 1)]).hat()
     out: dict[str, AlgebraElement] = {}
-    for j in range(1, n + 1):
-        label = "I0" + (f",{j}" if (m > 9 or n > 9) else str(j))
-        hat_bj = Subgroup.from_generators(group, [(0, q**j % q**n)]).hat()
-        word = (one + AlgebraElement.monomial(group, (0, q ** (j - 1)))) * a_hat * hat_bj
-        expected = 2 * p**m * q ** (n - j)
-        if word.weight != expected:
-            raise FalsificationError(
-                f"witness for {label} has weight {word.weight}, expected {expected}"
-            )
-        out[label] = word
-    for i in range(1, m + 1):
-        label = (f"I{i}," if (m > 9 or n > 9) else f"I{i}") + "0"
-        hat_ai = Subgroup.from_generators(group, [(p**i % p**m, 0)]).hat()
-        word = (one + AlgebraElement.monomial(group, (p ** (i - 1), 0))) * hat_ai * b_hat
-        expected = 2 * p ** (m - i) * q**n
+    for label, (i, j) in family.levels.items():
+        if i == 0 and j > 0:
+            hat_bj = Subgroup.from_generators(group, [(0, q**j % q**n)]).hat()
+            word = (one + AlgebraElement.monomial(group, (0, q ** (j - 1)))) * a_hat * hat_bj
+            expected = 2 * p**m * q ** (n - j)
+        elif j == 0 and i > 0:
+            hat_ai = Subgroup.from_generators(group, [(p**i % p**m, 0)]).hat()
+            word = (one + AlgebraElement.monomial(group, (p ** (i - 1), 0))) * hat_ai * b_hat
+            expected = 2 * p ** (m - i) * q**n
+        else:
+            continue
         if word.weight != expected:
             raise FalsificationError(
                 f"witness for {label} has weight {word.weight}, expected {expected}"
@@ -516,8 +494,7 @@ def theoretical_expectations(family: IdempotentFamily) -> dict[str, TheoryWeight
     elif family.shape == "prime_power":
         p, q = int(family.params["p"]), int(family.params["q"])
         m, n = int(family.params["m"]), int(family.params["n"])
-        for label in family.labels:
-            i, j = _parse_level(label, m, n)
+        for label, (i, j) in family.levels.items():
             if (i, j) == (0, 0):
                 out[label] = TheoryWeight(
                     "exact", value=p**m * q**n, source="repetition code"
@@ -551,16 +528,6 @@ def theoretical_expectations(family: IdempotentFamily) -> dict[str, TheoryWeight
         for label in family.labels:
             out[label] = TheoryWeight("none", source="no stated value")
     return out
-
-
-def _parse_level(label: str, m: int, n: int) -> tuple[int, int]:
-    body = label.lstrip("I").rstrip("*")
-    if body == "0":
-        return 0, 0
-    if "," in body:
-        i_text, j_text = body.split(",")
-        return int(i_text), int(j_text)
-    return int(body[0]), int(body[1])
 
 
 @dataclass
@@ -610,12 +577,11 @@ def analyze_code(
 ) -> CodeReport:
     """Dimension, basis, minimum weight and optional distribution for one label.
 
-    The codewords are enumerated at most once: the distribution goes first,
-    and the minimum weight and its witness then come from that same
-    enumeration.  Without `want_weights` or `want_distribution` nothing is
-    enumerated and `min_weight` is None.  `theory_map` and `probes` are the
-    family's theoretical_expectations and _theory_probes, built here when not
-    given.
+    The codewords are enumerated at most once: the distribution, the minimum
+    weight and its witness all come from the ideal's one scan.  Without
+    `want_weights` or `want_distribution` nothing is enumerated and
+    `min_weight` is None.  `theory_map` and `probes` are the family's
+    theoretical_expectations and _theory_probes, built here when not given.
     """
     e = family.elements[label]
     basis = ideal_basis(e)

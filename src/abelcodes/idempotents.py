@@ -2,8 +2,9 @@
 
 Three group shapes are supported directly: C_p x C_q for a pair of odd primes,
 C_{p^m} x C_{q^n} for prime powers, and C_{p1} x C_{p2} x C_{p3} for three
-primes.  The general two-factor machinery (an abelian p-group times an abelian
-q-group) is exposed as well and drives the first two shapes.
+primes.  The general two-factor construction (an abelian p-group times an
+abelian q-group) is exposed as well; it is built separately from the first two
+shapes and agrees with them on the groups they share.
 
 Every family construction validates itself: each member must square to itself,
 distinct members must annihilate each other, the members must sum to 1, and
@@ -123,6 +124,8 @@ class IdempotentFamily:
     elements: dict[str, AlgebraElement]
     predicted_dims: dict[str, int]
     params: dict[str, object] = field(default_factory=dict)
+    # prime-power families: the subgroup level (i, j) of each label, I0 at (0, 0)
+    levels: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if set(self.labels) != set(self.elements) or set(self.labels) != set(
@@ -299,17 +302,20 @@ def family_prime_power(
     labels: list[str] = ["I0"]
     elements: dict[str, AlgebraElement] = {"I0": AlgebraElement.all_ones(group)}
     dims: dict[str, int] = {"I0": 1}
+    levels: dict[str, tuple[int, int]] = {"I0": (0, 0)}
 
     for j in range(1, n + 1):
         lab = _split_label(0, j, m, n)
         labels.append(lab)
         elements[lab] = a_hats[0] * (b_hats[j] + b_hats[j - 1])
         dims[lab] = q ** (j - 1) * (q - 1)
+        levels[lab] = (0, j)
     for i in range(1, m + 1):
         lab = _split_label(i, 0, m, n)
         labels.append(lab)
         elements[lab] = (a_hats[i] + a_hats[i - 1]) * b_hats[0]
         dims[lab] = p ** (i - 1) * (p - 1)
+        levels[lab] = (i, 0)
 
     for i in range(1, m + 1):
         for j in range(1, n + 1):
@@ -323,6 +329,7 @@ def family_prime_power(
             labels.extend((star, star2))
             elements[star], elements[star2] = f1, f2
             dims[star] = dims[star2] = half
+            levels[star] = levels[star2] = (i, j)
 
     return IdempotentFamily(
         group=group,
@@ -337,6 +344,7 @@ def family_prime_power(
             "n": n,
             "hypothesis_warnings": list(pair.warnings),
         },
+        levels=levels,
     )
 
 

@@ -256,7 +256,7 @@ def test_criterion_09_property_suites():
                 e = fam.elements[label]
                 rows = [x.bits for x in ideal_basis(e)]
                 assert len(rows) <= 12
-                _, _, hist = scan_codewords(rows, e=e, want_hist=True)
+                _, _, hist = scan_codewords(rows, e=e)
                 assert hist == naive_weight_distribution(rows)
 
         # residue class cardinalities for every p = 3 mod 4 under 200

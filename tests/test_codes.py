@@ -153,19 +153,19 @@ class TestWeightDistribution:
                 rows = [x.bits for x in ideal_basis(e)]
                 assert len(rows) <= 12
                 naive = naive_weight_distribution(rows)
-                _, _, hist = scan_codewords(rows, e=e, want_hist=True)
+                _, _, hist = scan_codewords(rows, e=e)
                 assert hist == naive
-                _, _, gray = gray_scan_codewords(rows, ncols=fam.group.order, want_hist=True)
+                _, _, gray = gray_scan_codewords(rows, ncols=fam.group.order)
                 assert gray == naive
 
     def test_orbit_walk_matches_gray_scan(self, fam33):
         e = fam33.elements["e3"]
         rows = [x.bits for x in ideal_basis(e)]
-        best, word, hist = scan_codewords(rows, e=e, want_hist=True)
-        gray_best, _, gray_hist = gray_scan_codewords(rows, ncols=33, want_hist=True)
+        best, word, hist = scan_codewords(rows, e=e)
+        gray_best, _, gray_hist = gray_scan_codewords(rows, ncols=33)
         assert (best, hist) == (gray_best, gray_hist)
         assert word.bit_count() == best
-        assert scan_codewords(rows, e=e, want_hist=False) == (best, word, None)
+        assert scan_codewords(rows, e=e) == (best, word, hist)
 
     def test_orbit_reduced_crosscheck_c33(self, fam33):
         # every codeword weight is constant on its translation orbit, so the
@@ -174,7 +174,7 @@ class TestWeightDistribution:
         group = fam33.group
         rows = [x.bits for x in ideal_basis(e)]
         hist = weight_distribution(e, budget=1 << 10)
-        _, _, full = scan_codewords(rows, e=e, want_hist=True)
+        _, _, full = scan_codewords(rows, e=e)
         # enumerate all words once more, canonicalizing by translation orbit
         seen: set[int] = set()
         rebuilt: dict[int, int] = {}
@@ -213,7 +213,7 @@ class TestOrbitWalk:
             rows = [x.bits for x in ideal_basis(e)]
             if len(rows) > 16:
                 continue
-            best, word, hist = scan_codewords(rows, e=e, want_hist=True)
+            best, word, hist = scan_codewords(rows, e=e)
             assert hist == naive_weight_distribution(rows), label
             witness = AlgebraElement(fam.group, word)
             assert best == min(hist) == witness.weight, label
@@ -230,11 +230,9 @@ class TestOrbitWalk:
         for label in labels:
             e = fam.elements[label]
             rows = [x.bits for x in ideal_basis(e)]
-            best, word, hist = scan_codewords(rows, e=e, want_hist=True)
+            best, word, hist = scan_codewords(rows, e=e)
             assert gray_calls == [], label  # every dim-20 code is certified a field
-            gray_best, _, gray_hist = gray_scan_codewords(
-                rows, ncols=fam.group.order, want_hist=True
-            )
+            gray_best, _, gray_hist = gray_scan_codewords(rows, ncols=fam.group.order)
             assert (best, hist) == (gray_best, gray_hist), label
             witness = AlgebraElement(fam.group, word)
             assert witness.weight == best and witness * e == witness, label
@@ -360,9 +358,8 @@ class TestOneAnalysisPass:
         assert [args[0] for args, _ in translated] == [fam15.elements[lab] for lab in labels]
         assert [args[1] for args, _ in checked] == [fam15.elements[lab] for lab in labels]
         assert len(scans) == len(labels)
-        assert all(kwargs["want_hist"] for _, kwargs in scans)
 
-    def test_weights_with_verify_scan_once_without_histogram(self, monkeypatch):
+    def test_weights_with_verify_scan_each_code_once(self, monkeypatch):
         codes.clear_caches()
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         code, report, _ = run(
@@ -370,7 +367,6 @@ class TestOneAnalysisPass:
         )
         assert code == 0
         assert len(scans) == len(report["group"]["labels"])
-        assert not any(kwargs["want_hist"] for _, kwargs in scans)
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam33", "fam45"])
     def test_one_pass_reports_match_the_oracles(self, fixture, request):
@@ -412,6 +408,48 @@ class TestOneAnalysisPass:
         hist.clear()
         again = weight_distribution(e, budget=1 << 14)
         assert sum(again.values()) == (1 << len(ideal_basis(e))) - 1
+
+    @pytest.mark.parametrize("distribution_first", [False, True])
+    def test_minimum_and_distribution_share_one_scan(self, distribution_first, monkeypatch):
+        e = family_three_primes(3, 5, 11).elements["e8"]
+        codes.clear_caches()
+        scans = _count_calls(monkeypatch, codes, "scan_codewords")
+        if distribution_first:
+            hist = weight_distribution(e, budget=1 << 20)
+            result = minimum_weight(e, budget=1 << 20)
+        else:
+            result = minimum_weight(e, budget=1 << 20)
+            hist = weight_distribution(e, budget=1 << 20)
+        assert len(scans) == 1
+        assert result.exact and result.value == min(hist) == 48
+        assert sum(hist.values()) == (1 << 20) - 1
+
+    @pytest.mark.parametrize(
+        "fixture, members, path",
+        [
+            ("fam15", ("e0",), "translates"),
+            ("fam33", ("e3",), "orbit walk"),
+            ("fam15", ("e3", "e4"), "gray"),
+        ],
+        ids=["translates", "orbit_walk", "gray"],
+    )
+    def test_every_scan_path_returns_the_full_histogram(
+        self, fixture, members, path, request, monkeypatch
+    ):
+        fam = request.getfixturevalue(fixture)
+        e = AlgebraElement.zero(fam.group)
+        for label in members:
+            e = e + fam.elements[label]
+        codes.clear_caches()
+        searches = _count_calls(monkeypatch, codes, "_orbit_multiplier")
+        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
+        rows = [x.bits for x in ideal_basis(e)]
+        best, word, hist = scan_codewords(rows, e=e)
+        # the multiplier search runs unless the translates are the whole code
+        taken = "gray" if gray_calls else "orbit walk" if searches else "translates"
+        assert taken == path
+        assert sum(hist.values()) == (1 << len(rows)) - 1
+        assert best == min(hist) == word.bit_count()
 
     def test_dims_only_reports_enumerate_nothing(self, fam45, monkeypatch):
         scans = _count_calls(monkeypatch, codes, "scan_codewords")

@@ -19,6 +19,13 @@ GOLDEN_15 = [1, 2, 3, 4, 6, 8, 9, 12]
 GOLDEN_33 = [1, 2, 3, 4, 6, 8, 9, 11, 12, 15, 16, 17, 18, 21, 22, 24, 25, 27, 29, 30, 31, 32]
 
 
+def _members(fam):
+    """A family up to its labels: the group, and each member with its predicted dimension."""
+    return fam.group.factor_orders, Counter(
+        (fam.elements[lab].bits, fam.predicted_dims[lab]) for lab in fam.labels
+    )
+
+
 class TestUVBlocks:
     def test_p3(self):
         g = AbelianGroup([3])
@@ -102,6 +109,14 @@ class TestFamilyPrimePower:
             "I11*": 4, "I11**": 4, "I21*": 12, "I21**": 12,
         }
         assert all(c["passed"] for c in fam.verify_axioms())
+
+    def test_levels_name_the_subgroup_level_of_each_label(self):
+        fam = family_prime_power(3, 2, 5, 1)
+        assert fam.levels == {
+            "I0": (0, 0), "I01": (0, 1), "I10": (1, 0), "I20": (2, 0),
+            "I11*": (1, 1), "I11**": (1, 1), "I21*": (2, 1), "I21**": (2, 1),
+        }
+        assert family_pq(3, 5).levels == {}
 
     def test_c225_shape(self):
         fam = family_prime_power(3, 2, 5, 2)
@@ -206,6 +221,19 @@ class TestFamilyTwoFactor:
         assert {e.bits for e in general.elements.values()} == {
             e.bits for e in direct.elements.values()
         }
+
+    @pytest.mark.parametrize("primes", [(3, 5), (5, 3), (3, 11), (11, 3)])
+    def test_pq_family_equals_the_other_two_constructions(self, primes):
+        fam = family_pq(*primes)
+        p, q = fam.params["p"], fam.params["q"]  # the normalized pair
+        assert (
+            _members(fam)
+            == _members(family_prime_power(p, 1, q, 1))
+            == _members(family_two_factor([p], [q]))
+        )
+
+    def test_c9_x_c25_prime_power_family_equals_the_two_factor_family(self):
+        assert _members(family_prime_power(3, 2, 5, 2)) == _members(family_two_factor([9], [25]))
 
 
 class TestPrimitivity:
