@@ -104,10 +104,16 @@ def _checked_ideal(e: AlgebraElement) -> _Ideal:
 
 
 def check_basis(basis: Sequence[AlgebraElement], e: AlgebraElement) -> None:
-    """Every basis word must lie in the ideal and the set must be independent."""
-    for x in basis:
-        if x * e != x:
-            raise FalsificationError("basis element is not fixed by the idempotent")
+    """Certify `basis` as independent words of the ideal F2[G]e, with one product.
+
+    Assumes every word is a translate g*e, as _checked_ideal builds them.
+    Then (g*e)*e = g*(e*e), and translation is injective, so every word is
+    fixed by e exactly when e*e == e; that one product is the membership
+    proof.  Callers with other words (explicit_bases) check x*e == x for each
+    of them first.  Independence is proved by rank.
+    """
+    if e * e != e:
+        raise FalsificationError("basis element is not fixed by the idempotent")
     rows = [x.bits for x in basis]
     if len(independent_row_indices(rows)) != len(rows):
         raise FalsificationError("basis elements are linearly dependent")
@@ -407,8 +413,12 @@ def explicit_bases(family: IdempotentFamily) -> dict[str, dict[str, list[Algebra
                 )
         out[label] = {"seed_translates": orbit}
     for label, variants in out.items():
+        e = family.elements[label]
         for basis in variants.values():
-            check_basis(basis, family.elements[label])
+            # hat differences and seed-word translates are not translates of e
+            if any(x * e != x for x in basis):
+                raise FalsificationError("basis element is not fixed by the idempotent")
+            check_basis(basis, e)
             if len(basis) != family.predicted_dims[label]:
                 raise FalsificationError(
                     f"basis of {label} has {len(basis)} words, expected "

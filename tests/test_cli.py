@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 import time
@@ -36,6 +37,11 @@ from abelcodes.idempotents import family_pq, family_prime_power
 # text stdout and exit code of ten commands, recorded before the text view was
 # derived from the JSON report
 TEXT_VIEWS = json.loads((Path(__file__).parent / "data" / "text_views.json").read_text())
+# sha256 of the JSON stdout and the exit code of the three perfbench workload
+# commands, recorded when the translation-orbit enumeration landed
+WORKLOAD_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "workload_stdout_sha256.json").read_text()
+)
 
 
 class TestGroupSpecParsing:
@@ -338,6 +344,15 @@ class TestTextView:
         parsed = json.loads(render_json(report))
         assert render_text(parsed) == text
         assert exit_code(parsed) == code
+
+
+class TestWorkloadStdout:
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_STDOUT))
+    def test_json_stdout_bytes_and_exit_code_are_unchanged(self, workload, capsys):
+        pinned = WORKLOAD_STDOUT[workload]
+        assert main(pinned["argv"]) == pinned["exit"]
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == pinned["stdout_sha256"]
 
 
 def _raise_falsification(*args, **kwargs):

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import pytest
 
 from abelcodes import codes
 from abelcodes.cli import RunConfig, run
 from abelcodes.codes import (
     BudgetExceededError,
+    FalsificationError,
     analyze_family,
     code_seed_word,
     family_verification,
@@ -39,6 +42,11 @@ def fam45():
     return family_prime_power(3, 2, 5, 1)
 
 
+@pytest.fixture(scope="module")
+def fam675():
+    return family_prime_power(3, 3, 5, 2)
+
+
 class TestDimension:
     def test_examples(self, fam15, fam33):
         assert ideal_dimension(fam15.elements["e3"]) == 4
@@ -50,6 +58,42 @@ class TestDimension:
         e = fam15.elements["e3"]
         for x in ideal_basis(e):
             assert x * e == x
+
+
+class TestIdealCertificate:
+    def test_a_generator_that_is_not_idempotent_is_refused(self, fam15):
+        g = fam15.group
+        e = fam15.elements["e3"] + AlgebraElement.monomial(g, g.generator(0))
+        codes.clear_caches()
+        with pytest.raises(FalsificationError, match="not fixed by the idempotent"):
+            ideal_basis(e)
+
+    def test_explicit_bases_refuse_a_hat_difference_word_outside_the_ideal(
+        self, fam15, monkeypatch
+    ):
+        # hat(a) + 1 in place of hat(a) puts every e1 hat-difference word outside F2[G]e1
+        subgroup = codes.Subgroup
+
+        def wrong_a_hat(group, generators):
+            sub = subgroup.from_generators(group, generators)
+            if list(generators) != [(1, 0)]:
+                return sub
+            return SimpleNamespace(hat=lambda: sub.hat() + AlgebraElement.one(group))
+
+        monkeypatch.setattr(codes, "Subgroup", SimpleNamespace(from_generators=wrong_a_hat))
+        with pytest.raises(FalsificationError, match="not fixed by the idempotent"):
+            explicit_bases(fam15)
+
+    @pytest.mark.parametrize("fixture", ["fam15", "fam45", "fam675"])
+    def test_each_basis_certificate_takes_one_product(self, fixture, request, monkeypatch):
+        fam = request.getfixturevalue(fixture)
+        codes.clear_caches()
+        checked = _count_calls(monkeypatch, codes, "check_basis")
+        products = _count_calls(monkeypatch, AlgebraElement, "__mul__")
+        for label in fam.labels:
+            assert len(ideal_basis(fam.elements[label])) == fam.predicted_dims[label]
+        assert [args[1] for args, _ in checked] == [fam.elements[lab] for lab in fam.labels]
+        assert [args for args, _ in products] == [(fam.elements[lab],) * 2 for lab in fam.labels]
 
 
 class TestSeedWord:

@@ -1,4 +1,6 @@
 from collections import Counter
+from dataclasses import replace
+from functools import cache
 
 import pytest
 
@@ -234,6 +236,118 @@ class TestFamilyTwoFactor:
 
     def test_c9_x_c25_prime_power_family_equals_the_two_factor_family(self):
         assert _members(family_prime_power(3, 2, 5, 2)) == _members(family_two_factor([9], [25]))
+
+
+def _pairwise_axioms(fam):
+    """The reference for verify_axioms: each member squared by ** 2, and every
+    pair of members multiplied, n(n - 1)/2 products."""
+    checks = []
+    bad = [lab for lab in fam.labels if fam.elements[lab] ** 2 != fam.elements[lab]]
+    checks.append(
+        {
+            "name": "each member squares to itself",
+            "passed": not bad,
+            "detail": f"failing labels: {bad}" if bad else f"{len(fam.labels)} members",
+        }
+    )
+    zero = AlgebraElement.zero(fam.group)
+    bad_pairs = []
+    for i, la in enumerate(fam.labels):
+        for lb in fam.labels[i + 1 :]:
+            if fam.elements[la] * fam.elements[lb] != zero:
+                bad_pairs.append((la, lb))
+    checks.append(
+        {
+            "name": "distinct members annihilate each other",
+            "passed": not bad_pairs,
+            "detail": f"failing pairs: {bad_pairs}" if bad_pairs else "all pairs checked",
+        }
+    )
+    total = AlgebraElement.zero(fam.group)
+    for lab in fam.labels:
+        total = total + fam.elements[lab]
+    ok_sum = total == AlgebraElement.one(fam.group)
+    checks.append(
+        {
+            "name": "members sum to 1",
+            "passed": ok_sum,
+            "detail": "" if ok_sum else f"sum has weight {total.weight}",
+        }
+    )
+    n_classes = class_count(fam.group)
+    checks.append(
+        {
+            "name": "member count equals squaring-orbit count",
+            "passed": len(fam.labels) == n_classes,
+            "detail": f"{len(fam.labels)} members, {n_classes} orbits",
+        }
+    )
+    return checks
+
+
+AXIOM_FAMILIES = {
+    "15": lambda: family_pq(3, 5),
+    "33": lambda: family_pq(3, 11),
+    "45": lambda: family_prime_power(3, 2, 5, 1),
+    "3x5x11": lambda: family_three_primes(3, 5, 11),
+    "9x25": lambda: family_prime_power(3, 2, 5, 2),
+    "27x25": lambda: family_prime_power(3, 3, 5, 2),
+    "(3x3)x11": lambda: family_two_factor([3, 3], [11]),
+}
+
+
+@cache
+def _axiom_family(name):
+    return AXIOM_FAMILIES[name]()
+
+
+def _sum_of_two(fam, k, j):
+    return fam.elements[fam.labels[k]] + fam.elements[fam.labels[j]]
+
+
+def _non_idempotent(fam, k, j):
+    # (e + g)**2 = e + g**2, and g**2 != g for every g but the identity
+    g = fam.group.generator(0)
+    return fam.elements[fam.labels[k]] + AlgebraElement.monomial(fam.group, g)
+
+
+def _copy_of_another(fam, k, j):
+    # an idempotent of F2[G]e_j: it squares to itself, so only orthogonality fails
+    return fam.elements[fam.labels[j]]
+
+
+class TestAxiomsAgainstThePairwiseReference:
+    @pytest.mark.parametrize("name", list(AXIOM_FAMILIES))
+    def test_checks_match_the_reference(self, name):
+        fam = _axiom_family(name)
+        checks = fam.verify_axioms()
+        assert checks == _pairwise_axioms(fam)
+        assert all(c["passed"] for c in checks)
+
+    @pytest.mark.parametrize("name", list(AXIOM_FAMILIES))
+    def test_a_passing_family_takes_at_most_n_minus_1_products(self, name, monkeypatch):
+        fam = _axiom_family(name)
+        products = []
+        original = AlgebraElement.__mul__
+
+        def counted(x, y):
+            products.append((x, y))
+            return original(x, y)
+
+        monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+        assert all(c["passed"] for c in fam.verify_axioms())
+        assert len(products) <= len(fam) - 1
+
+    @pytest.mark.parametrize("corrupt", [_sum_of_two, _non_idempotent, _copy_of_another])
+    @pytest.mark.parametrize("name", ["15", "3x5x11", "27x25", "(3x3)x11"])
+    def test_corrupted_families_give_the_reference_details(self, name, corrupt):
+        fam = _axiom_family(name)
+        n = len(fam)
+        for k, j in ((0, 1), (n - 1, 0), (n // 2, n - 1)):
+            bad = replace(fam, elements={**fam.elements, fam.labels[k]: corrupt(fam, k, j)})
+            checks = bad.verify_axioms()
+            assert checks == _pairwise_axioms(bad), (k, j)
+            assert not all(c["passed"] for c in checks), (k, j)
 
 
 class TestPrimitivity:
