@@ -23,7 +23,6 @@ from .idempotents import (
     family_three_primes,
 )
 from .number_theory import ConsistencyError, HypothesisError, factorize
-from .cyclotomic import class_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,7 +192,7 @@ def _group_section(shape: GroupShape, family: IdempotentFamily) -> dict:
         "order": family.group.order,
         "labels": list(family.labels),
         "parameters": {k: v for k, v in sorted(family.params.items())},
-        "squaring_orbit_count": class_count(family.group),
+        "squaring_orbit_count": family.squaring_orbit_count,
     }
 
 

@@ -3,10 +3,19 @@
 A code here is the ideal generated by an idempotent e: the span over F2 of the
 translates g*e.  Minimum weights and weight distributions are exact whenever
 2**dim fits the enumeration budget; otherwise honest bounds are reported, with
-the provenance of each bound recorded.  The enumeration visits one codeword per
-translation orbit, as the powers of a certified generator of the ideal's field
-(scan_codewords); the Gray-code walk over every codeword runs only for an ideal
-that is not certified a field, and serves the tests as an oracle.
+the provenance of each bound recorded.
+
+The enumeration of a minimal code (scan_codewords) rests on three facts.  An
+irreducible Berlekamp-Massey polynomial f of degree k = dim for a multiplier
+beta in the ideal proves the ideal is the field K = F2[x]/f, with x -> beta.
+A z in K with z**((2**k - 1)/r) != 1 mod f for every prime r dividing N =
+(2**k - 1)/n' generates K*/T, T the n' distinct translates of e, so the
+powers z**j, j < N, meet every translation orbit once.  For odd |G| squaring
+is a coordinate permutation, so weights are constant on the doubling orbits
+{j * 2**s mod N} too.  The walk therefore steps through k-bit field elements
+and maps one exponent per doubling orbit to its codeword.  The Gray-code walk
+over every codeword runs only for an ideal that is not certified a field, and
+serves the tests as an oracle.
 
 Each ideal has one cached record: its checked basis, its translate ranks and,
 once a weight is asked for, its one enumeration, which gives the minimum
@@ -17,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .cyclotomic import verify_class_structure
 from .gf2 import (
@@ -27,6 +35,7 @@ from .gf2 import (
     gray_flip_sequence,
     independent_row_indices,
     poly_is_irreducible,
+    poly_mulmod,
     poly_powmod,
 )
 from .group_algebra import AlgebraElement, Subgroup, cyclic_exponent, ideal_translates
@@ -143,78 +152,111 @@ def _hist_dict(hist: list[int]) -> dict[int, int]:
     return {w: n for w, n in enumerate(hist) if n}
 
 
-# one translation as AbelianGroup.rotation_steps gives it
-_Plan = tuple[tuple[int, int, int], ...]
-
-
-def _multiples(x: int, plans: Sequence[_Plan]) -> Iterator[int]:
-    """x, c*x, c**2*x, ... for c = 1 + the sum of the group elements with these rotation plans."""
-    while True:
-        yield x
-        y = x
-        for steps in plans:
-            z = x
-            for mask, up, down in steps:
-                low = z & mask
-                z = (low << up) | ((z ^ low) >> down)
-            y ^= z
-        x = y
-
-
 def _orbit_multiplier(
     e: AlgebraElement, k: int, translate_ranks: Sequence[int]
-) -> tuple[_Plan, ...] | None:
-    """Rotation plans of g_1, ..., g_s such that beta = e + g_1*e + ... + g_s*e
-    generates F*/T (see scan_codewords), or None when none is found.
+) -> tuple[int, int, list[int]] | None:
+    """Certify the ideal F2[G]e as a field K = F2[x]/f and find z in K that
+    generates K*/T; return (f, z, [beta**0, ..., beta**(k - 1)]) with the
+    powers of beta as words of F2[G], or None when no certificate is found.
 
-    Candidates come in a fixed order: each translate g*e != e alone, in rank
-    order, then pairs, and so on.  Berlekamp-Massey on the identity
+    The multiplier beta is g*e for the first coset representative g (in rank
+    order) of order n' in G/H, H the stabilizer of e: g**(n'/r) * e != e for
+    every prime r dividing n'.  Berlekamp-Massey on the identity
     coefficients of e, beta, ..., beta**(2k - 1) gives their minimal
-    polynomial f, which divides the minimal polynomial of multiplication by
-    beta on the k-dimensional ideal.  If f is irreducible of degree k, it is
-    that polynomial, and the ideal is the field F2[beta]; if also
-    x**((2**k - 1)/r) != 1 mod f for every prime r dividing N, then
-    beta**(N/r) lies outside T, so beta generates F*/T.  The search is skipped unless n' divides 2**k - 1 and
+    polynomial f, which divides the minimal polynomial of beta on the
+    k-dimensional ideal.  If f is irreducible of degree k (Rabin test), it is
+    that polynomial, and x -> beta is an isomorphism of K onto the ideal,
+    which is then the field F2[beta].  In a field ideal g*e generates T, and
+    its minimal polynomial has degree ord_n'(2), so one candidate decides.
+
+    T is the unique subgroup of order n' of the cyclic group K*, so z
+    generates K*/T, cyclic of order N = (2**k - 1)/n', exactly when
+    z**((2**k - 1)/r) != 1 mod f for every prime r dividing N.  Small
+    polynomials z = x, x + 1, x**2, ... are tested in turn.
+
+    The search is skipped unless |G| is odd, n' divides 2**k - 1 and
     k == ord_n'(2), which every field ideal satisfies (it is spanned by its
-    translates, so it is F2[T]), and it stops once it has walked as many
-    words as a Gray scan of the ideal would.
+    translates, so it is F2[T]).
     """
+    group = e.group
     orbit = len(translate_ranks)
     total = (1 << k) - 1
-    if orbit < 2 or total % orbit or multiplicative_order(2, orbit) != k:
+    if not group.is_odd or orbit < 2 or total % orbit or multiplicative_order(2, orbit) != k:
+        return None
+    cofactors = [orbit // r for r in factorize(orbit)]
+    for rank in translate_ranks[1:]:
+        g = group.unrank(rank)
+        if all(group.translate_bits(e.bits, group.scale(g, c)) != e.bits for c in cofactors):
+            break
+    else:
+        return None
+    powers = [e.bits]
+    for _ in range(2 * k - 1):
+        powers.append(group.translate_bits(powers[-1], g))
+    f = berlekamp_massey([x & 1 for x in powers])
+    if f.bit_length() - 1 != k or not poly_is_irreducible(f):
         return None
     primes = factorize(total // orbit)
-    group = e.group
-    plans = [group.rotation_steps(group.unrank(r)) for r in translate_ranks[1:]]
-    spent = 0
-    for size in range(1, len(plans) + 1):
-        for chosen in combinations(plans, size):
-            if spent >= total:
-                return None
-            spent += 2 * k
-            f = berlekamp_massey([x & 1 for x in islice(_multiples(e.bits, chosen), 2 * k)])
-            if (
-                f.bit_length() - 1 == k
-                and poly_is_irreducible(f)
-                and all(poly_powmod(0b10, total // r, f) != 1 for r in primes)
-            ):
-                return chosen
+    for z in range(2, 1 << k):
+        if all(poly_powmod(z, total // r, f) != 1 for r in primes):
+            return f, z, powers[:k]
     return None
+
+
+def _split_tables(images: Sequence[int], width: int) -> list[list[int]]:
+    """Three tables of the GF(2)-linear map that sends bit i to images[i].
+
+    The image of x < 2**(3 * width) is
+    t0[x & m] ^ t1[(x >> width) & m] ^ t2[x >> 2 * width], m = 2**width - 1.
+    """
+    tables = []
+    for start in (0, width, 2 * width):
+        table = [0]
+        for image in images[start : start + width]:
+            table += [t ^ image for t in table]
+        tables.append(table)
+    return tables
+
+
+@lru_cache(maxsize=8)
+def _doubling_orbit_sizes(n: int) -> bytes:
+    """Entry j is the size of the orbit {j * 2**s mod n} when j is its least
+    member, else 0; n is odd, so doubling permutes the residues mod n."""
+    sizes = bytearray(n)
+    seen = bytearray(n)
+    for j in range(n):
+        if seen[j]:
+            continue
+        i, size = j, 0
+        while not seen[i]:
+            seen[i] = 1
+            size += 1
+            i = 2 * i % n
+        sizes[j] = size
+    return bytes(sizes)
 
 
 def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int, dict[int, int]]:
     """Minimum weight, the first word attaining it, and the weight histogram
     of the nonzero words of the ideal F2[G]e, whose basis rows are `rows`.
 
-    A minimal ideal is a field F = F_{2**k} in which translation by g is
-    multiplication by g*e, and the n' distinct translates of e form a cyclic
-    subgroup T of F*.  So every weight is constant on the translation orbits
-    xT, and one word per orbit suffices: when beta generates F*/T, the words
-    e, beta, ..., beta**(N - 1), N = (2**k - 1)/n', meet each orbit once,
-    and each weight counts n' times.  When N == 1 the translates of e are all
-    the nonzero words.  An ideal that _orbit_multiplier cannot certify as a
-    field, such as a sum of two minimal ideals, is scanned word by word by
-    gray_scan_codewords.
+    Translation by g is multiplication by g*e, so the n' distinct translates
+    of e form a group T of units, and every weight is constant on the cosets
+    xT.  When _orbit_multiplier certifies the ideal as the field K = F2[x]/f
+    with z generating K*/T, the words z**j, 0 <= j < N = (2**k - 1)/n',
+    meet each coset once.  For odd |G| squaring is the coordinate
+    permutation g -> g**2, and (z**j)**2 lies in z**(2j mod N) T, so weights
+    are constant on the doubling orbits {j * 2**s mod N} as well.  The walk
+    steps through z**j as k-bit integers (multiplication by z is three table
+    lookups), maps only the least exponent of each doubling orbit to its
+    codeword through tables built from beta**0, ..., beta**(k - 1), and
+    counts its weight n' times the orbit size.  The step is closed by
+    checking that z**N maps to a translate of e.  Each table has
+    2**ceil(k/3) entries (at most 2**10 for k <= 30).
+
+    When N == 1 the translates of e are all the nonzero words.  An ideal that
+    _orbit_multiplier cannot certify as a field, such as a sum of two
+    minimal ideals, is scanned word by word by gray_scan_codewords.
     """
     k, group = len(rows), e.group
     ideal = _checked_ideal(e)
@@ -223,26 +265,36 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
     if total == orbit:
         w = e.weight
         return w, e.bits, {w: orbit}
-    plans = _orbit_multiplier(e, k, ideal.translate_ranks)
-    if plans is None:
+    field = _orbit_multiplier(e, k, ideal.translate_ranks)
+    if field is None:
         return gray_scan_codewords(rows, ncols=group.order)
+    f, z, powers = field
+    width = -(-k // 3)
+    mask, high = (1 << width) - 1, 2 * width
+    s0, s1, s2 = _split_tables([poly_mulmod(z, 1 << i, f) for i in range(k)], width)
+    w0, w1, w2 = _split_tables(powers, width)
     best, best_word = group.order + 1, 0
     hist = [0] * (group.order + 1)
-    powers = _multiples(e.bits, plans)
-    for x in islice(powers, total // orbit):
-        w = x.bit_count()
-        hist[w] += orbit
-        if w < best:
-            best, best_word = w, x
-    last = next(powers)
+    x = 1
+    for size in _doubling_orbit_sizes(total // orbit):
+        if size:
+            word = w0[x & mask] ^ w1[x >> width & mask] ^ w2[x >> high]
+            w = word.bit_count()
+            hist[w] += orbit * size
+            if w < best:
+                best, best_word = w, word
+        x = s0[x & mask] ^ s1[x >> width & mask] ^ s2[x >> high]
+    last = w0[x & mask] ^ w1[x >> width & mask] ^ w2[x >> high]
     if all(group.translate_bits(e.bits, group.unrank(r)) != last for r in ideal.translate_ranks):
         raise RuntimeError("the orbit walk did not close on a translate of e")
     return best, best_word, _hist_dict(hist)
 
 
 def clear_caches() -> None:
-    """Forget every cached ideal record; cli.run calls it as each run starts."""
+    """Forget every cached ideal record and orbit-size table; cli.run calls it
+    as each run starts."""
     _checked_ideal.cache_clear()
+    _doubling_orbit_sizes.cache_clear()
 
 
 def naive_weight_distribution(rows: Sequence[int]) -> dict[int, int]:

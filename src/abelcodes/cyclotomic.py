@@ -25,38 +25,29 @@ class CyclotomicClass:
         return len(self.member_ranks)
 
 
-def _doubling_permutation(group: AbelianGroup) -> list[int]:
-    return [group.rank(group.scale(e, 2)) for e in group.elements()]
-
-
 def cyclotomic_classes(group: AbelianGroup) -> list[CyclotomicClass]:
     """The orbit partition of G under squaring, ordered by representative rank.
 
-    Computed by union-find over the doubling permutation on ranks.
+    Each orbit is a cycle of the group's doubling permutation, walked from its
+    least rank.
     """
     if not group.is_odd:
         raise ValueError("squaring orbits are only supported for odd group order")
-    perm = _doubling_permutation(group)
-    parent = list(range(group.order))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r, image in enumerate(perm):
-        a, b = find(r), find(image)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    buckets: dict[int, list[int]] = {}
-    for r in range(group.order):
-        buckets.setdefault(find(r), []).append(r)
-    classes = [
-        CyclotomicClass(representative=group.unrank(root), member_ranks=tuple(sorted(members)))
-        for root, members in sorted(buckets.items())
-    ]
+    perm = group.doubling_permutation()
+    seen = bytearray(group.order)
+    classes = []
+    for root in range(group.order):
+        if seen[root]:
+            continue
+        members = []
+        r = root
+        while not seen[r]:
+            seen[r] = 1
+            members.append(r)
+            r = perm[r]
+        classes.append(
+            CyclotomicClass(representative=group.unrank(root), member_ranks=tuple(sorted(members)))
+        )
     if sum(c.size for c in classes) != group.order:
         raise RuntimeError("orbit sizes do not add up to the group order")
     return classes
@@ -70,14 +61,12 @@ def class_sum(group: AbelianGroup, x: GroupElement) -> AlgebraElement:
     """Sum over the squaring orbit of x."""
     if not group.is_odd:
         raise ValueError("squaring orbits are only supported for odd group order")
-    start = group.reduce(x)
-    bits = 0
-    e = start
-    while True:
-        bits |= 1 << group.rank(e)
-        e = group.scale(e, 2)
-        if e == start:
-            break
+    perm = group.doubling_permutation()
+    start = group.rank(group.reduce(x))
+    bits, r = 1 << start, perm[start]
+    while r != start:
+        bits |= 1 << r
+        r = perm[r]
     return AlgebraElement(group, bits)
 
 

@@ -6,8 +6,9 @@ are mixed-radix with the first factor least significant:
     rank(e) = sum(e[i] * prod(factor_orders[:i]))
 
 An algebra element is an int used as a bitset: bit k is the coefficient of the
-rank-k group element.  Addition is XOR, weight is a popcount, and squaring is
-the doubling permutation on exponents.  This fixes a bit-exact export order:
+rank-k group element.  Addition is XOR, weight is a popcount, and squaring
+moves each coefficient along the doubling map g -> g**2 on ranks, built once
+per group (a permutation when |G| is odd).  This fixes a bit-exact export order:
 serialized coefficients are the bitset as little-endian bytes, hex-encoded.
 
 Translation by a group element is a per-factor block rotation of the bitset.
@@ -33,7 +34,9 @@ GroupElement = tuple[int, ...]
 class AbelianGroup:
     """Finite abelian group given by the orders of its cyclic factors."""
 
-    __slots__ = ("factor_orders", "order", "_places", "_elements", "_block_patterns")
+    __slots__ = (
+        "factor_orders", "order", "_places", "_elements", "_block_patterns", "_doubling"
+    )
 
     def __init__(self, factor_orders: Sequence[int]) -> None:
         orders = tuple(int(x) for x in factor_orders)
@@ -49,6 +52,7 @@ class AbelianGroup:
         self._places = tuple(places)
         self._elements: list[GroupElement] | None = None
         self._block_patterns: tuple[int, ...] | None = None
+        self._doubling: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"AbelianGroup({list(self.factor_orders)})"
@@ -136,21 +140,18 @@ class AbelianGroup:
                 bits = (low << s * place) | ((bits ^ low) >> stay)
         return bits
 
-    def rotation_steps(self, shift: GroupElement) -> tuple[tuple[int, int, int], ...]:
-        """translate_bits(., shift) as (low mask, up, down) steps, one per shifted factor.
+    def doubling_permutation(self) -> list[int]:
+        """Entry r is the rank of g**2 for the rank-r element g, built on first use.
 
-        For callers that translate many words by one shift: each step is
-        `low = bits & mask; bits = (low << up) | ((bits ^ low) >> down)`.
-        translate_bits forms the same masks per call instead, which is cheaper
-        when every call has its own shift.
+        A permutation of the ranks when the order is odd.  Callers must not
+        mutate the list.
         """
-        steps = []
-        for s, n, place, pattern in zip(shift, self.factor_orders, self._places, self._patterns()):
-            s %= n
-            if s:
-                stay = (n - s) * place
-                steps.append(((pattern << stay) - pattern, s * place, stay))
-        return tuple(steps)
+        if self._doubling is None:
+            perm = [0]
+            for n, place in zip(self.factor_orders, self._places):
+                perm = [r + 2 * x % n * place for x in range(n) for r in perm]
+            self._doubling = perm
+        return self._doubling
 
     def permute_bits_by_scaling(self, bits: int, k: int) -> int:
         """Apply the power map g -> g**k to a support bitset."""
@@ -235,8 +236,12 @@ class AlgebraElement:
         return AlgebraElement(g, out)
 
     def frobenius(self) -> "AlgebraElement":
-        """The square, computed as the exponent-doubling support permutation."""
-        return AlgebraElement(self.group, self.group.permute_bits_by_scaling(self.bits, 2))
+        """The square: in characteristic 2 it is the sum of g**2 over the support."""
+        perm = self.group.doubling_permutation()
+        out = 0
+        for r in bit_indices(self.bits):
+            out ^= 1 << perm[r]
+        return AlgebraElement(self.group, out)
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .cyclotomic import class_count, class_sum, cyclotomic_classes
@@ -148,6 +149,11 @@ class IdempotentFamily:
     def __len__(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def squaring_orbit_count(self) -> int:
+        """class_count of the group, computed once per family."""
+        return class_count(self.group)
+
     def verify_axioms(self) -> list[dict]:
         """Idempotency, pairwise orthogonality, partition of unity, orbit count.
 
@@ -198,7 +204,7 @@ class IdempotentFamily:
                 "detail": "" if ok_sum else f"sum has weight {total.weight}",
             }
         )
-        n_classes = class_count(self.group)
+        n_classes = self.squaring_orbit_count
         checks.append(
             {
                 "name": "member count equals squaring-orbit count",

@@ -1,8 +1,9 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abelcodes import codes
+from abelcodes import codes, cyclotomic
 from abelcodes.cli import RunConfig, run
 from abelcodes.codes import (
     BudgetExceededError,
@@ -25,6 +26,7 @@ from abelcodes.codes import (
 )
 from abelcodes.group_algebra import AlgebraElement
 from abelcodes.idempotents import family_pq, family_prime_power, family_three_primes
+from abelcodes.number_theory import hypothesis_failures, is_odd_prime
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +249,14 @@ ORACLE_FAMILIES = {
 }
 
 
+ADMISSIBLE_PAIRS_BELOW_60 = [
+    (p, q)
+    for p in range(3, 60)
+    for q in range(p + 1, 60)
+    if is_odd_prime(p) and is_odd_prime(q) and not hypothesis_failures(p, q)
+]
+
+
 class TestOrbitWalk:
     @pytest.mark.parametrize("spec", sorted(ORACLE_FAMILIES))
     def test_small_codes_match_the_naive_oracle(self, spec):
@@ -265,21 +275,57 @@ class TestOrbitWalk:
             checked += 1
         assert checked >= 5
 
-    @pytest.mark.parametrize("spec", ["3x5x11", "9x25"])
-    def test_dimension_20_codes_match_the_gray_scan(self, spec, monkeypatch):
+    @pytest.mark.parametrize("spec", sorted(ORACLE_FAMILIES))
+    def test_codes_up_to_dimension_20_match_the_gray_scan(self, spec, monkeypatch):
         fam = ORACLE_FAMILIES[spec]()
         gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
-        labels = [lab for lab in fam.labels if fam.predicted_dims[lab] == 20]
-        assert len(labels) >= 3
+        labels = [lab for lab in fam.labels if fam.predicted_dims[lab] <= 20]
+        assert len(labels) >= 5
         for label in labels:
             e = fam.elements[label]
             rows = [x.bits for x in ideal_basis(e)]
             best, word, hist = scan_codewords(rows, e=e)
-            assert gray_calls == [], label  # every dim-20 code is certified a field
+            assert gray_calls == [], label  # every minimal code is certified a field
             gray_best, _, gray_hist = gray_scan_codewords(rows, ncols=fam.group.order)
             assert (best, hist) == (gray_best, gray_hist), label
             witness = AlgebraElement(fam.group, word)
             assert witness.weight == best and witness * e == witness, label
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(ADMISSIBLE_PAIRS_BELOW_60))
+    def test_pq_codes_match_the_naive_oracle(self, pair):
+        fam = family_pq(*pair)
+        for label in fam.labels:
+            if fam.predicted_dims[label] > 14:
+                continue
+            e = fam.elements[label]
+            rows = [x.bits for x in ideal_basis(e)]
+            best, word, hist = scan_codewords(rows, e=e)
+            assert hist == naive_weight_distribution(rows), (pair, label)
+            assert best == min(hist) == word.bit_count(), (pair, label)
+
+    @pytest.mark.parametrize("label", ["e8", "e9"])
+    def test_one_field_certificate_per_code(self, label, monkeypatch):
+        # one candidate: the translate by an element of order n' in G/H
+        e = family_three_primes(3, 5, 11).elements[label]
+        codes.clear_caches()
+        certificates = _count_calls(monkeypatch, codes, "berlekamp_massey")
+        assert minimum_weight(e, budget=1 << 20).value == 48
+        assert len(certificates) == 1
+
+    def test_a_walk_that_misses_the_translates_is_refused(self, monkeypatch):
+        e = family_three_primes(3, 5, 11).elements["e10"]
+        codes.clear_caches()
+        original = codes._orbit_multiplier
+
+        def broken(*args):
+            f, z, powers = original(*args)
+            return f, z, [powers[0], *powers[2:], powers[1]]  # not the powers of one beta
+
+        monkeypatch.setattr(codes, "_orbit_multiplier", broken)
+        with pytest.raises(RuntimeError, match="did not close"):
+            weight_distribution(e, budget=1 << 20)
+        assert "scan" not in vars(codes._checked_ideal(e))
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam33"])
     def test_split_pair_sum_goes_through_the_gray_fallback(self, fixture, request, monkeypatch):
@@ -411,6 +457,13 @@ class TestOneAnalysisPass:
         )
         assert code == 0
         assert len(scans) == len(report["group"]["labels"])
+
+    def test_verify_counts_the_squaring_orbits_once(self, monkeypatch):
+        orbits = _count_calls(monkeypatch, cyclotomic, "cyclotomic_classes")
+        code, report, _ = run(RunConfig(group_spec="45", analyses=("dims", "verify")))
+        assert code == 0 and report["verify"]["passed"]
+        assert report["group"]["squaring_orbit_count"] == 8
+        assert len(orbits) == 1
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam33", "fam45"])
     def test_one_pass_reports_match_the_oracles(self, fixture, request):
