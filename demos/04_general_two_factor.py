@@ -26,10 +26,6 @@ for check in fam.verify_axioms():
     print(f"  [{mark}] {check['name']}")
 
 label = fam.labels[1]
-report = verify_primitivity(
-    fam.elements[label],
-    fam.predicted_dims[label],
-    family_size=len(fam.labels),
-)
+report = verify_primitivity(fam.elements[label], fam.predicted_dims[label])
 print(f"\nprimitivity of {label} (dim {report['dimension']}): "
-      f"{report['primitive']} via {report['method']}")
+      f"{report['primitive']}, {report['idempotents_found']} idempotents in its ideal")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ EXIT_FALSIFIED = 4
 MAX_GROUP_ORDER = 10**6
 MAX_BUDGET = 1 << 64  # far beyond any enumeration that can finish
 MAX_THREADS = 64  # --threads is validated and kept for compatibility; enumeration is single-threaded
-THREADS_ENV_VAR = "ABELCODES_THREADS"
 
 
 class UsageError(ValueError):
@@ -157,21 +155,6 @@ def parse_budget(text: str) -> int:
     if value < MIN_BUDGET:
         raise UsageError(f"budget must be at least {MIN_BUDGET} (2^10)")
     return value
-
-
-def resolve_threads(flag: int | None = None) -> int:
-    """--threads if given, else $ABELCODES_THREADS, else the CPU count, capped at MAX_THREADS."""
-    env = os.environ.get(THREADS_ENV_VAR)
-    if flag is None and not env:
-        return min(os.cpu_count() or 1, MAX_THREADS)
-    source, value = ("--threads", flag) if flag is not None else (f"${THREADS_ENV_VAR}", env)
-    try:
-        threads = int(value)
-    except ValueError:
-        raise UsageError(f"{source} {value!r} is not an integer") from None
-    if not 1 <= threads <= MAX_THREADS:
-        raise UsageError(f"{source} {threads} is outside 1..{MAX_THREADS}")
-    return threads
 
 
 def build_family(shape: GroupShape, *, override: bool = False) -> IdempotentFamily:
@@ -437,10 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         "--threads",
         type=int,
         default=None,
-        help=(
-            f"thread count, 1 to {MAX_THREADS} (default: ${THREADS_ENV_VAR} or the CPU "
-            "count); checked and accepted, but enumeration is single-threaded"
-        ),
+        help=f"accepted and ignored, as enumeration is single-threaded; 1 to {MAX_THREADS}",
     )
     parser.add_argument(
         "--allow-unverified-hypotheses",
@@ -470,7 +450,8 @@ def main(argv: list[str] | None = None) -> int:
             budget=parse_budget(args.budget),
             override=args.allow_unverified_hypotheses,
         )
-        resolve_threads(args.threads)
+        if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:
+            raise UsageError(f"--threads {args.threads} is outside 1..{MAX_THREADS}")
         if args.export:
             _check_writable(args.export)
         code, report, text = run(config)

@@ -103,15 +103,9 @@ class AbelianGroup:
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.factor_orders))
 
-    def neg(self, a: GroupElement) -> GroupElement:
-        return tuple((-x) % n for x, n in zip(a, self.factor_orders))
-
     def scale(self, a: GroupElement, k: int) -> GroupElement:
         """The power map a -> a**k, exponentwise."""
         return tuple(x * k % n for x, n in zip(a, self.factor_orders))
-
-    def element_order(self, a: GroupElement) -> int:
-        return math.lcm(*(n // math.gcd(x, n) for x, n in zip(a, self.factor_orders)))
 
     def _patterns(self) -> tuple[int, ...]:
         """Per factor, the bitset with a 1 at the first rank of each rotation block."""

@@ -3,8 +3,12 @@
 Three group shapes are supported directly: C_p x C_q for a pair of odd primes,
 C_{p^m} x C_{q^n} for prime powers, and C_{p1} x C_{p2} x C_{p3} for three
 primes.  The general two-factor construction (an abelian p-group times an
-abelian q-group) is exposed as well; it is built separately from the first two
-shapes and agrees with them on the groups they share.
+abelian q-group) is exposed as well.  The two-factor shapes share one builder
+(Ferraz & Polcino Milies, Finite Fields Appl. 13, 2007): each side's
+idempotents hat(H) + hat(H*) are multiplied across, and each product of two
+non-hat sides is split through one u/v block per side level.  The pq and
+prime-power families feed it the cyclic chain <g> > <g^p> > ... > 1; the
+general one feeds it the subgroups found by p_group_idempotents.
 
 Construction checks its own steps: each u/v block against its component
 unity, each split pair (both halves idempotent, orthogonal, and summing to the
@@ -23,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .cyclotomic import class_count, class_sum, cyclotomic_classes
-from .gf2 import gray_flip_sequence, independent_row_indices
+from .cyclotomic import class_count, class_sum
+from .gf2 import gf2_rank, independent_row_indices
 from .group_algebra import AbelianGroup, AlgebraElement, GroupElement, Subgroup, ideal_translates
 from .number_theory import (
     ConsistencyError,
@@ -113,13 +117,79 @@ def split_pair(
     f1 = u * v + u2 * v2
     f2 = u * v2 + u2 * v
     zero = AlgebraElement.zero(e_h.group)
-    if f1 * f1 != f1 or f2 * f2 != f2:
+    if f1.frobenius() != f1 or f2.frobenius() != f2:
         raise ConsistencyError("split produced a non-idempotent element")
     if f1 * f2 != zero:
         raise ConsistencyError("split halves are not orthogonal")
     if f1 + f2 != e_h * e_k:
         raise ConsistencyError("split halves do not sum to the product idempotent")
     return f1, f2
+
+
+@dataclass(frozen=True)
+class _Side:
+    """A side idempotent hat(H) + hat(H*) of G_p (or G_q), inside G = G_p x G_q.
+
+    H* is generated by H and `base`, one index-p step above H.
+    """
+
+    element: AlgebraElement
+    dim: int
+    subgroup: Subgroup
+    base: GroupElement
+
+
+class _Member(NamedTuple):
+    """A member of a two-sided family.  i and j count the sides of G_p and G_q
+    from 1, with 0 for the hat; `half` is 1 or 2 for a split half, else 0."""
+
+    i: int
+    j: int
+    half: int
+    element: AlgebraElement
+    dim: int
+
+
+def _cyclic_sides(
+    group: AbelianGroup, g: GroupElement, p: int, m: int
+) -> tuple[AlgebraElement, list[_Side]]:
+    """hat(<g>) and the sides of the chain <g> > <g^p> > ... > <g^(p^m)> = 1."""
+    levels = [Subgroup.from_generators(group, [group.scale(g, p**i)]) for i in range(m + 1)]
+    hats = [s.hat() for s in levels]
+    sides = [
+        _Side(
+            hats[i] + hats[i - 1], p ** (i - 1) * (p - 1), levels[i], group.scale(g, p ** (i - 1))
+        )
+        for i in range(1, m + 1)
+    ]
+    return hats[0], sides
+
+
+def _two_sided(
+    group: AbelianGroup,
+    p: int,
+    p_hat: AlgebraElement,
+    p_sides: Sequence[_Side],
+    q: int,
+    q_hat: AlgebraElement,
+    q_sides: Sequence[_Side],
+) -> list[_Member]:
+    """The primitive idempotents of F2[G_p x G_q] from those of each side.
+
+    Family order: hat * hat, hat * K_j, H_i * hat, then the two split halves
+    of each H_i * K_j.  One u/v block is built per side level and shared by
+    every split on that level.
+    """
+    members = [_Member(0, 0, 0, p_hat * q_hat, 1)]
+    members += [_Member(0, j, 0, p_hat * k.element, k.dim) for j, k in enumerate(q_sides, 1)]
+    members += [_Member(i, 0, 0, h.element * q_hat, h.dim) for i, h in enumerate(p_sides, 1)]
+    u_blocks = [uv_block(group, h.base, p, h.subgroup) for h in p_sides]
+    v_blocks = [uv_block(group, k.base, q, k.subgroup) for k in q_sides]
+    for i, (h, ub) in enumerate(zip(p_sides, u_blocks), 1):
+        for j, (k, vb) in enumerate(zip(q_sides, v_blocks), 1):
+            halves = split_pair(h.element, k.element, ub, vb)
+            members += [_Member(i, j, s, f, h.dim * k.dim // 2) for s, f in enumerate(halves, 1)]
+    return members
 
 
 @dataclass
@@ -259,17 +329,11 @@ def family_pq(p: int, q: int, *, override: bool = False) -> IdempotentFamily:
     pair = validate_hypotheses(p, q, normalize=True, override=override)
     p, q = pair.p, pair.q
     group = AbelianGroup([p, q])
-    a, b = group.generator(0), group.generator(1)
-    one = AlgebraElement.one(group)
-    a_hat = Subgroup.from_generators(group, [a]).hat()
-    b_hat = Subgroup.from_generators(group, [b]).hat()
-
-    e0 = AlgebraElement.all_ones(group)
-    e1 = a_hat * (one + b_hat)
-    e2 = (one + a_hat) * b_hat
-    ub = uv_block(group, a, p)
-    vb = uv_block(group, b, q)
-    f1, f2 = split_pair(one + a_hat, one + b_hat, ub, vb)
+    a_hat, a_sides = _cyclic_sides(group, group.generator(0), p, 1)
+    b_hat, b_sides = _cyclic_sides(group, group.generator(1), q, 1)
+    e0, e1, e2, f1, f2 = (
+        member.element for member in _two_sided(group, p, a_hat, a_sides, q, b_hat, b_sides)
+    )
     e3, e4 = (f1, f2) if f1.contains((1, 1)) else (f2, f1)
 
     case = None
@@ -316,48 +380,20 @@ def family_prime_power(
     """
     pair = validate_hypotheses(p, q, m, n, normalize=False, override=override)
     group = AbelianGroup([p**m, q**n])
-    a, b = group.generator(0), group.generator(1)
+    a_hat, a_sides = _cyclic_sides(group, group.generator(0), p, m)
+    b_hat, b_sides = _cyclic_sides(group, group.generator(1), q, n)
 
-    def a_level(i: int) -> Subgroup:
-        return Subgroup.from_generators(group, [group.scale(a, p**i)])
-
-    def b_level(j: int) -> Subgroup:
-        return Subgroup.from_generators(group, [group.scale(b, q**j)])
-
-    a_hats = [a_level(i).hat() for i in range(m + 1)]
-    b_hats = [b_level(j).hat() for j in range(n + 1)]
-
-    labels: list[str] = ["I0"]
-    elements: dict[str, AlgebraElement] = {"I0": AlgebraElement.all_ones(group)}
-    dims: dict[str, int] = {"I0": 1}
-    levels: dict[str, tuple[int, int]] = {"I0": (0, 0)}
-
-    for j in range(1, n + 1):
-        lab = _split_label(0, j, m, n)
+    labels: list[str] = []
+    elements: dict[str, AlgebraElement] = {}
+    dims: dict[str, int] = {}
+    levels: dict[str, tuple[int, int]] = {}
+    for member in _two_sided(group, p, a_hat, a_sides, q, b_hat, b_sides):
+        i, j = member.i, member.j
+        lab = _split_label(i, j, m, n) + "*" * member.half if i or j else "I0"
         labels.append(lab)
-        elements[lab] = a_hats[0] * (b_hats[j] + b_hats[j - 1])
-        dims[lab] = q ** (j - 1) * (q - 1)
-        levels[lab] = (0, j)
-    for i in range(1, m + 1):
-        lab = _split_label(i, 0, m, n)
-        labels.append(lab)
-        elements[lab] = (a_hats[i] + a_hats[i - 1]) * b_hats[0]
-        dims[lab] = p ** (i - 1) * (p - 1)
-        levels[lab] = (i, 0)
-
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            ub = uv_block(group, group.scale(a, p ** (i - 1)), p, a_level(i))
-            vb = uv_block(group, group.scale(b, q ** (j - 1)), q, b_level(j))
-            f1, f2 = split_pair(
-                a_hats[i] + a_hats[i - 1], b_hats[j] + b_hats[j - 1], ub, vb
-            )
-            half = p ** (i - 1) * (p - 1) * q ** (j - 1) * (q - 1) // 2
-            star, star2 = _split_label(i, j, m, n) + "*", _split_label(i, j, m, n) + "**"
-            labels.extend((star, star2))
-            elements[star], elements[star2] = f1, f2
-            dims[star] = dims[star2] = half
-            levels[star] = levels[star2] = (i, j)
+        elements[lab] = member.element
+        dims[lab] = member.dim
+        levels[lab] = (i, j)
 
     return IdempotentFamily(
         group=group,
@@ -550,7 +586,6 @@ def p_group_idempotents(
         )
     group = AbelianGroup(factor_orders)
     subgroups = all_subgroups(group)
-    by_ranks = {s.element_ranks: s for s in subgroups}
     whole = Subgroup.whole(group)
 
     out = [
@@ -609,6 +644,24 @@ def _embed_subgroup(s: Subgroup, target: AbelianGroup, offset: int) -> Subgroup:
     return Subgroup.from_generators(target, [pad_left + g + pad_right for g in s.generators])
 
 
+def _embedded_sides(
+    records: Sequence[PGroupIdempotent], target: AbelianGroup, offset: int
+) -> tuple[AlgebraElement, list[_Side]]:
+    """The hat and the sides of a p-group's records, moved into a product group.
+
+    Each base is the first element of H* (in rank order) outside H.
+    """
+    sides = []
+    for rec in records[1:]:
+        sub = _embed_subgroup(rec.subgroup, target, offset)
+        base = next(
+            e for e in _embed_subgroup(rec.cover, target, offset).elements()
+            if not sub.contains_rank(target.rank(e))
+        )
+        sides.append(_Side(_embed(rec.element, target, offset), rec.predicted_dim, sub, base))
+    return _embed(records[0].element, target, offset), sides
+
+
 def family_two_factor(
     p_factors: Sequence[int],
     q_factors: Sequence[int],
@@ -625,56 +678,23 @@ def family_two_factor(
     p = next(iter(factorize(math.prod(p_factors))))
     q = next(iter(factorize(math.prod(q_factors))))
     pair = validate_hypotheses(p, q, normalize=False, override=override)
-    p_side = p_group_idempotents(p_factors, override=override)
-    q_side = p_group_idempotents(q_factors, override=override)
+    p_recs = p_group_idempotents(p_factors, override=override)
+    q_recs = p_group_idempotents(q_factors, override=override)
 
     group = AbelianGroup(tuple(p_factors) + tuple(q_factors))
-    offset_q = len(p_factors)
+    p_hat, p_sides = _embedded_sides(p_recs, group, 0)
+    q_hat, q_sides = _embedded_sides(q_recs, group, len(p_factors))
 
     labels: list[str] = []
     elements: dict[str, AlgebraElement] = {}
     dims: dict[str, int] = {}
-
-    def put(label: str, element: AlgebraElement, dim: int) -> None:
-        labels.append(label)
-        elements[label] = element
-        dims[label] = dim
-
-    gp_hat = _embed(p_side[0].element, group, 0)
-    gq_hat = _embed(q_side[0].element, group, offset_q)
-    put("e_hat_hat", gp_hat * gq_hat, 1)
-    for krec in q_side[1:]:
-        put(
-            f"e_hat_{krec.label}",
-            gp_hat * _embed(krec.element, group, offset_q),
-            krec.predicted_dim,
-        )
-    for hrec in p_side[1:]:
-        put(
-            f"e_{hrec.label}_hat",
-            _embed(hrec.element, group, 0) * gq_hat,
-            hrec.predicted_dim,
-        )
-    for hrec in p_side[1:]:
-        h_sub = _embed_subgroup(hrec.subgroup, group, 0)
-        h_base = next(
-            e for e in _embed_subgroup(hrec.cover, group, 0).elements()
-            if not h_sub.contains_rank(group.rank(e))
-        )
-        ub = uv_block(group, h_base, p, h_sub)
-        e_h = _embed(hrec.element, group, 0)
-        for krec in q_side[1:]:
-            k_sub = _embed_subgroup(krec.subgroup, group, offset_q)
-            k_base = next(
-                e for e in _embed_subgroup(krec.cover, group, offset_q).elements()
-                if not k_sub.contains_rank(group.rank(e))
-            )
-            vb = uv_block(group, k_base, q, k_sub)
-            e_k = _embed(krec.element, group, offset_q)
-            f1, f2 = split_pair(e_h, e_k, ub, vb)
-            half = hrec.predicted_dim * krec.predicted_dim // 2
-            put(f"e_{hrec.label}_{krec.label}_1", f1, half)
-            put(f"e_{hrec.label}_{krec.label}_2", f2, half)
+    for member in _two_sided(group, p, p_hat, p_sides, q, q_hat, q_sides):
+        lab = f"e_{p_recs[member.i].label}_{q_recs[member.j].label}"
+        if member.half:
+            lab += f"_{member.half}"
+        labels.append(lab)
+        elements[lab] = member.element
+        dims[lab] = member.dim
 
     return IdempotentFamily(
         group=group,
@@ -692,73 +712,29 @@ def family_two_factor(
     )
 
 
-def verify_primitivity(
-    e: AlgebraElement,
-    predicted_dim: int | None = None,
-    *,
-    budget: int = 1 << 20,
-    family_size: int | None = None,
-) -> dict:
-    """Check that an idempotent generates a minimal ideal.
+def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> dict:
+    """Count the idempotents of the ideal F2[G]e; e is primitive when there are two.
 
-    When 2**dim fits the budget, every element of the ideal is enumerated and
-    tested for idempotency (in characteristic 2 an element is idempotent
-    exactly when the doubling permutation fixes its support, so the test is a
-    per-orbit mask comparison).  Exactly two idempotents, 0 and e itself, mean
-    the ideal is minimal.  Beyond the budget the family-level certificate is
-    used: a partition of unity whose size equals the number of squaring orbits
-    consists of primitive members only.
+    Squaring is F2-linear and maps the ideal into itself, so its idempotents
+    are the kernel of x -> x**2 + x there.  Over a basis b of the ideal the
+    kernel has dimension c = dim - rank(b**2 + b), and the ideal holds 2**c
+    idempotents.  They are 0 and e exactly when c == 1.  The cost is one rank
+    at any dimension.
     """
-    if e * e != e:
+    if e.frobenius() != e:
         raise ValueError("element is not idempotent")
     translates = ideal_translates(e)
-    kept = independent_row_indices(translates)
-    dim = len(kept)
-    report: dict[str, object] = {
+    basis = [translates[i] for i in independent_row_indices(translates)]
+    dim = len(basis)
+    images = [AlgebraElement(e.group, b).frobenius().bits ^ b for b in basis]
+    fixed = dim - gf2_rank(images)
+    return {
         "dimension": dim,
         "predicted_dimension": predicted_dim,
         "dimension_matches": predicted_dim is None or dim == predicted_dim,
+        "idempotents_found": 1 << fixed,
+        "primitive": fixed == 1,
     }
-    if (1 << dim) <= budget:
-        masks = []
-        for cls in cyclotomic_classes(e.group):
-            m = 0
-            for r in cls.member_ranks:
-                m |= 1 << r
-            masks.append(m)
-        rows = [translates[i] for i in kept]
-        found = 1  # the zero element
-        word = 0
-        for flip in gray_flip_sequence(dim):
-            word ^= rows[flip]
-            for m in masks:
-                inter = word & m
-                if inter and inter != m:
-                    break
-            else:
-                found += 1
-        report.update(
-            method="exhaustive-scan",
-            idempotents_found=found,
-            primitive=found == 2,
-            detail=f"scanned {1 << dim} ideal elements",
-        )
-    elif family_size is not None:
-        n_classes = class_count(e.group)
-        report.update(
-            method="component-count",
-            idempotents_found=None,
-            primitive=family_size == n_classes,
-            detail=f"family size {family_size} vs {n_classes} squaring orbits",
-        )
-    else:
-        report.update(
-            method="inconclusive",
-            idempotents_found=None,
-            primitive=None,
-            detail=f"2**{dim} exceeds the budget and no family context was given",
-        )
-    return report
 
 
 __all__ = [

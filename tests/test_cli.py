@@ -19,7 +19,6 @@ from abelcodes.cli import (
     MAX_BUDGET,
     MAX_THREADS,
     MIN_BUDGET,
-    THREADS_ENV_VAR,
     RunConfig,
     UsageError,
     exit_code,
@@ -28,19 +27,25 @@ from abelcodes.cli import (
     parse_group_spec,
     render_json,
     render_text,
-    resolve_threads,
     run,
 )
 from abelcodes.codes import FalsificationError, family_verification
 from abelcodes.idempotents import family_pq, family_prime_power
 
-# text stdout and exit code of ten commands, recorded before the text view was
-# derived from the JSON report
+# text stdout and exit code of twelve commands: the first ten recorded before the
+# text view was derived from the JSON report, the last two (overridden hypotheses
+# that build with warnings, and that fail in construction) before the two-sided
+# families shared one builder
 TEXT_VIEWS = json.loads((Path(__file__).parent / "data" / "text_views.json").read_text())
 # sha256 of the JSON stdout and the exit code of the three perfbench workload
 # commands, recorded when the translation-orbit enumeration landed
 WORKLOAD_STDOUT = json.loads(
     (Path(__file__).parent / "data" / "workload_stdout_sha256.json").read_text()
+)
+# sha256 of the `--idempotents --format json` stdout of six groups, recorded before
+# the two-sided families shared one builder
+IDEMPOTENT_EXPORTS = json.loads(
+    (Path(__file__).parent / "data" / "idempotent_export_sha256.json").read_text()
 )
 
 
@@ -354,6 +359,23 @@ class TestWorkloadStdout:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == pinned["stdout_sha256"]
 
+    @pytest.mark.parametrize("threads", ["2", "8"])
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_STDOUT))
+    def test_the_thread_count_leaves_the_json_stdout_unchanged(self, workload, threads, capsys):
+        pinned = WORKLOAD_STDOUT[workload]
+        argv = pinned["argv"][:-1] + [threads]
+        assert pinned["argv"][-2:] == ["--threads", "1"]
+        assert main(argv) == pinned["exit"]
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == pinned["stdout_sha256"]
+
+    @pytest.mark.parametrize("spec", sorted(IDEMPOTENT_EXPORTS))
+    def test_idempotent_export_bytes_are_unchanged(self, spec, capsys):
+        pinned = IDEMPOTENT_EXPORTS[spec]
+        assert main(pinned["argv"]) == pinned["exit"]
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == pinned["stdout_sha256"]
+
 
 def _raise_falsification(*args, **kwargs):
     raise FalsificationError("probe word has the wrong weight")
@@ -412,24 +434,15 @@ class TestThreadsGuard:
         assert runs == []
         assert "--threads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-3", str(MAX_THREADS + 1), "1000000", "many"])
-    def test_environment_outside_range_exits_1_before_any_work(
-        self, value, runs, monkeypatch, capsys
-    ):
-        monkeypatch.setenv(THREADS_ENV_VAR, value)
-        assert main(["3x5x11", "--dims"]) == EXIT_USAGE
+    def test_non_integer_flag_exits_1_before_any_work(self, runs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["3x5x11", "--dims", "--threads", "many"])
+        assert exc.value.code == EXIT_USAGE
         assert runs == []
-        assert THREADS_ENV_VAR in capsys.readouterr().err
+        assert "--threads" in capsys.readouterr().err
 
     def test_range_ends_are_accepted(self, capsys):
         assert MAX_THREADS >= 8
         for threads in ("1", str(MAX_THREADS)):
             assert main(["3x5x11", "--dims", "--threads", threads]) == EXIT_OK
         capsys.readouterr()
-
-    def test_cpu_count_default_is_capped(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1_000_000)
-        assert resolve_threads() == MAX_THREADS
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert resolve_threads() == 1

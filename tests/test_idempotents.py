@@ -1,11 +1,20 @@
+import itertools
 from collections import Counter
 from dataclasses import replace
 from functools import cache
 
 import pytest
 
-from abelcodes.cyclotomic import class_count
-from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup, as_cyclic
+from abelcodes import idempotents
+from abelcodes.cyclotomic import class_count, cyclotomic_classes
+from abelcodes.gf2 import gray_flip_sequence, independent_row_indices
+from abelcodes.group_algebra import (
+    AbelianGroup,
+    AlgebraElement,
+    Subgroup,
+    as_cyclic,
+    ideal_translates,
+)
 from abelcodes.idempotents import (
     family_pq,
     family_prime_power,
@@ -209,7 +218,33 @@ class TestPGroupIdempotents:
             assert ideal_dimension(rec.element) == rec.predicted_dim
 
 
+# (C3 x C3) x C11, recorded before the two-sided families shared one builder:
+# labels in family order and each member's bitset as hex
+C3X3_X_C11_HEX = {
+    "e_hat_hat": "ffffffffffffffffffffffff07",
+    "e_hat_H1": "00feffffffffffffffffffff07",
+    "e_H1_hat": "f8f1e3c78f1f3f7efcf8f1e307",
+    "e_H2_hat": "b66ddbb66ddbb66ddbb66ddb06",
+    "e_H3_hat": "eedcb973e7ce9d3b77eedcb903",
+    "e_H4_hat": "5ebd7af5ead5ab57af5ebd7a05",
+    "e_H1_H1_1": "f87f1cfff1e3c7f1e3c77f1c07",
+    "e_H1_H1_2": "f88fff387efcf88f1f3f8eff00",
+    "e_H2_H1_1": "b6b7b5ddb66d5bdbb66db7b505",
+    "e_H2_H1_2": "b6db6e6bdbb6edb66ddbda6e03",
+    "e_H3_H1_1": "eee6769e3b776ee7ce9de77606",
+    "e_H3_H1_2": "ee3acfeddcb9f3dcb9733bcf05",
+    "e_H4_H1_1": "5e57d75bbd7a75bd7af556d703",
+    "e_H4_H1_2": "5eebadae57afdeead5abebad06",
+}
+
+
 class TestFamilyTwoFactor:
+    def test_c3x3_times_c11_is_pinned(self):
+        fam = family_two_factor([3, 3], [11])
+        assert fam.group.order == 99
+        assert list(fam.labels) == list(C3X3_X_C11_HEX)
+        assert {lab: fam.elements[lab].to_hex() for lab in fam.labels} == C3X3_X_C11_HEX
+
     def test_c3x3_times_c11_smoke(self):
         fam = family_two_factor([3, 3], [11])
         assert len(fam.labels) == 14
@@ -351,21 +386,26 @@ class TestAxiomsAgainstThePairwiseReference:
 
 
 class TestPrimitivity:
-    def test_scan_on_small_ideal(self):
+    def test_small_ideal_has_two_idempotents(self):
         fam = family_pq(3, 5)
         report = verify_primitivity(fam.elements["e3"], 4)
-        assert report["method"] == "exhaustive-scan"
         assert report["idempotents_found"] == 2
         assert report["primitive"] is True
         assert report["dimension_matches"]
 
-    def test_family_certificate(self):
+    def test_dimension_60_member_is_counted_exactly(self):
         fam = family_pq(11, 13)
-        report = verify_primitivity(
-            fam.elements["e3"], 60, budget=1 << 10, family_size=len(fam.labels)
-        )
-        assert report["method"] == "component-count"
+        report = verify_primitivity(fam.elements["e3"], 60)
+        assert report["dimension"] == 60
+        assert report["idempotents_found"] == 2
         assert report["primitive"] is True
+
+    def test_sum_of_the_split_pair_is_not_primitive(self):
+        fam = family_pq(11, 13)
+        report = verify_primitivity(fam.elements["e3"] + fam.elements["e4"], 120)
+        assert report["dimension_matches"]
+        assert report["idempotents_found"] == 4
+        assert report["primitive"] is False
 
     def test_negative_control(self):
         g = AbelianGroup([3])
@@ -374,7 +414,7 @@ class TestPrimitivity:
         assert report["primitive"] is False
 
     def test_scan_agrees_with_convolution_idempotency(self):
-        # spot check that the orbit-mask test used in the scan matches x*x == x
+        # spot check that the orbit-mask test of the Gray reference walk matches x*x == x
         fam = family_pq(3, 5)
         e3 = fam.elements["e3"]
         g = fam.group
@@ -397,3 +437,73 @@ class TestPrimitivity:
                 not (x.bits & m) or (x.bits & m) == m for m in masks
             )
             assert mask_fixed == (x * x == x)
+
+
+def _gray_idempotent_count(e):
+    """The exhaustive reference: walk every element of F2[G]e in Gray order and
+    count the idempotents.  In characteristic 2 an element is idempotent exactly
+    when its support is a union of squaring orbits, so the test is a per-orbit
+    mask comparison."""
+    masks = [sum(1 << r for r in cls.member_ranks) for cls in cyclotomic_classes(e.group)]
+    translates = ideal_translates(e)
+    rows = [translates[i] for i in independent_row_indices(translates)]
+    found, word = 1, 0  # the zero element
+    for flip in gray_flip_sequence(len(rows)):
+        word ^= rows[flip]
+        if all(not word & m or word & m == m for m in masks):
+            found += 1
+    return found
+
+
+PRIMITIVITY_FAMILIES = ["15", "33", "45", "3x5x11", "(3x3)x11"]
+REFERENCE_MAX_DIM = 16
+
+
+class TestPrimitivityAgainstTheGrayWalk:
+    @pytest.mark.parametrize("name", PRIMITIVITY_FAMILIES)
+    def test_every_member_is_primitive(self, name):
+        fam = _axiom_family(name)
+        for lab in fam.labels:
+            e, dim = fam.elements[lab], fam.predicted_dims[lab]
+            report = verify_primitivity(e, dim)
+            assert report["dimension_matches"], lab
+            assert report["idempotents_found"] == 2 and report["primitive"], lab
+            if dim <= REFERENCE_MAX_DIM:
+                assert _gray_idempotent_count(e) == 2, lab
+
+    @pytest.mark.parametrize("name", PRIMITIVITY_FAMILIES)
+    def test_sums_of_two_to_four_members_count_like_the_reference(self, name):
+        fam = _axiom_family(name)
+        sums = [
+            c
+            for r in (2, 3, 4)
+            for c in itertools.combinations(fam.labels, r)
+            if sum(fam.predicted_dims[lab] for lab in c) <= REFERENCE_MAX_DIM
+        ]
+        stride = -(-len(sums) // 24)  # at most 24 sums per family, spread over the list
+        assert sums
+        for labels in sums[::stride]:
+            e = AlgebraElement.zero(fam.group)
+            for lab in labels:
+                e = e + fam.elements[lab]
+            report = verify_primitivity(e)
+            assert report["idempotents_found"] == _gray_idempotent_count(e) == 2 ** len(labels)
+            assert report["primitive"] is False
+
+
+class TestOneBuilder:
+    @pytest.mark.parametrize("p, m, q, n", [(3, 3, 5, 2), (3, 2, 5, 2)])
+    def test_a_prime_power_family_builds_one_uv_block_per_side_level(
+        self, p, m, q, n, monkeypatch
+    ):
+        calls = []
+        original = idempotents.uv_block
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(idempotents, "uv_block", counted)
+        fam = family_prime_power(p, m, q, n)
+        assert len(calls) == m + n
+        assert len(fam) == 1 + m + n + 2 * m * n
