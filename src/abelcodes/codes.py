@@ -297,24 +297,6 @@ def clear_caches() -> None:
     _doubling_orbit_sizes.cache_clear()
 
 
-def naive_weight_distribution(rows: Sequence[int]) -> dict[int, int]:
-    """Independent oracle: recompute every codeword from scratch per subset."""
-    k = len(rows)
-    if k > 16:
-        raise ValueError("the naive oracle is only meant for small dimensions")
-    hist: dict[int, int] = {}
-    for mask in range(1, 1 << k):
-        word = 0
-        m = mask
-        while m:
-            low = m & -m
-            word ^= rows[low.bit_length() - 1]
-            m ^= low
-        w = word.bit_count()
-        hist[w] = hist.get(w, 0) + 1
-    return hist
-
-
 @dataclass(frozen=True)
 class WeightResult:
     """Minimum weight of a code, exact or bracketed."""
@@ -916,7 +898,6 @@ __all__ = [
     "check_basis",
     "scan_codewords",
     "gray_scan_codewords",
-    "naive_weight_distribution",
     "minimum_weight",
     "weight_distribution",
     "code_seed_word",

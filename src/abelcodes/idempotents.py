@@ -3,30 +3,32 @@
 Three group shapes are supported directly: C_p x C_q for a pair of odd primes,
 C_{p^m} x C_{q^n} for prime powers, and C_{p1} x C_{p2} x C_{p3} for three
 primes.  The general two-factor construction (an abelian p-group times an
-abelian q-group) is exposed as well.  The two-factor shapes share one builder
-(Ferraz & Polcino Milies, Finite Fields Appl. 13, 2007): each side's
-idempotents hat(H) + hat(H*) are multiplied across, and each product of two
-non-hat sides is split through one u/v block per side level.  The pq and
-prime-power families feed it the cyclic chain <g> > <g^p> > ... > 1; the
-general one feeds it the subgroups found by p_group_idempotents.
+abelian q-group) is exposed as well.  All four shapes share one builder over
+the coprime factors of G (after Ferraz & Polcino Milies, Finite Fields Appl.
+13, 2007): a member takes, for each factor, its hat or one of its sides
+hat(H) + hat(H*), and a product of t >= 2 sides is split into 2**(t - 1)
+halves through one u/v block per side level.  The cyclic shapes feed it the
+chain <g> > <g^p> > ... > 1; the general one feeds it the character kernels
+H = ker chi, H* = ker chi**p that p_group_idempotents lists.
 
 Construction checks its own steps: each u/v block against its component
 unity, each split pair (both halves idempotent, orthogonal, and summing to the
 product idempotent they split), the orbit-sum forms of a validated pq pair,
-the sum of the four deep three-prime members, and that the predicted
-dimensions sum to |G|.  It does not check the family axioms: each member
-squares to itself, distinct members annihilate each other, the members sum to
-1, and their number equals the number of squaring orbits of G.
-IdempotentFamily.verify_axioms checks those, and --verify runs it.  Each
-ideal's basis certificate (codes.check_basis) also proves that ideal's
-generator idempotent, on every run that builds a basis.
+and that the predicted dimensions sum to |G|.  It does not check the family
+axioms: each member squares to itself, distinct members annihilate each
+other, the members sum to 1, and their number equals the number of squaring
+orbits of G.  IdempotentFamily.verify_axioms checks those, and --verify runs
+it.  Each ideal's basis certificate (codes.check_basis) also proves that
+ideal's generator idempotent, on every run that builds a basis.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import class_count, class_sum
@@ -53,9 +55,6 @@ class UVBlock:
     element**3 = unity.
     """
 
-    base: GroupElement
-    prime: int
-    residue_class_mod_4: int
     element: AlgebraElement
     conjugate: AlgebraElement
     unity: AlgebraElement
@@ -95,14 +94,7 @@ def uv_block(
         raise ConsistencyError("block element cubed is not the component unity")
     if u.augmentation() != 0:
         raise ConsistencyError("block element has odd support size")
-    return UVBlock(
-        base=group.reduce(base),
-        prime=prime,
-        residue_class_mod_4=prime % 4,
-        element=u,
-        conjugate=u2,
-        unity=unity,
-    )
+    return UVBlock(element=u, conjugate=u2, unity=unity)
 
 
 def split_pair(
@@ -128,7 +120,7 @@ def split_pair(
 
 @dataclass(frozen=True)
 class _Side:
-    """A side idempotent hat(H) + hat(H*) of G_p (or G_q), inside G = G_p x G_q.
+    """A side idempotent hat(H) + hat(H*) of one factor of G, inside G.
 
     H* is generated by H and `base`, one index-p step above H.
     """
@@ -139,21 +131,26 @@ class _Side:
     base: GroupElement
 
 
-class _Member(NamedTuple):
-    """A member of a two-sided family.  i and j count the sides of G_p and G_q
-    from 1, with 0 for the hat; `half` is 1 or 2 for a split half, else 0."""
+class _Factor(NamedTuple):
+    """One coprime factor of G: its prime, its hat and its sides."""
 
-    i: int
-    j: int
-    half: int
+    prime: int
+    hat: AlgebraElement
+    sides: Sequence[_Side]
+
+
+class _Member(NamedTuple):
+    """A member of a product family.  `levels` counts the sides of each factor
+    from 1, with 0 for the hat; `halves` holds the pick (1 or 2) of each split."""
+
+    levels: tuple[int, ...]
+    halves: tuple[int, ...]
     element: AlgebraElement
     dim: int
 
 
-def _cyclic_sides(
-    group: AbelianGroup, g: GroupElement, p: int, m: int
-) -> tuple[AlgebraElement, list[_Side]]:
-    """hat(<g>) and the sides of the chain <g> > <g^p> > ... > <g^(p^m)> = 1."""
+def _cyclic_sides(group: AbelianGroup, g: GroupElement, p: int, m: int) -> _Factor:
+    """The factor <g>: hat(<g>) and the sides of the chain <g> > <g^p> > ... > 1."""
     levels = [Subgroup.from_generators(group, [group.scale(g, p**i)]) for i in range(m + 1)]
     hats = [s.hat() for s in levels]
     sides = [
@@ -162,33 +159,46 @@ def _cyclic_sides(
         )
         for i in range(1, m + 1)
     ]
-    return hats[0], sides
+    return _Factor(p, hats[0], sides)
 
 
-def _two_sided(
-    group: AbelianGroup,
-    p: int,
-    p_hat: AlgebraElement,
-    p_sides: Sequence[_Side],
-    q: int,
-    q_hat: AlgebraElement,
-    q_sides: Sequence[_Side],
-) -> list[_Member]:
-    """The primitive idempotents of F2[G_p x G_q] from those of each side.
+def _product_members(group: AbelianGroup, factors: Sequence[_Factor]) -> list[_Member]:
+    """The primitive idempotents of F2[G_1 x ... x G_r] from those of each factor.
 
-    Family order: hat * hat, hat * K_j, H_i * hat, then the two split halves
-    of each H_i * K_j.  One u/v block is built per side level and shared by
-    every split on that level.
+    A member takes, for each factor, its hat or one of its sides.  With t >= 2
+    sides it is one of 2**(t - 1) halves: the first side s0 is split against
+    each later side sk (split_pair), one half of each split is picked, and the
+    picked halves are multiplied with the remaining hats.  The halves of one
+    split sum to s0 * sk, so all the picks together sum to the product of the
+    t sides.  The dimension is the product of the side dimensions over
+    2**(t - 1).  Members are ordered by t, then by levels, then by picks.  One
+    u/v block is built per side level, in factor order, and one split per pair
+    of sides.
     """
-    members = [_Member(0, 0, 0, p_hat * q_hat, 1)]
-    members += [_Member(0, j, 0, p_hat * k.element, k.dim) for j, k in enumerate(q_sides, 1)]
-    members += [_Member(i, 0, 0, h.element * q_hat, h.dim) for i, h in enumerate(p_sides, 1)]
-    u_blocks = [uv_block(group, h.base, p, h.subgroup) for h in p_sides]
-    v_blocks = [uv_block(group, k.base, q, k.subgroup) for k in q_sides]
-    for i, (h, ub) in enumerate(zip(p_sides, u_blocks), 1):
-        for j, (k, vb) in enumerate(zip(q_sides, v_blocks), 1):
-            halves = split_pair(h.element, k.element, ub, vb)
-            members += [_Member(i, j, s, f, h.dim * k.dim // 2) for s, f in enumerate(halves, 1)]
+    sides, blocks = {}, {}
+    for k, f in enumerate(factors):
+        for lv, s in enumerate(f.sides, 1):
+            sides[k, lv] = s
+            blocks[k, lv] = uv_block(group, s.base, f.prime, s.subgroup)
+
+    @cache
+    def split(a: tuple[int, int], b: tuple[int, int]) -> tuple[AlgebraElement, AlgebraElement]:
+        return split_pair(sides[a].element, sides[b].element, blocks[a], blocks[b])
+
+    members = []
+    grid = itertools.product(*(range(len(f.sides) + 1) for f in factors))
+    for levels in sorted(grid, key=lambda lv: (len(lv) - lv.count(0), lv)):
+        picked = [(k, lv) for k, lv in enumerate(levels) if lv]
+        hats = [f.hat for f, lv in zip(factors, levels) if not lv]
+        dim = math.prod(sides[s].dim for s in picked) >> max(len(picked) - 1, 0)
+        if len(picked) < 2:
+            element = reduce(operator.mul, hats + [sides[s].element for s in picked])
+            members.append(_Member(levels, (), element, dim))
+            continue
+        pairs = [split(picked[0], s) for s in picked[1:]]
+        for picks in itertools.product((1, 2), repeat=len(pairs)):
+            halves = [pair[h - 1] for pair, h in zip(pairs, picks)]
+            members.append(_Member(levels, picks, reduce(operator.mul, halves + hats), dim))
     return members
 
 
@@ -329,11 +339,11 @@ def family_pq(p: int, q: int, *, override: bool = False) -> IdempotentFamily:
     pair = validate_hypotheses(p, q, normalize=True, override=override)
     p, q = pair.p, pair.q
     group = AbelianGroup([p, q])
-    a_hat, a_sides = _cyclic_sides(group, group.generator(0), p, 1)
-    b_hat, b_sides = _cyclic_sides(group, group.generator(1), q, 1)
-    e0, e1, e2, f1, f2 = (
-        member.element for member in _two_sided(group, p, a_hat, a_sides, q, b_hat, b_sides)
-    )
+    factors = [
+        _cyclic_sides(group, group.generator(0), p, 1),
+        _cyclic_sides(group, group.generator(1), q, 1),
+    ]
+    e0, e1, e2, f1, f2 = (member.element for member in _product_members(group, factors))
     e3, e4 = (f1, f2) if f1.contains((1, 1)) else (f2, f1)
 
     case = None
@@ -380,20 +390,22 @@ def family_prime_power(
     """
     pair = validate_hypotheses(p, q, m, n, normalize=False, override=override)
     group = AbelianGroup([p**m, q**n])
-    a_hat, a_sides = _cyclic_sides(group, group.generator(0), p, m)
-    b_hat, b_sides = _cyclic_sides(group, group.generator(1), q, n)
+    factors = [
+        _cyclic_sides(group, group.generator(0), p, m),
+        _cyclic_sides(group, group.generator(1), q, n),
+    ]
 
     labels: list[str] = []
     elements: dict[str, AlgebraElement] = {}
     dims: dict[str, int] = {}
     levels: dict[str, tuple[int, int]] = {}
-    for member in _two_sided(group, p, a_hat, a_sides, q, b_hat, b_sides):
-        i, j = member.i, member.j
-        lab = _split_label(i, j, m, n) + "*" * member.half if i or j else "I0"
+    for member in _product_members(group, factors):
+        i, j = member.levels
+        lab = _split_label(i, j, m, n) + "*" * sum(member.halves) if i or j else "I0"
         labels.append(lab)
         elements[lab] = member.element
         dims[lab] = member.dim
-        levels[lab] = (i, j)
+        levels[lab] = member.levels
 
     return IdempotentFamily(
         group=group,
@@ -441,116 +453,63 @@ def family_three_primes(
 ) -> IdempotentFamily:
     """The fourteen primitive idempotents of F2[C_p1 x C_p2 x C_p3].
 
-    e0..e3 come from the factor hats, e4..e9 from the three pairwise splits
-    multiplied by the remaining hat, and e10..e13 are the four components of
-    (1 + hat(a))(1 + hat(b))(1 + hat(c)), written through the u, v, w blocks.
+    e0..e3 take the three factor hats or one side, e4..e9 are the halves of
+    the three pairwise splits times the remaining hat, and e10..e13 are the
+    four products of a half of the (p1, p2) split with a half of the (p1, p3)
+    split, the components of (1 + hat(a))(1 + hat(b))(1 + hat(c)).
     """
     warnings = validate_triple(p1, p2, p3, override=override)
     group = AbelianGroup([p1, p2, p3])
-    a, b, c = group.generator(0), group.generator(1), group.generator(2)
-    one = AlgebraElement.one(group)
-    a_hat = Subgroup.from_generators(group, [a]).hat()
-    b_hat = Subgroup.from_generators(group, [b]).hat()
-    c_hat = Subgroup.from_generators(group, [c]).hat()
-    ma, mb, mc = one + a_hat, one + b_hat, one + c_hat
-
-    u = uv_block(group, a, p1).element
-    v = uv_block(group, b, p2).element
-    w = uv_block(group, c, p3).element
-    u2, v2, w2 = u.frobenius(), v.frobenius(), w.frobenius()
-
-    deep = ma * mb * mc
-    elements = {
-        "e0": a_hat * b_hat * c_hat,
-        "e1": a_hat * b_hat * mc,
-        "e2": a_hat * mb * c_hat,
-        "e3": ma * b_hat * c_hat,
-        "e4": (u * v + u2 * v2) * c_hat,
-        "e5": (u2 * v + u * v2) * c_hat,
-        "e6": (u * w + u2 * w2) * b_hat,
-        "e7": (u2 * w + u * w2) * b_hat,
-        "e8": (v * w + v2 * w2) * a_hat,
-        "e9": (v2 * w + v * w2) * a_hat,
-        "e10": deep + u2 * v2 * w + u * v * w2,
-        "e11": deep + u2 * v2 * w2 + u * v * w,
-        # The twelfth member expands from its split derivation as
-        # deep + u^2 v w + u v^2 w^2; only this form makes the four deep
-        # members sum to deep, which the identity check below enforces.
-        "e12": deep + u2 * v * w + u * v2 * w2,
-        "e13": deep + u * v2 * w + u2 * v * w2,
-    }
-    four_sum = elements["e10"] + elements["e11"] + elements["e12"] + elements["e13"]
-    if four_sum != deep:
-        raise ConsistencyError(
-            "the four deep split idempotents do not sum to the triple-complement unity"
-        )
-
-    d12 = (p1 - 1) * (p2 - 1) // 2
-    d13 = (p1 - 1) * (p3 - 1) // 2
-    d23 = (p2 - 1) * (p3 - 1) // 2
-    d123 = (p1 - 1) * (p2 - 1) * (p3 - 1) // 4
-    dims = {
-        "e0": 1,
-        "e1": p3 - 1,
-        "e2": p2 - 1,
-        "e3": p1 - 1,
-        "e4": d12,
-        "e5": d12,
-        "e6": d13,
-        "e7": d13,
-        "e8": d23,
-        "e9": d23,
-        "e10": d123,
-        "e11": d123,
-        "e12": d123,
-        "e13": d123,
-    }
-    labels = tuple(f"e{i}" for i in range(14))
+    factors = [_cyclic_sides(group, group.generator(k), r, 1) for k, r in enumerate((p1, p2, p3))]
+    members = _product_members(group, factors)
+    # the labels number the members in another order than the builder's
+    built = [f"e{i}" for i in (0, 1, 2, 3, 8, 9, 6, 7, 4, 5, 11, 10, 13, 12)]
     return IdempotentFamily(
         group=group,
         shape="three_primes",
-        labels=labels,
-        elements=elements,
-        predicted_dims=dims,
+        labels=tuple(f"e{i}" for i in range(14)),
+        elements={lab: member.element for lab, member in zip(built, members)},
+        predicted_dims={lab: member.dim for lab, member in zip(built, members)},
         params={"primes": [p1, p2, p3], "hypothesis_warnings": list(warnings)},
     )
 
 
-def all_subgroups(group: AbelianGroup) -> list[Subgroup]:
-    """Every subgroup, found by closing generator sets to a fixpoint.
-
-    Fine at desk scale; the p-group constructions only ever see small groups.
-    """
-    by_ranks: dict[tuple[int, ...], Subgroup] = {}
-    trivial = Subgroup.trivial(group)
-    frontier = [trivial]
-    by_ranks[trivial.element_ranks] = trivial
-    table = list(group.elements())
-    while frontier:
-        sub = frontier.pop()
-        members = set(sub.element_ranks)
-        for r, e in enumerate(table):
-            if r in members:
-                continue
-            bigger = Subgroup.from_generators(group, sub.generators + (e,))
-            if bigger.element_ranks not in by_ranks:
-                by_ranks[bigger.element_ranks] = bigger
-                frontier.append(bigger)
-    return sorted(by_ranks.values(), key=lambda s: (s.order, s.element_ranks))
-
-
-def quotient_is_cyclic(group: AbelianGroup, sub: Subgroup) -> bool:
-    """Whether G / H is cyclic: some coset must have order [G : H]."""
-    index = group.order // sub.order
+def _subgroup_with_ranks(group: AbelianGroup, ranks: Sequence[int]) -> Subgroup:
+    """The subgroup whose elements have these ranks, generated by the ranks
+    (in order) that the earlier ones do not already generate."""
+    sub = Subgroup.trivial(group)
     members = set(sub.element_ranks)
-    for e in group.elements():
-        k, x = 1, e
-        while group.rank(x) not in members:
-            x = group.add(x, e)
-            k += 1
-        if k == index:
-            return True
-    return False
+    for r in ranks:
+        if r not in members:
+            sub = Subgroup.from_generators(group, sub.generators + (group.unrank(r),))
+            members = set(sub.element_ranks)
+    return sub
+
+
+def _character_kernels(group: AbelianGroup, p: int) -> list[tuple[Subgroup, Subgroup]]:
+    """(ker chi, ker chi**p) for the nontrivial characters chi of an abelian
+    p-group, one pair per kernel, sorted by the kernel's order and ranks.
+
+    chi(g) = sum_i c_i * g_i * (N / n_i) mod N, where N is the exponent.  The
+    kernels are exactly the subgroups H with nontrivial cyclic quotient, and
+    ker chi**p is the unique subgroup one index-p step above H.
+    """
+    orders = group.factor_orders
+    exponent = math.lcm(*orders)
+    table = list(group.elements())
+    kernels: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for c in itertools.product(*(range(n) for n in orders)):
+        if not any(c):
+            continue
+        weights = [ci * (exponent // n) for ci, n in zip(c, orders)]
+        chi = [sum(w * x for w, x in zip(weights, g)) % exponent for g in table]
+        ranks = tuple(r for r, y in enumerate(chi) if y == 0)
+        if ranks not in kernels:
+            kernels[ranks] = tuple(r for r, y in enumerate(chi) if p * y % exponent == 0)
+    return [
+        (_subgroup_with_ranks(group, h), _subgroup_with_ranks(group, kernels[h]))
+        for h in sorted(kernels, key=lambda h: (len(h), h))
+    ]
 
 
 @dataclass(frozen=True)
@@ -570,8 +529,9 @@ def p_group_idempotents(
     """Primitive idempotents of an abelian p-group: the full hat, plus
     hat(H) + hat(H*) for every H with nontrivial cyclic quotient.
 
-    H* is the unique subgroup one index-p step above H; the ideal generated by
-    hat(H) + hat(H*) has dimension p**(r-1) * (p-1) where [A : H] = p**r.
+    The pairs (H, H*) are the character kernels (_character_kernels); the
+    ideal generated by hat(H) + hat(H*) has dimension p**(r-1) * (p-1) where
+    [A : H] = p**r.
     """
     factors = factorize(math.prod(factor_orders))
     if len(factors) != 1:
@@ -585,7 +545,6 @@ def p_group_idempotents(
             [f"2 has order {order_mod_p2} mod {p}**2, expected {p * (p - 1)}"]
         )
     group = AbelianGroup(factor_orders)
-    subgroups = all_subgroups(group)
     whole = Subgroup.whole(group)
 
     out = [
@@ -597,25 +556,8 @@ def p_group_idempotents(
             predicted_dim=1,
         )
     ]
-    member_sets = {s.element_ranks: set(s.element_ranks) for s in subgroups}
-    for sub in (s for s in subgroups if s.order < group.order):
-        if not quotient_is_cyclic(group, sub):
-            continue
-        covers = [
-            t
-            for t in subgroups
-            if t.order == p * sub.order
-            and member_sets[sub.element_ranks] <= member_sets[t.element_ranks]
-        ]
-        if len(covers) != 1:
-            raise ConsistencyError(
-                f"subgroup of order {sub.order} has {len(covers)} index-{p} covers"
-            )
-        cover = covers[0]
-        index, r = group.order // sub.order, 0
-        while index > 1:
-            index //= p
-            r += 1
+    for sub, cover in _character_kernels(group, p):
+        r = factorize(group.order // sub.order)[p]
         out.append(
             PGroupIdempotent(
                 label=f"H{len(out)}",
@@ -645,9 +587,9 @@ def _embed_subgroup(s: Subgroup, target: AbelianGroup, offset: int) -> Subgroup:
 
 
 def _embedded_sides(
-    records: Sequence[PGroupIdempotent], target: AbelianGroup, offset: int
-) -> tuple[AlgebraElement, list[_Side]]:
-    """The hat and the sides of a p-group's records, moved into a product group.
+    p: int, records: Sequence[PGroupIdempotent], target: AbelianGroup, offset: int
+) -> _Factor:
+    """The factor of a p-group's records, moved into a product group.
 
     Each base is the first element of H* (in rank order) outside H.
     """
@@ -659,7 +601,7 @@ def _embedded_sides(
             if not sub.contains_rank(target.rank(e))
         )
         sides.append(_Side(_embed(rec.element, target, offset), rec.predicted_dim, sub, base))
-    return _embed(records[0].element, target, offset), sides
+    return _Factor(p, _embed(records[0].element, target, offset), sides)
 
 
 def family_two_factor(
@@ -682,16 +624,17 @@ def family_two_factor(
     q_recs = p_group_idempotents(q_factors, override=override)
 
     group = AbelianGroup(tuple(p_factors) + tuple(q_factors))
-    p_hat, p_sides = _embedded_sides(p_recs, group, 0)
-    q_hat, q_sides = _embedded_sides(q_recs, group, len(p_factors))
+    factors = [
+        _embedded_sides(p, p_recs, group, 0),
+        _embedded_sides(q, q_recs, group, len(p_factors)),
+    ]
 
     labels: list[str] = []
     elements: dict[str, AlgebraElement] = {}
     dims: dict[str, int] = {}
-    for member in _two_sided(group, p, p_hat, p_sides, q, q_hat, q_sides):
-        lab = f"e_{p_recs[member.i].label}_{q_recs[member.j].label}"
-        if member.half:
-            lab += f"_{member.half}"
+    for member in _product_members(group, factors):
+        i, j = member.levels
+        lab = f"e_{p_recs[i].label}_{q_recs[j].label}" + "".join(f"_{h}" for h in member.halves)
         labels.append(lab)
         elements[lab] = member.element
         dims[lab] = member.dim
@@ -748,8 +691,6 @@ __all__ = [
     "family_three_primes",
     "family_two_factor",
     "validate_triple",
-    "all_subgroups",
-    "quotient_is_cyclic",
     "p_group_idempotents",
     "verify_primitivity",
 ]

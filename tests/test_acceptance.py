@@ -18,7 +18,6 @@ from abelcodes.codes import (
     code_seed_word,
     ideal_basis,
     minimum_weight,
-    naive_weight_distribution,
     scan_codewords,
     theoretical_expectations,
     weight_distribution,
@@ -36,6 +35,7 @@ from abelcodes.number_theory import (
     joint_order_2,
     residue_partition,
 )
+from oracles import naive_weight_distribution
 
 
 @contextmanager

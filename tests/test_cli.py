@@ -32,18 +32,20 @@ from abelcodes.cli import (
 from abelcodes.codes import FalsificationError, family_verification
 from abelcodes.idempotents import family_pq, family_prime_power
 
-# text stdout and exit code of twelve commands: the first ten recorded before the
-# text view was derived from the JSON report, the last two (overridden hypotheses
+# text stdout and exit code of thirteen commands: the first ten recorded before the
+# text view was derived from the JSON report, the next two (overridden hypotheses
 # that build with warnings, and that fail in construction) before the two-sided
-# families shared one builder
+# families shared one builder, and the last (an overridden three-prime triple)
+# before the three-prime family shared the product builder
 TEXT_VIEWS = json.loads((Path(__file__).parent / "data" / "text_views.json").read_text())
 # sha256 of the JSON stdout and the exit code of the three perfbench workload
 # commands, recorded when the translation-orbit enumeration landed
 WORKLOAD_STDOUT = json.loads(
     (Path(__file__).parent / "data" / "workload_stdout_sha256.json").read_text()
 )
-# sha256 of the `--idempotents --format json` stdout of six groups, recorded before
-# the two-sided families shared one builder
+# sha256 of the `--idempotents --format json` stdout of seven groups: six recorded
+# before the two-sided families shared one builder, and 3x11x13 before the
+# three-prime family shared the product builder
 IDEMPOTENT_EXPORTS = json.loads(
     (Path(__file__).parent / "data" / "idempotent_export_sha256.json").read_text()
 )

@@ -15,7 +15,6 @@ from abelcodes.codes import (
     ideal_basis,
     ideal_dimension,
     minimum_weight,
-    naive_weight_distribution,
     explicit_bases,
     gray_scan_codewords,
     scan_codewords,
@@ -27,6 +26,7 @@ from abelcodes.codes import (
 from abelcodes.group_algebra import AlgebraElement
 from abelcodes.idempotents import family_pq, family_prime_power, family_three_primes
 from abelcodes.number_theory import hypothesis_failures, is_odd_prime
+from oracles import naive_weight_distribution
 
 
 @pytest.fixture(scope="module")

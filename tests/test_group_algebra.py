@@ -13,6 +13,7 @@ from abelcodes.group_algebra import (
     cyclic_exponent,
     from_cyclic_exponents,
 )
+from oracles import all_subgroups
 
 C15 = AbelianGroup([15])
 C3x5 = AbelianGroup([3, 5])
@@ -95,8 +96,6 @@ class TestHat:
         assert Subgroup.whole(C15).hat() == AlgebraElement.all_ones(C15)
 
     def test_every_subgroup_hat_is_idempotent(self):
-        from abelcodes.idempotents import all_subgroups
-
         for group in (C15, AbelianGroup([3, 3]), AbelianGroup([45])):
             for sub in all_subgroups(group):
                 hat = sub.hat()

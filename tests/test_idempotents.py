@@ -24,7 +24,8 @@ from abelcodes.idempotents import (
     uv_block,
     verify_primitivity,
 )
-from abelcodes.number_theory import HypothesisError
+from abelcodes.number_theory import ConsistencyError, HypothesisError
+from oracles import cyclic_quotient_covers
 
 GOLDEN_15 = [1, 2, 3, 4, 6, 8, 9, 12]
 GOLDEN_33 = [1, 2, 3, 4, 6, 8, 9, 11, 12, 15, 16, 17, 18, 21, 22, 24, 25, 27, 29, 30, 31, 32]
@@ -181,6 +182,76 @@ class TestFamilyThreePrimes:
             family_three_primes(3, 5, 7)  # 2 has order 3 mod 7
 
 
+def _three_primes_reference(p1, p2, p3):
+    """The explicit e0..e13 formulas through the u, v, w blocks, with their
+    dimension table and the four-sum check, as the three-prime family wrote
+    them before it shared the product builder."""
+    group = AbelianGroup([p1, p2, p3])
+    a, b, c = group.generator(0), group.generator(1), group.generator(2)
+    one = AlgebraElement.one(group)
+    a_hat = Subgroup.from_generators(group, [a]).hat()
+    b_hat = Subgroup.from_generators(group, [b]).hat()
+    c_hat = Subgroup.from_generators(group, [c]).hat()
+    ma, mb, mc = one + a_hat, one + b_hat, one + c_hat
+    u = uv_block(group, a, p1).element
+    v = uv_block(group, b, p2).element
+    w = uv_block(group, c, p3).element
+    u2, v2, w2 = u.frobenius(), v.frobenius(), w.frobenius()
+    deep = ma * mb * mc
+    elements = {
+        "e0": a_hat * b_hat * c_hat,
+        "e1": a_hat * b_hat * mc,
+        "e2": a_hat * mb * c_hat,
+        "e3": ma * b_hat * c_hat,
+        "e4": (u * v + u2 * v2) * c_hat,
+        "e5": (u2 * v + u * v2) * c_hat,
+        "e6": (u * w + u2 * w2) * b_hat,
+        "e7": (u2 * w + u * w2) * b_hat,
+        "e8": (v * w + v2 * w2) * a_hat,
+        "e9": (v2 * w + v * w2) * a_hat,
+        "e10": deep + u2 * v2 * w + u * v * w2,
+        "e11": deep + u2 * v2 * w2 + u * v * w,
+        "e12": deep + u2 * v * w + u * v2 * w2,
+        "e13": deep + u * v2 * w + u2 * v * w2,
+    }
+    if elements["e10"] + elements["e11"] + elements["e12"] + elements["e13"] != deep:
+        raise ConsistencyError(
+            "the four deep split idempotents do not sum to the triple-complement unity"
+        )
+    d12, d13, d23 = (p1 - 1) * (p2 - 1) // 2, (p1 - 1) * (p3 - 1) // 2, (p2 - 1) * (p3 - 1) // 2
+    d123 = (p1 - 1) * (p2 - 1) * (p3 - 1) // 4
+    dims = [1, p3 - 1, p2 - 1, p1 - 1, d12, d12, d13, d13, d23, d23, d123, d123, d123, d123]
+    return elements, dict(zip(elements, dims))
+
+
+class TestThreePrimesAgainstTheFormulas:
+    @pytest.mark.parametrize("primes", [(3, 5, 11), (3, 11, 13), (5, 11, 19), (3, 11, 19)])
+    def test_members_and_dimensions_equal_the_formulas(self, primes):
+        fam = family_three_primes(*primes)
+        elements, dims = _three_primes_reference(*primes)
+        assert list(fam.labels) == list(elements)
+        assert {lab: fam.elements[lab].bits for lab in fam.labels} == {
+            lab: e.bits for lab, e in elements.items()
+        }
+        assert fam.predicted_dims == dims
+
+    def test_an_overridden_triple_builds_the_same_members(self):
+        fam = family_three_primes(3, 5, 13, override=True)
+        elements, dims = _three_primes_reference(3, 5, 13)
+        assert {lab: fam.elements[lab].bits for lab in fam.labels} == {
+            lab: e.bits for lab, e in elements.items()
+        }
+        assert fam.predicted_dims == dims
+
+    @pytest.mark.parametrize("primes", [(3, 5, 7), (3, 7, 11)])
+    def test_an_overridden_triple_fails_with_the_same_error(self, primes):
+        with pytest.raises(ConsistencyError) as reference:
+            _three_primes_reference(*primes)
+        with pytest.raises(ConsistencyError) as built:
+            family_three_primes(*primes, override=True)
+        assert str(built.value) == str(reference.value)
+
+
 class TestPGroupIdempotents:
     def test_c9(self):
         recs = p_group_idempotents([9])
@@ -216,6 +287,22 @@ class TestPGroupIdempotents:
 
         for rec in recs:
             assert ideal_dimension(rec.element) == rec.predicted_dim
+
+    @pytest.mark.parametrize(
+        "orders",
+        [[3], [9], [27], [3, 3], [9, 3], [9, 9], [5, 5], [25, 5], [3, 3, 3], [7, 7]],
+        ids=str,
+    )
+    def test_character_kernels_list_the_cyclic_quotient_subgroups(self, orders):
+        recs = p_group_idempotents(orders, override=True)
+        p = next(r for r in (3, 5, 7) if orders[0] % r == 0)
+        expected = cyclic_quotient_covers(AbelianGroup(orders), p)
+        assert [(r.subgroup.element_ranks, r.cover.element_ranks) for r in recs[1:]] == [
+            (h.element_ranks, h_star.element_ranks) for h, h_star in expected
+        ]
+        assert [r.label for r in recs] == ["hat"] + [f"H{i}" for i in range(1, len(recs))]
+        for rec, (h, h_star) in zip(recs[1:], expected):
+            assert rec.element == h.hat() + h_star.hat()
 
 
 # (C3 x C3) x C11, recorded before the two-sided families shared one builder:
@@ -507,3 +594,17 @@ class TestOneBuilder:
         fam = family_prime_power(p, m, q, n)
         assert len(calls) == m + n
         assert len(fam) == 1 + m + n + 2 * m * n
+
+    def test_the_three_prime_family_builds_three_blocks_and_three_splits(self, monkeypatch):
+        calls = Counter()
+        for name in ("uv_block", "split_pair"):
+            original = getattr(idempotents, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(idempotents, name, counted)
+        fam = family_three_primes(3, 5, 11)
+        assert calls == {"uv_block": 3, "split_pair": 3}
+        assert len(fam) == 14
