@@ -38,7 +38,7 @@ from .gf2 import (
     poly_mulmod,
     poly_powmod,
 )
-from .group_algebra import AlgebraElement, Subgroup, cyclic_exponent, ideal_translates
+from .group_algebra import AlgebraElement, Subgroup, cyclic_exponent, distinct_translates
 from .idempotents import IdempotentFamily
 from .number_theory import crt_inverses, factorize, multiplicative_order
 
@@ -66,7 +66,7 @@ class FalsificationError(AssertionError):
 
 def ideal_dimension(e: AlgebraElement) -> int:
     """Rank over F2 of the translate matrix of e."""
-    return gf2_rank(ideal_translates(e))
+    return gf2_rank(distinct_translates(e)[0])
 
 
 def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
@@ -103,25 +103,24 @@ class _Ideal:
 
 @lru_cache(maxsize=MAX_CACHED_CODES)
 def _checked_ideal(e: AlgebraElement) -> _Ideal:
-    rows = ideal_translates(e)
+    rows, ranks = distinct_translates(e)
     basis = tuple(AlgebraElement(e.group, rows[i]) for i in independent_row_indices(rows))
     check_basis(basis, e)
-    first: dict[int, int] = {}
-    for rank, row in enumerate(rows):
-        first.setdefault(row, rank)
-    return _Ideal(e, basis, tuple(first.values()))
+    return _Ideal(e, basis, tuple(ranks))
 
 
 def check_basis(basis: Sequence[AlgebraElement], e: AlgebraElement) -> None:
-    """Certify `basis` as independent words of the ideal F2[G]e, with one product.
+    """Certify `basis` as independent words of the ideal F2[G]e, with one squaring.
 
     Assumes every word is a translate g*e, as _checked_ideal builds them.
     Then (g*e)*e = g*(e*e), and translation is injective, so every word is
-    fixed by e exactly when e*e == e; that one product is the membership
-    proof.  Callers with other words (explicit_bases) check x*e == x for each
-    of them first.  Independence is proved by rank.
+    fixed by e exactly when e*e == e.  In commutative characteristic 2,
+    e*e = sum of g**2 over the support of e, which is e.frobenius(); that
+    one squaring is the membership proof.  Callers with other words
+    (explicit_bases) check x*e == x for each of them first.  Independence is
+    proved by rank.
     """
-    if e * e != e:
+    if e.frobenius() != e:
         raise FalsificationError("basis element is not fixed by the idempotent")
     rows = [x.bits for x in basis]
     if len(independent_row_indices(rows)) != len(rows):
@@ -892,7 +891,6 @@ __all__ = [
     "TheoryWeight",
     "CodeReport",
     "GeneratorMatrix",
-    "ideal_translates",
     "ideal_dimension",
     "ideal_basis",
     "check_basis",

@@ -33,7 +33,13 @@ from typing import NamedTuple, Sequence
 
 from .cyclotomic import class_count, class_sum
 from .gf2 import gf2_rank, independent_row_indices
-from .group_algebra import AbelianGroup, AlgebraElement, GroupElement, Subgroup, ideal_translates
+from .group_algebra import (
+    AbelianGroup,
+    AlgebraElement,
+    GroupElement,
+    Subgroup,
+    distinct_translates,
+)
 from .number_theory import (
     ConsistencyError,
     HypothesisError,
@@ -492,20 +498,26 @@ def _character_kernels(group: AbelianGroup, p: int) -> list[tuple[Subgroup, Subg
 
     chi(g) = sum_i c_i * g_i * (N / n_i) mod N, where N is the exponent.  The
     kernels are exactly the subgroups H with nontrivial cyclic quotient, and
-    ker chi**p is the unique subgroup one index-p step above H.
+    ker chi**p is the unique subgroup one index-p step above H.  chi and
+    chi**k with p not dividing k have the same two kernels, so one character
+    is evaluated per cyclic subgroup of the dual group: the first met in
+    product order, which marks the other generators of its subgroup seen.
     """
     orders = group.factor_orders
     exponent = math.lcm(*orders)
     table = list(group.elements())
     kernels: dict[tuple[int, ...], tuple[int, ...]] = {}
+    seen: set[tuple[int, ...]] = set()
     for c in itertools.product(*(range(n) for n in orders)):
-        if not any(c):
+        if not any(c) or c in seen:
             continue
+        seen.update(
+            tuple(k * ci % n for ci, n in zip(c, orders)) for k in range(1, exponent) if k % p
+        )
         weights = [ci * (exponent // n) for ci, n in zip(c, orders)]
         chi = [sum(w * x for w, x in zip(weights, g)) % exponent for g in table]
         ranks = tuple(r for r, y in enumerate(chi) if y == 0)
-        if ranks not in kernels:
-            kernels[ranks] = tuple(r for r, y in enumerate(chi) if p * y % exponent == 0)
+        kernels[ranks] = tuple(r for r, y in enumerate(chi) if p * y % exponent == 0)
     return [
         (_subgroup_with_ranks(group, h), _subgroup_with_ranks(group, kernels[h]))
         for h in sorted(kernels, key=lambda h: (len(h), h))
@@ -666,7 +678,7 @@ def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> d
     """
     if e.frobenius() != e:
         raise ValueError("element is not idempotent")
-    translates = ideal_translates(e)
+    translates, _ = distinct_translates(e)
     basis = [translates[i] for i in independent_row_indices(translates)]
     dim = len(basis)
     images = [AlgebraElement(e.group, b).frobenius().bits ^ b for b in basis]

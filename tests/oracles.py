@@ -3,7 +3,24 @@
 No code path of the package calls these; they are slow on purpose.
 """
 
-from abelcodes.group_algebra import AbelianGroup, Subgroup
+import itertools
+import math
+
+from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup
+
+
+def all_translates(e: AlgebraElement) -> list[int]:
+    """The rows g*e for every g in rank order; their span is the ideal F2[G]e."""
+    group = e.group
+    return [group.translate_bits(e.bits, g) for g in group.elements()]
+
+
+def first_translates(e: AlgebraElement) -> tuple[list[int], list[int]]:
+    """The distinct rows of all_translates(e), each with the first rank giving it."""
+    first: dict[int, int] = {}
+    for rank, row in enumerate(all_translates(e)):
+        first.setdefault(row, rank)
+    return list(first), list(first.values())
 
 
 def naive_weight_distribution(rows) -> dict[int, int]:
@@ -74,3 +91,21 @@ def cyclic_quotient_covers(group: AbelianGroup, p: int) -> list[tuple[Subgroup, 
         assert len(covers) == 1, (sub.element_ranks, len(covers))
         pairs.append((sub, covers[0]))
     return pairs
+
+
+def every_character_kernel(group: AbelianGroup, p: int) -> list[tuple[tuple[int, ...], ...]]:
+    """(ker chi, ker chi**p) as rank tuples, one pair per kernel, in (|H|, ranks)
+    order, found by evaluating every nontrivial character of the p-group."""
+    orders = group.factor_orders
+    exponent = math.lcm(*orders)
+    table = list(group.elements())
+    kernels: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for c in itertools.product(*(range(n) for n in orders)):
+        if not any(c):
+            continue
+        weights = [ci * (exponent // n) for ci, n in zip(c, orders)]
+        chi = [sum(w * x for w, x in zip(weights, g)) % exponent for g in table]
+        ranks = tuple(r for r, y in enumerate(chi) if y == 0)
+        if ranks not in kernels:
+            kernels[ranks] = tuple(r for r, y in enumerate(chi) if p * y % exponent == 0)
+    return [(h, kernels[h]) for h in sorted(kernels, key=lambda h: (len(h), h))]

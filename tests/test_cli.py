@@ -49,6 +49,11 @@ WORKLOAD_STDOUT = json.loads(
 IDEMPOTENT_EXPORTS = json.loads(
     (Path(__file__).parent / "data" / "idempotent_export_sha256.json").read_text()
 )
+# sha256 of the JSON stdout and the exit code of two analyses of orders 3375 and
+# 10125, recorded before each ideal was built from its distinct translates only
+LARGE_GROUP_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "large_group_stdout_sha256.json").read_text()
+)
 
 
 class TestGroupSpecParsing:
@@ -374,6 +379,13 @@ class TestWorkloadStdout:
     @pytest.mark.parametrize("spec", sorted(IDEMPOTENT_EXPORTS))
     def test_idempotent_export_bytes_are_unchanged(self, spec, capsys):
         pinned = IDEMPOTENT_EXPORTS[spec]
+        assert main(pinned["argv"]) == pinned["exit"]
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == pinned["stdout_sha256"]
+
+    @pytest.mark.parametrize("spec", sorted(LARGE_GROUP_STDOUT))
+    def test_large_group_json_stdout_is_unchanged(self, spec, capsys):
+        pinned = LARGE_GROUP_STDOUT[spec]
         assert main(pinned["argv"]) == pinned["exit"]
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == pinned["stdout_sha256"]

@@ -87,15 +87,17 @@ class TestIdealCertificate:
             explicit_bases(fam15)
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam45", "fam675"])
-    def test_each_basis_certificate_takes_one_product(self, fixture, request, monkeypatch):
+    def test_each_basis_certificate_takes_one_squaring(self, fixture, request, monkeypatch):
         fam = request.getfixturevalue(fixture)
         codes.clear_caches()
         checked = _count_calls(monkeypatch, codes, "check_basis")
+        squarings = _count_calls(monkeypatch, AlgebraElement, "frobenius")
         products = _count_calls(monkeypatch, AlgebraElement, "__mul__")
         for label in fam.labels:
             assert len(ideal_basis(fam.elements[label])) == fam.predicted_dims[label]
         assert [args[1] for args, _ in checked] == [fam.elements[lab] for lab in fam.labels]
-        assert [args for args, _ in products] == [(fam.elements[lab],) * 2 for lab in fam.labels]
+        assert [args for args, _ in squarings] == [(fam.elements[lab],) for lab in fam.labels]
+        assert products == []
 
 
 class TestSeedWord:
@@ -439,7 +441,7 @@ class TestOneAnalysisPass:
     def test_cli_builds_each_basis_once_and_scans_each_code_once(self, fam15, monkeypatch):
         codes.clear_caches()
         checked = _count_calls(monkeypatch, codes, "check_basis")
-        translated = _count_calls(monkeypatch, codes, "ideal_translates")
+        translated = _count_calls(monkeypatch, codes, "distinct_translates")
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         config = RunConfig(group_spec="15", analyses=("weights", "distribution", "verify"))
         code, report, _ = run(config)

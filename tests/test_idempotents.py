@@ -13,7 +13,7 @@ from abelcodes.group_algebra import (
     AlgebraElement,
     Subgroup,
     as_cyclic,
-    ideal_translates,
+    distinct_translates,
 )
 from abelcodes.idempotents import (
     family_pq,
@@ -25,7 +25,12 @@ from abelcodes.idempotents import (
     verify_primitivity,
 )
 from abelcodes.number_theory import ConsistencyError, HypothesisError
-from oracles import cyclic_quotient_covers
+from oracles import (
+    all_translates,
+    cyclic_quotient_covers,
+    every_character_kernel,
+    first_translates,
+)
 
 GOLDEN_15 = [1, 2, 3, 4, 6, 8, 9, 12]
 GOLDEN_33 = [1, 2, 3, 4, 6, 8, 9, 11, 12, 15, 16, 17, 18, 21, 22, 24, 25, 27, 29, 30, 31, 32]
@@ -304,6 +309,19 @@ class TestPGroupIdempotents:
         for rec, (h, h_star) in zip(recs[1:], expected):
             assert rec.element == h.hat() + h_star.hat()
 
+    @pytest.mark.parametrize(
+        "orders",
+        [[3], [9], [27], [3, 3], [9, 3], [9, 9], [5, 5], [25, 5], [3, 3, 3], [7, 7], [27, 9]],
+        ids=str,
+    )
+    def test_one_character_per_cyclic_subgroup_finds_every_kernel(self, orders):
+        group = AbelianGroup(orders)
+        p = next(r for r in (3, 5, 7) if orders[0] % r == 0)
+        kernels = idempotents._character_kernels(group, p)
+        assert [(h.element_ranks, h_star.element_ranks) for h, h_star in kernels] == (
+            every_character_kernel(group, p)
+        )
+
 
 # (C3 x C3) x C11, recorded before the two-sided families shared one builder:
 # labels in family order and each member's bitset as hex
@@ -423,6 +441,18 @@ def _axiom_family(name):
     return AXIOM_FAMILIES[name]()
 
 
+TRANSLATE_FAMILIES = {**AXIOM_FAMILIES, "(27x9)x5": lambda: family_two_factor([27, 9], [5])}
+
+
+class TestDistinctTranslates:
+    @pytest.mark.parametrize("name", list(TRANSLATE_FAMILIES))
+    def test_every_member_gives_the_first_occurrences_of_all_translates(self, name):
+        fam = TRANSLATE_FAMILIES[name]()
+        for lab in fam.labels:
+            e = fam.elements[lab]
+            assert distinct_translates(e) == first_translates(e), lab
+
+
 def _sum_of_two(fam, k, j):
     return fam.elements[fam.labels[k]] + fam.elements[fam.labels[j]]
 
@@ -532,7 +562,7 @@ def _gray_idempotent_count(e):
     when its support is a union of squaring orbits, so the test is a per-orbit
     mask comparison."""
     masks = [sum(1 << r for r in cls.member_ranks) for cls in cyclotomic_classes(e.group)]
-    translates = ideal_translates(e)
+    translates = all_translates(e)
     rows = [translates[i] for i in independent_row_indices(translates)]
     found, word = 1, 0  # the zero element
     for flip in gray_flip_sequence(len(rows)):
