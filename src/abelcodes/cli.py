@@ -29,7 +29,11 @@ EXIT_HYPOTHESIS = 2
 EXIT_BUDGET = 3
 EXIT_FALSIFIED = 4
 
-MAX_GROUP_ORDER = 10**6
+# The largest order whose `--dims` run was measured: 243x125 (order 30375)
+# took 3.6 s in-process with a 225 MB peak (2-vCPU VM, CPython 3.11.7).  pq
+# and three-prime shapes of about that order took 99 to 161 s, with peaks
+# near 255 MB.
+MAX_GROUP_ORDER = 30375
 MAX_BUDGET = 1 << 64  # far beyond any enumeration that can finish
 MAX_THREADS = 64  # --threads is validated and kept for compatibility; enumeration is single-threaded
 
@@ -395,7 +399,12 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "group", nargs="?", help="group spec, e.g. 15, 3x11, 9x25, 3x5x11 (order at most 10^6)"
+        "group",
+        nargs="?",
+        help=(
+            f"group spec, e.g. 15, 3x11, 9x25, 3x5x11 (order at most {MAX_GROUP_ORDER}, "
+            "the largest order whose --dims run was measured)"
+        ),
     )
     parser.add_argument("-g", "--group", dest="group_flag", help="group spec (flag form)")
     parser.add_argument("--idempotents", action="store_true", help="export the idempotents")

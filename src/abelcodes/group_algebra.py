@@ -336,9 +336,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.element_ranks)
 
-    def contains_rank(self, r: int) -> bool:
-        return r in set(self.element_ranks)
-
     def elements(self) -> list[GroupElement]:
         return [self.group.unrank(r) for r in self.element_ranks]
 

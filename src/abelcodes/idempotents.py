@@ -7,9 +7,9 @@ abelian q-group) is exposed as well.  All four shapes share one builder over
 the coprime factors of G (after Ferraz & Polcino Milies, Finite Fields Appl.
 13, 2007): a member takes, for each factor, its hat or one of its sides
 hat(H) + hat(H*), and a product of t >= 2 sides is split into 2**(t - 1)
-halves through one u/v block per side level.  The cyclic shapes feed it the
-chain <g> > <g^p> > ... > 1; the general one feeds it the character kernels
-H = ker chi, H* = ker chi**p that p_group_idempotents lists.
+halves through one u/v block per side level.  Every factor's sides are its
+character kernels H = ker chi, H* = ker chi**p, built in place in G
+(_p_factor); on a cyclic factor <g> they are the chain <g> > <g^p> > ... > 1.
 
 Construction checks its own steps: each u/v block against its component
 unity, each split pair (both halves idempotent, orthogonal, and summing to the
@@ -126,14 +126,17 @@ def split_pair(
 
 @dataclass(frozen=True)
 class _Side:
-    """A side idempotent hat(H) + hat(H*) of one factor of G, inside G.
+    """A side idempotent hat(H) + hat(H*) of one p-factor of G, built in G.
 
-    H* is generated by H and `base`, one index-p step above H.
+    H = ker chi and H* = ker chi**p (`cover`) for a character chi of the
+    factor, so H* is one index-p step above H; `base` is the first element of
+    H*, in rank order, outside H.
     """
 
     element: AlgebraElement
     dim: int
     subgroup: Subgroup
+    cover: Subgroup
     base: GroupElement
 
 
@@ -155,17 +158,82 @@ class _Member(NamedTuple):
     dim: int
 
 
-def _cyclic_sides(group: AbelianGroup, g: GroupElement, p: int, m: int) -> _Factor:
-    """The factor <g>: hat(<g>) and the sides of the chain <g> > <g^p> > ... > 1."""
-    levels = [Subgroup.from_generators(group, [group.scale(g, p**i)]) for i in range(m + 1)]
-    hats = [s.hat() for s in levels]
-    sides = [
-        _Side(
-            hats[i] + hats[i - 1], p ** (i - 1) * (p - 1), levels[i], group.scale(g, p ** (i - 1))
+def _subgroup_with_ranks(group: AbelianGroup, ranks: Sequence[int]) -> Subgroup:
+    """The subgroup whose elements have these ranks, generated by the ranks
+    (in order) that the earlier ones do not already generate."""
+    sub = Subgroup.trivial(group)
+    members = set(sub.element_ranks)
+    for r in ranks:
+        if r not in members:
+            sub = Subgroup.from_generators(group, sub.generators + (group.unrank(r),))
+            members = set(sub.element_ranks)
+    return sub
+
+
+def _character_kernels(
+    group: AbelianGroup, p: int, axes: range | None = None
+) -> list[tuple[Subgroup, Subgroup]]:
+    """(ker chi, ker chi**p) for the nontrivial characters chi of the abelian
+    p-group A on the cyclic factors `axes` of G (all of them by default), one
+    pair per kernel, sorted by the kernel's order and ranks.
+
+    chi(g) = sum_i c_i * g_i * (N / n_i) mod N over the factors of A, where N
+    is the exponent of A.  The kernels are exactly the subgroups H with
+    nontrivial cyclic quotient, and ker chi**p is the unique subgroup one
+    index-p step above H.  chi and chi**k with p not dividing k have the same
+    two kernels, so one character is evaluated per cyclic subgroup of the dual
+    group: the first met in product order, which marks the other generators of
+    its subgroup seen.  The factors of A are a contiguous run of those of G,
+    so an element's rank in G is its rank in A times places[axes.start].  Each
+    distinct rank set is closed into a Subgroup of G once.
+    """
+    if axes is None:
+        axes = range(len(group.factor_orders))
+    orders = group.factor_orders[axes.start : axes.stop]
+    place = group.rank(group.generator(axes.start))
+    exponent = math.lcm(*orders)
+    table = list(AbelianGroup(orders).elements())
+    kernels: dict[tuple[int, ...], tuple[int, ...]] = {}
+    seen: set[tuple[int, ...]] = set()
+    for c in itertools.product(*(range(n) for n in orders)):
+        if not any(c) or c in seen:
+            continue
+        seen.update(
+            tuple(k * ci % n for ci, n in zip(c, orders)) for k in range(1, exponent) if k % p
         )
-        for i in range(1, m + 1)
+        weights = [ci * (exponent // n) for ci, n in zip(c, orders)]
+        chi = [sum(w * x for w, x in zip(weights, g)) % exponent for g in table]
+        ranks = tuple(place * r for r, y in enumerate(chi) if y == 0)
+        kernels[ranks] = tuple(place * r for r, y in enumerate(chi) if p * y % exponent == 0)
+    closed = {ranks: _subgroup_with_ranks(group, ranks) for ranks in {*kernels, *kernels.values()}}
+    return [
+        (closed[h], closed[kernels[h]]) for h in sorted(kernels, key=lambda h: (len(h), h))
     ]
-    return _Factor(p, hats[0], sides)
+
+
+def _p_factor(group: AbelianGroup, p: int, axes: range) -> _Factor:
+    """The factor of G that is the abelian p-group A on the cyclic factors
+    `axes`: hat(A), and one side hat(H) + hat(H*) per character kernel pair,
+    in the order of _character_kernels.  [A : H] = p**r gives the side the
+    dimension p**(r-1) * (p-1)."""
+    whole = Subgroup.from_generators(group, [group.generator(i) for i in axes])
+    sides = []
+    for sub, cover in _character_kernels(group, p, axes):
+        members = set(sub.element_ranks)
+        base = group.unrank(next(r for r in cover.element_ranks if r not in members))
+        dim = whole.order // sub.order // p * (p - 1)
+        sides.append(_Side(sub.hat() + cover.hat(), dim, sub, cover, base))
+    if 1 + sum(s.dim for s in sides) != whole.order:
+        raise ConsistencyError("p-group idempotent dimensions do not sum to the order")
+    return _Factor(p, whole.hat(), sides)
+
+
+def _cyclic_factor(group: AbelianGroup, p: int, axis: int) -> _Factor:
+    """The cyclic p-factor <g> on one axis, its sides in the chain order
+    <g> > <g^p> > ... > 1: side i has H = <g^(p^i)>.  The kernels come
+    smallest first, so the sides of _p_factor are reversed."""
+    factor = _p_factor(group, p, range(axis, axis + 1))
+    return factor._replace(sides=factor.sides[::-1])
 
 
 def _product_members(group: AbelianGroup, factors: Sequence[_Factor]) -> list[_Member]:
@@ -345,10 +413,7 @@ def family_pq(p: int, q: int, *, override: bool = False) -> IdempotentFamily:
     pair = validate_hypotheses(p, q, normalize=True, override=override)
     p, q = pair.p, pair.q
     group = AbelianGroup([p, q])
-    factors = [
-        _cyclic_sides(group, group.generator(0), p, 1),
-        _cyclic_sides(group, group.generator(1), q, 1),
-    ]
+    factors = [_cyclic_factor(group, p, 0), _cyclic_factor(group, q, 1)]
     e0, e1, e2, f1, f2 = (member.element for member in _product_members(group, factors))
     e3, e4 = (f1, f2) if f1.contains((1, 1)) else (f2, f1)
 
@@ -396,10 +461,7 @@ def family_prime_power(
     """
     pair = validate_hypotheses(p, q, m, n, normalize=False, override=override)
     group = AbelianGroup([p**m, q**n])
-    factors = [
-        _cyclic_sides(group, group.generator(0), p, m),
-        _cyclic_sides(group, group.generator(1), q, n),
-    ]
+    factors = [_cyclic_factor(group, p, 0), _cyclic_factor(group, q, 1)]
 
     labels: list[str] = []
     elements: dict[str, AlgebraElement] = {}
@@ -466,7 +528,7 @@ def family_three_primes(
     """
     warnings = validate_triple(p1, p2, p3, override=override)
     group = AbelianGroup([p1, p2, p3])
-    factors = [_cyclic_sides(group, group.generator(k), r, 1) for k, r in enumerate((p1, p2, p3))]
+    factors = [_cyclic_factor(group, r, k) for k, r in enumerate((p1, p2, p3))]
     members = _product_members(group, factors)
     # the labels number the members in another order than the builder's
     built = [f"e{i}" for i in (0, 1, 2, 3, 8, 9, 6, 7, 4, 5, 11, 10, 13, 12)]
@@ -480,50 +542,6 @@ def family_three_primes(
     )
 
 
-def _subgroup_with_ranks(group: AbelianGroup, ranks: Sequence[int]) -> Subgroup:
-    """The subgroup whose elements have these ranks, generated by the ranks
-    (in order) that the earlier ones do not already generate."""
-    sub = Subgroup.trivial(group)
-    members = set(sub.element_ranks)
-    for r in ranks:
-        if r not in members:
-            sub = Subgroup.from_generators(group, sub.generators + (group.unrank(r),))
-            members = set(sub.element_ranks)
-    return sub
-
-
-def _character_kernels(group: AbelianGroup, p: int) -> list[tuple[Subgroup, Subgroup]]:
-    """(ker chi, ker chi**p) for the nontrivial characters chi of an abelian
-    p-group, one pair per kernel, sorted by the kernel's order and ranks.
-
-    chi(g) = sum_i c_i * g_i * (N / n_i) mod N, where N is the exponent.  The
-    kernels are exactly the subgroups H with nontrivial cyclic quotient, and
-    ker chi**p is the unique subgroup one index-p step above H.  chi and
-    chi**k with p not dividing k have the same two kernels, so one character
-    is evaluated per cyclic subgroup of the dual group: the first met in
-    product order, which marks the other generators of its subgroup seen.
-    """
-    orders = group.factor_orders
-    exponent = math.lcm(*orders)
-    table = list(group.elements())
-    kernels: dict[tuple[int, ...], tuple[int, ...]] = {}
-    seen: set[tuple[int, ...]] = set()
-    for c in itertools.product(*(range(n) for n in orders)):
-        if not any(c) or c in seen:
-            continue
-        seen.update(
-            tuple(k * ci % n for ci, n in zip(c, orders)) for k in range(1, exponent) if k % p
-        )
-        weights = [ci * (exponent // n) for ci, n in zip(c, orders)]
-        chi = [sum(w * x for w, x in zip(weights, g)) % exponent for g in table]
-        ranks = tuple(r for r, y in enumerate(chi) if y == 0)
-        kernels[ranks] = tuple(r for r, y in enumerate(chi) if p * y % exponent == 0)
-    return [
-        (_subgroup_with_ranks(group, h), _subgroup_with_ranks(group, kernels[h]))
-        for h in sorted(kernels, key=lambda h: (len(h), h))
-    ]
-
-
 @dataclass(frozen=True)
 class PGroupIdempotent:
     """One primitive idempotent of F2[A] for an abelian p-group A."""
@@ -535,16 +553,9 @@ class PGroupIdempotent:
     predicted_dim: int
 
 
-def p_group_idempotents(
-    factor_orders: Sequence[int], *, override: bool = False
-) -> list[PGroupIdempotent]:
-    """Primitive idempotents of an abelian p-group: the full hat, plus
-    hat(H) + hat(H*) for every H with nontrivial cyclic quotient.
-
-    The pairs (H, H*) are the character kernels (_character_kernels); the
-    ideal generated by hat(H) + hat(H*) has dimension p**(r-1) * (p-1) where
-    [A : H] = p**r.
-    """
+def _p_group_prime(factor_orders: Sequence[int], *, override: bool = False) -> int:
+    """The prime of an abelian p-group given by its factor orders, after
+    checking that it is odd and that 2 has order p(p-1) mod p**2."""
     factors = factorize(math.prod(factor_orders))
     if len(factors) != 1:
         raise ValueError("factor orders must all be powers of one prime")
@@ -556,64 +567,26 @@ def p_group_idempotents(
         raise HypothesisError(
             [f"2 has order {order_mod_p2} mod {p}**2, expected {p * (p - 1)}"]
         )
-    group = AbelianGroup(factor_orders)
-    whole = Subgroup.whole(group)
-
-    out = [
-        PGroupIdempotent(
-            label="hat",
-            subgroup=whole,
-            cover=None,
-            element=whole.hat(),
-            predicted_dim=1,
-        )
-    ]
-    for sub, cover in _character_kernels(group, p):
-        r = factorize(group.order // sub.order)[p]
-        out.append(
-            PGroupIdempotent(
-                label=f"H{len(out)}",
-                subgroup=sub,
-                cover=cover,
-                element=sub.hat() + cover.hat(),
-                predicted_dim=p ** (r - 1) * (p - 1),
-            )
-        )
-    if sum(rec.predicted_dim for rec in out) != group.order:
-        raise ConsistencyError("p-group idempotent dimensions do not sum to the order")
-    return out
+    return p
 
 
-def _embed(x: AlgebraElement, target: AbelianGroup, offset: int) -> AlgebraElement:
-    """Reinterpret an element of a factor group inside a product group."""
-    pad_left = (0,) * offset
-    pad_right = (0,) * (len(target.factor_orders) - offset - len(x.group.factor_orders))
-    terms = [pad_left + e + pad_right for e in x.support()]
-    return AlgebraElement.from_terms(target, terms)
+def p_group_idempotents(
+    factor_orders: Sequence[int], *, override: bool = False
+) -> list[PGroupIdempotent]:
+    """Primitive idempotents of an abelian p-group: the full hat, plus
+    hat(H) + hat(H*) for every H with nontrivial cyclic quotient.
 
-
-def _embed_subgroup(s: Subgroup, target: AbelianGroup, offset: int) -> Subgroup:
-    pad_left = (0,) * offset
-    pad_right = (0,) * (len(target.factor_orders) - offset - len(s.group.factor_orders))
-    return Subgroup.from_generators(target, [pad_left + g + pad_right for g in s.generators])
-
-
-def _embedded_sides(
-    p: int, records: Sequence[PGroupIdempotent], target: AbelianGroup, offset: int
-) -> _Factor:
-    """The factor of a p-group's records, moved into a product group.
-
-    Each base is the first element of H* (in rank order) outside H.
+    The records are the factor _p_factor builds on the whole group: the pairs
+    (H, H*) are the character kernels, and the ideal generated by
+    hat(H) + hat(H*) has dimension p**(r-1) * (p-1) where [A : H] = p**r.
     """
-    sides = []
-    for rec in records[1:]:
-        sub = _embed_subgroup(rec.subgroup, target, offset)
-        base = next(
-            e for e in _embed_subgroup(rec.cover, target, offset).elements()
-            if not sub.contains_rank(target.rank(e))
-        )
-        sides.append(_Side(_embed(rec.element, target, offset), rec.predicted_dim, sub, base))
-    return _Factor(p, _embed(records[0].element, target, offset), sides)
+    p = _p_group_prime(factor_orders, override=override)
+    group = AbelianGroup(factor_orders)
+    factor = _p_factor(group, p, range(len(group.factor_orders)))
+    return [PGroupIdempotent("hat", Subgroup.whole(group), None, factor.hat, 1)] + [
+        PGroupIdempotent(f"H{k}", s.subgroup, s.cover, s.element, s.dim)
+        for k, s in enumerate(factor.sides, 1)
+    ]
 
 
 def family_two_factor(
@@ -632,21 +605,22 @@ def family_two_factor(
     p = next(iter(factorize(math.prod(p_factors))))
     q = next(iter(factorize(math.prod(q_factors))))
     pair = validate_hypotheses(p, q, normalize=False, override=override)
-    p_recs = p_group_idempotents(p_factors, override=override)
-    q_recs = p_group_idempotents(q_factors, override=override)
+    for orders in (p_factors, q_factors):
+        _p_group_prime(orders, override=override)
 
     group = AbelianGroup(tuple(p_factors) + tuple(q_factors))
+    cut = len(p_factors)
     factors = [
-        _embedded_sides(p, p_recs, group, 0),
-        _embedded_sides(q, q_recs, group, len(p_factors)),
+        _p_factor(group, p, range(cut)),
+        _p_factor(group, q, range(cut, len(group.factor_orders))),
     ]
 
     labels: list[str] = []
     elements: dict[str, AlgebraElement] = {}
     dims: dict[str, int] = {}
     for member in _product_members(group, factors):
-        i, j = member.levels
-        lab = f"e_{p_recs[i].label}_{q_recs[j].label}" + "".join(f"_{h}" for h in member.halves)
+        p_lab, q_lab = (f"H{lv}" if lv else "hat" for lv in member.levels)
+        lab = f"e_{p_lab}_{q_lab}" + "".join(f"_{h}" for h in member.halves)
         labels.append(lab)
         elements[lab] = member.element
         dims[lab] = member.dim

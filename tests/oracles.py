@@ -109,3 +109,49 @@ def every_character_kernel(group: AbelianGroup, p: int) -> list[tuple[tuple[int,
         if ranks not in kernels:
             kernels[ranks] = tuple(r for r, y in enumerate(chi) if p * y % exponent == 0)
     return [(h, kernels[h]) for h in sorted(kernels, key=lambda h: (len(h), h))]
+
+
+def chain_sides(group: AbelianGroup, p: int, axis: int) -> tuple[int, list[tuple]]:
+    """The cyclic factor <g> on one axis of G, written out as the chain
+    <g> > <g^p> > ... > 1: hat(<g>) as bits, and per level i = 1..m the side
+    (hat(H) + hat(H*) as bits, dim, ranks of H, ranks of H*, base) with
+    H = <g^(p^i)>, H* = <g^(p^(i-1))> and base g^(p^(i-1))."""
+    g = group.generator(axis)
+    m = next(i for i in itertools.count() if p**i == group.factor_orders[axis])
+    levels = [Subgroup.from_generators(group, [group.scale(g, p**i)]) for i in range(m + 1)]
+    sides = [
+        (
+            levels[i].hat().bits ^ levels[i - 1].hat().bits,
+            p ** (i - 1) * (p - 1),
+            levels[i].element_ranks,
+            levels[i - 1].element_ranks,
+            group.scale(g, p ** (i - 1)),
+        )
+        for i in range(1, m + 1)
+    ]
+    return levels[0].hat().bits, sides
+
+
+def embedded_sides(group: AbelianGroup, p: int, axes: range) -> tuple[int, list[tuple]]:
+    """The p-factor A of G on the cyclic factors `axes`, built in A as a group
+    of its own and moved into G by padding each element with zeros: hat(A) as
+    bits, and per kernel pair of every_character_kernel the side (bits, dim,
+    ranks of H, ranks of H*, base), base the first element of H* outside H."""
+    local = AbelianGroup(group.factor_orders[axes.start : axes.stop])
+    pad_left = (0,) * axes.start
+    pad_right = (0,) * (len(group.factor_orders) - axes.stop)
+
+    def embed(sub: Subgroup) -> Subgroup:
+        return Subgroup.from_generators(group, [pad_left + g + pad_right for g in sub.generators])
+
+    def close(ranks: tuple[int, ...]) -> Subgroup:
+        return Subgroup.from_generators(local, [local.unrank(r) for r in ranks])
+
+    sides = []
+    for h, h_star in every_character_kernel(local, p):
+        sub, cover = embed(close(h)), embed(close(h_star))
+        base = next(e for e in cover.elements() if group.rank(e) not in sub.element_ranks)
+        dim = local.order // len(h) // p * (p - 1)
+        bits = sub.hat().bits ^ cover.hat().bits
+        sides.append((bits, dim, sub.element_ranks, cover.element_ranks, base))
+    return embed(Subgroup.whole(local)).hat().bits, sides

@@ -120,6 +120,7 @@ class TestFailFast:
         [
             ["999999999999999989"],
             ["3^100000000x5"],
+            ["81x625"],
             ["15", "--budget", "2^99999999999"],
         ],
     )

@@ -86,6 +86,12 @@ class TestIdealCertificate:
         with pytest.raises(FalsificationError, match="not fixed by the idempotent"):
             explicit_bases(fam15)
 
+    def test_a_dependent_basis_is_refused(self, fam15):
+        e = fam15.elements["e3"]
+        word = e.translated(fam15.group.generator(0))
+        with pytest.raises(FalsificationError, match="linearly dependent"):
+            codes.check_basis([word, word], e)
+
     @pytest.mark.parametrize("fixture", ["fam15", "fam45", "fam675"])
     def test_each_basis_certificate_takes_one_squaring(self, fixture, request, monkeypatch):
         fam = request.getfixturevalue(fixture)

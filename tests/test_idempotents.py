@@ -24,10 +24,12 @@ from abelcodes.idempotents import (
     uv_block,
     verify_primitivity,
 )
-from abelcodes.number_theory import ConsistencyError, HypothesisError
+from abelcodes.number_theory import ConsistencyError, HypothesisError, factorize
 from oracles import (
     all_translates,
+    chain_sides,
     cyclic_quotient_covers,
+    embedded_sides,
     every_character_kernel,
     first_translates,
 )
@@ -321,6 +323,93 @@ class TestPGroupIdempotents:
         assert [(h.element_ranks, h_star.element_ranks) for h, h_star in kernels] == (
             every_character_kernel(group, p)
         )
+
+
+# the factor orders of each group, in the p-factors its family builds
+SIDE_GROUPS = {
+    "15": [[5], [3]],
+    "33": [[3], [11]],
+    "45": [[9], [5]],
+    "3x5x11": [[3], [5], [11]],
+    "9x25": [[9], [25]],
+    "27x25": [[27], [25]],
+    "81x125": [[81], [125]],
+    "(3x3)x11": [[3, 3], [11]],
+    "(9x9)x5": [[9, 9], [5]],
+    "(27x9)x5": [[27, 9], [5]],
+}
+CYCLIC_SIDE_GROUPS = [n for n, parts in SIDE_GROUPS.items() if all(len(f) == 1 for f in parts)]
+
+
+def _p_factors(name):
+    """(G, p, axes) for each p-factor of the group `name`."""
+    parts = SIDE_GROUPS[name]
+    group = AbelianGroup([n for part in parts for n in part])
+    start = 0
+    for part in parts:
+        yield group, min(factorize(part[0])), range(start, start + len(part))
+        start += len(part)
+
+
+def _fields(factor):
+    return factor.hat.bits, [
+        (s.element.bits, s.dim, s.subgroup.element_ranks, s.cover.element_ranks, s.base)
+        for s in factor.sides
+    ]
+
+
+class TestSidesAgainstTheOracles:
+    @pytest.mark.parametrize("name", list(SIDE_GROUPS))
+    def test_every_p_factor_equals_its_build_in_its_own_group(self, name):
+        for group, p, axes in _p_factors(name):
+            factor = idempotents._p_factor(group, p, axes)
+            assert factor.prime == p
+            assert _fields(factor) == embedded_sides(group, p, axes), axes
+
+    @pytest.mark.parametrize("name", CYCLIC_SIDE_GROUPS)
+    def test_every_cyclic_factor_equals_its_chain(self, name):
+        for group, p, axes in _p_factors(name):
+            factor = idempotents._cyclic_factor(group, p, axes.start)
+            assert _fields(factor) == chain_sides(group, p, axes.start), axes
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (
+                lambda: p_group_idempotents([3, 5]),
+                ValueError,
+                "factor orders must all be powers of one prime",
+            ),
+            (lambda: p_group_idempotents([2, 4]), ValueError, "the prime must be odd"),
+            (
+                lambda: family_two_factor([3, 5], [11]),
+                ValueError,
+                "factor orders must all be powers of one prime",
+            ),
+            (
+                lambda: family_two_factor([9], [2]),
+                HypothesisError,
+                "hypothesis check failed: q = 2 is not an odd prime",
+            ),
+            (
+                lambda: family_two_factor([2], [9]),
+                HypothesisError,
+                "hypothesis check failed: p = 2 is not an odd prime",
+            ),
+            (
+                lambda: family_two_factor([7], [11]),
+                HypothesisError,
+                "hypothesis check failed: condition (ii): 2 has order 21 mod 7**2, expected 42",
+            ),
+        ],
+    )
+    def test_bad_groups_raise_the_recorded_error(self, build, error, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert raised.type is error
+        assert str(raised.value) == message
 
 
 # (C3 x C3) x C11, recorded before the two-sided families shared one builder:
