@@ -40,7 +40,7 @@ from .gf2 import (
 )
 from .group_algebra import AlgebraElement, Subgroup, cyclic_exponent, distinct_translates
 from .idempotents import IdempotentFamily
-from .number_theory import crt_inverses, factorize, multiplicative_order
+from .number_theory import PrimePair, crt_inverses, factorize, multiplicative_order
 
 DEFAULT_BUDGET = 1 << 24
 MIN_BUDGET = 1 << 10
@@ -580,8 +580,6 @@ class CodeReport:
     label: str
     dimension: int
     predicted_dimension: int
-    idempotent_weight: int
-    basis: list[AlgebraElement]
     min_weight: WeightResult | None  # None when no weights were asked for
     theory: TheoryWeight
     theory_match: bool | None
@@ -618,7 +616,7 @@ def analyze_code(
     theory_map: dict[str, TheoryWeight] | None = None,
     probes: dict[str, AlgebraElement] | None = None,
 ) -> CodeReport:
-    """Dimension, basis, minimum weight and optional distribution for one label.
+    """Dimension, minimum weight and optional distribution for one label.
 
     The codewords are enumerated at most once: the distribution, the minimum
     weight and its witness all come from the ideal's one scan.  Without
@@ -660,8 +658,6 @@ def analyze_code(
         label=label,
         dimension=len(basis),
         predicted_dimension=family.predicted_dims[label],
-        idempotent_weight=e.weight,
-        basis=basis,
         min_weight=result,
         theory=theory,
         theory_match=match,
@@ -822,8 +818,7 @@ def family_verification(
         checks.extend(_report_checks(family, reports))
 
     if family.shape == "pq" and family.params.get("case") is not None:
-        p, q = int(family.params["p"]), int(family.params["q"])
-        structure = verify_class_structure((p, q))
+        structure = verify_class_structure(PrimePair(family.params["p"], family.params["q"]))
         checks.append(
             _check(
                 "squaring orbits match their residue description",

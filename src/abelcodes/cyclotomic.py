@@ -89,7 +89,6 @@ class ClassStructureReport:
     case: str
     ok: bool
     mismatches: tuple[str, ...]
-    fifth_class_representative: GroupElement
 
 
 def verify_class_structure(pair: PrimePair | tuple[int, int]) -> ClassStructureReport:
@@ -141,13 +140,11 @@ def verify_class_structure(pair: PrimePair | tuple[int, int]) -> ClassStructureR
     if group.rank(probe) not in expected["mixed"]:
         mismatches.append(f"probe element {probe} is not in the mixed class")
 
-    rep = min(expected["mixed"])
     return ClassStructureReport(
         pair=pair,
         case=case,
         ok=not mismatches,
         mismatches=tuple(mismatches),
-        fifth_class_representative=group.unrank(rep),
     )
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import bit_indices
@@ -132,6 +133,14 @@ class AbelianGroup:
                 stay = (n - s) * place
                 low = bits & ((pattern << stay) - pattern)
                 bits = (low << s * place) | ((bits ^ low) >> stay)
+        return bits
+
+    def close_bits(self, bits: int, g: GroupElement) -> int:
+        """The bitset of <S, g> for the bitset of a subgroup S: after the step by
+        g**(2**i) it is the union of the cosets g**j S, j < 2**(i+1), and a step
+        adds nothing only once that union is closed."""
+        while (grown := bits | self.translate_bits(bits, g)) != bits:
+            bits, g = grown, self.scale(g, 2)
         return bits
 
     def doubling_permutation(self) -> list[int]:
@@ -297,31 +306,17 @@ def distinct_translates(e: AlgebraElement) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by generators, with its element set enumerated."""
+    """A subgroup given by generators, held as the bitset of its elements (its hat)."""
 
     group: AbelianGroup
     generators: tuple[GroupElement, ...]
-    element_ranks: tuple[int, ...]
+    bits: int
 
     @classmethod
     def from_generators(
         cls, group: AbelianGroup, generators: Iterable[GroupElement]
     ) -> "Subgroup":
-        gens = tuple(group.reduce(g) for g in generators)
-        seen = {group.rank(group.identity())}
-        frontier = [group.identity()]
-        while frontier:
-            e = frontier.pop()
-            for g in gens:
-                f = group.add(e, g)
-                r = group.rank(f)
-                if r not in seen:
-                    seen.add(r)
-                    frontier.append(f)
-        ranks = tuple(sorted(seen))
-        if group.order % len(ranks) != 0:
-            raise RuntimeError("closure size does not divide the group order")
-        return cls(group=group, generators=gens, element_ranks=ranks)
+        return reduce(cls.extended, generators, cls(group, (), 1))
 
     @classmethod
     def trivial(cls, group: AbelianGroup) -> "Subgroup":
@@ -329,22 +324,29 @@ class Subgroup:
 
     @classmethod
     def whole(cls, group: AbelianGroup) -> "Subgroup":
-        gens = [group.generator(i) for i in range(len(group.factor_orders))]
-        return cls.from_generators(group, gens)
+        return cls.from_generators(group, map(group.generator, range(len(group.factor_orders))))
+
+    def extended(self, g: GroupElement) -> "Subgroup":
+        """The subgroup generated by this one and g, closed by translation."""
+        bits = self.group.close_bits(self.bits, g)
+        if self.group.order % bits.bit_count() != 0:
+            raise RuntimeError("closure size does not divide the group order")
+        return Subgroup(self.group, self.generators + (self.group.reduce(g),), bits)
 
     @property
     def order(self) -> int:
-        return len(self.element_ranks)
+        return self.bits.bit_count()
+
+    @property
+    def element_ranks(self) -> tuple[int, ...]:
+        return tuple(bit_indices(self.bits))
 
     def elements(self) -> list[GroupElement]:
-        return [self.group.unrank(r) for r in self.element_ranks]
+        return [self.group.unrank(r) for r in bit_indices(self.bits)]
 
     def hat(self) -> AlgebraElement:
         """Sum of all subgroup elements; an idempotent when the order is odd."""
-        bits = 0
-        for r in self.element_ranks:
-            bits |= 1 << r
-        return AlgebraElement(self.group, bits)
+        return AlgebraElement(self.group, self.bits)
 
 
 def cyclic_exponent(group: AbelianGroup, e: GroupElement) -> int:

@@ -81,7 +81,7 @@ def uv_block(
     if not is_odd_prime(prime):
         raise ValueError(f"{prime} is not an odd prime")
     h = level_subgroup or Subgroup.trivial(group)
-    star = Subgroup.from_generators(group, h.generators + (group.reduce(base),))
+    star = h.extended(base)
     if star.order != prime * h.order:
         raise ConsistencyError(
             f"base element does not step the subgroup by index {prime}"
@@ -162,11 +162,9 @@ def _subgroup_with_ranks(group: AbelianGroup, ranks: Sequence[int]) -> Subgroup:
     """The subgroup whose elements have these ranks, generated by the ranks
     (in order) that the earlier ones do not already generate."""
     sub = Subgroup.trivial(group)
-    members = set(sub.element_ranks)
     for r in ranks:
-        if r not in members:
-            sub = Subgroup.from_generators(group, sub.generators + (group.unrank(r),))
-            members = set(sub.element_ranks)
+        if not sub.bits >> r & 1:
+            sub = sub.extended(group.unrank(r))
     return sub
 
 
@@ -219,8 +217,8 @@ def _p_factor(group: AbelianGroup, p: int, axes: range) -> _Factor:
     whole = Subgroup.from_generators(group, [group.generator(i) for i in axes])
     sides = []
     for sub, cover in _character_kernels(group, p, axes):
-        members = set(sub.element_ranks)
-        base = group.unrank(next(r for r in cover.element_ranks if r not in members))
+        outside = cover.bits & ~sub.bits
+        base = group.unrank((outside & -outside).bit_length() - 1)
         dim = whole.order // sub.order // p * (p - 1)
         sides.append(_Side(sub.hat() + cover.hat(), dim, sub, cover, base))
     if 1 + sum(s.dim for s in sides) != whole.order:

@@ -64,16 +64,17 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Least k >= 1 with a**k == 1 (mod n)."""
+    """Least k >= 1 with a**k == 1 (mod n): the order divides phi(n), so start
+    there and divide out each prime r of it while a**(k/r) == 1 (mod n)."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    k, x = 1, a
-    while x != 1:
-        x = x * a % n
-        k += 1
+    k = math.prod(r ** (e - 1) * (r - 1) for r, e in factorize(n).items())
+    for r in factorize(k):
+        while k % r == 0 and pow(a, k // r, n) == 1:
+            k //= r
     return k
 
 

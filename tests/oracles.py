@@ -41,6 +41,33 @@ def naive_weight_distribution(rows) -> dict[int, int]:
     return hist
 
 
+def stepping_order(a: int, n: int) -> int:
+    """Least k >= 1 with a**k == 1 (mod n), stepping through the powers of a."""
+    a %= n
+    k, x = 1, a
+    while x != 1:
+        x = x * a % n
+        k += 1
+    return k
+
+
+def searched_subgroup_ranks(group: AbelianGroup, generators) -> tuple[int, ...]:
+    """The sorted ranks of the subgroup the generators span, found by a
+    breadth-first search over exponent tuples from the identity."""
+    gens = [group.reduce(g) for g in generators]
+    seen = {group.rank(group.identity())}
+    frontier = [group.identity()]
+    while frontier:
+        e = frontier.pop()
+        for g in gens:
+            f = group.add(e, g)
+            r = group.rank(f)
+            if r not in seen:
+                seen.add(r)
+                frontier.append(f)
+    return tuple(sorted(seen))
+
+
 def all_subgroups(group: AbelianGroup) -> list[Subgroup]:
     """Every subgroup, found by closing generator sets to a fixpoint."""
     by_ranks: dict[tuple[int, ...], Subgroup] = {}

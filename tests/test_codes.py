@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelcodes import codes, cyclotomic
+from abelcodes import codes, cyclotomic, idempotents
 from abelcodes.cli import RunConfig, run
 from abelcodes.codes import (
     BudgetExceededError,
@@ -472,6 +472,14 @@ class TestOneAnalysisPass:
         assert code == 0 and report["verify"]["passed"]
         assert report["group"]["squaring_orbit_count"] == 8
         assert len(orbits) == 1
+
+    def test_verify_validates_the_pair_once(self, monkeypatch):
+        # the family build validates the pair; the orbit check takes it as built
+        built = _count_calls(monkeypatch, idempotents, "validate_hypotheses")
+        checked = _count_calls(monkeypatch, cyclotomic, "validate_hypotheses")
+        code, report, _ = run(RunConfig("15", ("verify",)))
+        assert code == 0 and report["verify"]["passed"]
+        assert len(built) + len(checked) == 1
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam33", "fam45"])
     def test_one_pass_reports_match_the_oracles(self, fixture, request):

@@ -14,7 +14,7 @@ from abelcodes.group_algebra import (
     distinct_translates,
     from_cyclic_exponents,
 )
-from oracles import all_subgroups, first_translates
+from oracles import all_subgroups, first_translates, searched_subgroup_ranks
 
 C15 = AbelianGroup([15])
 C3x5 = AbelianGroup([3, 5])
@@ -284,6 +284,35 @@ class TestSubgroupClosure:
     def test_two_generator_closure(self):
         h = Subgroup.from_generators(C9x25, [(3, 0), (0, 5)])
         assert h.order == 15
+
+    @settings(max_examples=200, deadline=None)
+    @given(translate_tower_orders, st.data())
+    def test_translation_closure_agrees_with_the_search(self, orders, data):
+        group = AbelianGroup(orders)
+        ranks = data.draw(st.lists(st.integers(0, group.order - 1), max_size=3))
+        gens = [group.unrank(r) for r in ranks]
+        sub = Subgroup.from_generators(group, gens)
+        expected = searched_subgroup_ranks(group, gens)
+        assert sub.element_ranks == expected
+        assert sub.order == len(expected)
+        assert sub.hat().support_ranks() == list(expected)
+        assert sub.generators == tuple(gens)
+
+    @pytest.mark.parametrize("orders", [[2, 4], [4, 6], [9, 3], [3, 3, 3], [8], [25, 5]])
+    def test_every_cyclic_subgroup_and_every_extension(self, orders):
+        # every cyclic subgroup, each extended by about a dozen elements spread over G
+        group = AbelianGroup(orders)
+        table = list(group.elements())
+        for g in table:
+            cyclic = Subgroup.from_generators(group, [g])
+            assert cyclic.element_ranks == searched_subgroup_ranks(group, [g])
+            for h in table[:: max(1, group.order // 12)]:
+                assert cyclic.extended(h).element_ranks == searched_subgroup_ranks(group, [g, h])
+
+    def test_a_closure_whose_size_does_not_divide_the_order_is_refused(self):
+        # {0, 1} is no subgroup of C9; under 3 it grows to {0, 1, 3, 4, 6, 7} and stops
+        with pytest.raises(RuntimeError, match="does not divide"):
+            Subgroup(AbelianGroup([9]), (), 0b11).extended((3,))
 
 
 class TestSerialization:

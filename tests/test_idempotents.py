@@ -1,7 +1,9 @@
 import itertools
+import json
 from collections import Counter
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +326,41 @@ class TestPGroupIdempotents:
             every_character_kernel(group, p)
         )
 
+
+# p_group_idempotents of thirteen p-groups, recorded while subgroups were closed
+# by a search over exponent tuples: per member the label, the generators and
+# element ranks (as a hex bitset) of H and H*, the element as hex and the dimension
+P_GROUP_RECORDS = json.loads(
+    (Path(__file__).parent / "data" / "p_group_records.json").read_text()
+)
+
+
+def _subgroup_fields(sub):
+    bits = sum(1 << r for r in sub.element_ranks)
+    return {
+        "generators": [list(g) for g in sub.generators],
+        "ranks_hex": AlgebraElement(sub.group, bits).to_hex(),
+    }
+
+
+@pytest.mark.parametrize("name", list(P_GROUP_RECORDS))
+def test_p_group_records_are_the_recorded_ones(name):
+    recorded = P_GROUP_RECORDS[name]
+    orders = [int(n) for n in name.split("x")]
+    recs = p_group_idempotents(orders, override=recorded["override"])
+    assert [
+        {
+            "label": r.label,
+            "h": _subgroup_fields(r.subgroup),
+            "h_star": None if r.cover is None else _subgroup_fields(r.cover),
+            "hex": r.element.to_hex(),
+            "dim": r.predicted_dim,
+        }
+        for r in recs
+    ] == recorded["records"]
+    for r in recs:
+        assert r.subgroup.order == len(r.subgroup.element_ranks) == len(r.subgroup.elements())
+        assert r.subgroup.hat().support_ranks() == list(r.subgroup.element_ranks)
 
 # the factor orders of each group, in the p-factors its family builds
 SIDE_GROUPS = {

@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +17,7 @@ from abelcodes.number_theory import (
     residue_partition,
     validate_hypotheses,
 )
+from oracles import stepping_order
 
 ODD_PRIMES_UNDER_200 = [p for p in range(3, 200) if is_odd_prime(p)]
 
@@ -28,6 +32,22 @@ class TestMultiplicativeOrder:
     def test_not_a_unit(self):
         with pytest.raises(ValueError, match="not a unit"):
             multiplicative_order(6, 9)
+
+    def test_modulus_below_two_is_refused(self):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            multiplicative_order(1, 1)
+
+    def test_agrees_with_stepping_through_the_powers(self):
+        for n in range(2, 3000):
+            for a in range(1, 60):
+                if math.gcd(a, n) == 1:
+                    assert multiplicative_order(a, n) == stepping_order(a, n), (a, n)
+
+    def test_condition_ii_for_a_large_prime_takes_under_a_second(self):
+        # 2 has order 10091 * 10090 mod 10091**2, about 10**8 steps of the powers
+        start = time.perf_counter()
+        assert hypothesis_failures(3, 10091) == []
+        assert time.perf_counter() - start < 1.0
 
     @given(st.sampled_from(ODD_PRIMES_UNDER_200), st.integers(1, 50))
     def test_order_divides_group_order(self, p, a):
