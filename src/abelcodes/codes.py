@@ -12,8 +12,9 @@ A z in K with z**((2**k - 1)/r) != 1 mod f for every prime r dividing N =
 (2**k - 1)/n' generates K*/T, T the n' distinct translates of e, so the
 powers z**j, j < N, meet every translation orbit once.  For odd |G| squaring
 is a coordinate permutation, so weights are constant on the doubling orbits
-{j * 2**s mod N} too.  The walk therefore steps through k-bit field elements
-and maps one exponent per doubling orbit to its codeword.  The Gray-code walk
+{j * 2**s mod N} too.  The walk therefore jumps through k-bit field
+elements from the least exponent of one doubling orbit to the next, and maps
+only those exponents to codewords.  The Gray-code walk
 over every codeword runs only for an ideal that is not certified a field, and
 serves the tests as an oracle.
 
@@ -24,6 +25,7 @@ weight, a witness word and the weight histogram together.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -35,8 +37,6 @@ from .gf2 import (
     gray_flip_sequence,
     independent_row_indices,
     poly_is_irreducible,
-    poly_mulmod,
-    poly_powmod,
 )
 from .group_algebra import AlgebraElement, Subgroup, cyclic_exponent, distinct_translates
 from .idempotents import IdempotentFamily
@@ -171,7 +171,9 @@ def _orbit_multiplier(
     T is the unique subgroup of order n' of the cyclic group K*, so z
     generates K*/T, cyclic of order N = (2**k - 1)/n', exactly when
     z**((2**k - 1)/r) != 1 mod f for every prime r dividing N.  Small
-    polynomials z = x, x + 1, x**2, ... are tested in turn.
+    polynomials z = x, x + 1, x**2, ... are tested in turn, each power by
+    square-and-multiply on split tables of y -> y**2 (one per f) and
+    y -> z*y (one per candidate).
 
     The search is skipped unless |G| is odd, n' divides 2**k - 1 and
     k == ord_n'(2), which every field ideal satisfies (it is spanned by its
@@ -195,11 +197,26 @@ def _orbit_multiplier(
     f = berlekamp_massey([x & 1 for x in powers])
     if f.bit_length() - 1 != k or not poly_is_irreducible(f):
         return None
-    primes = factorize(total // orbit)
+    exponents = [total // r for r in factorize(total // orbit)]
+    width = -(-k // 3)
+    square = _split_tables(_shift_images(1, f, 2 * k)[::2], width)
     for z in range(2, 1 << k):
-        if all(poly_powmod(z, total // r, f) != 1 for r in primes):
+        times = _split_tables(_shift_images(z, f, k), width)
+        if all(_table_power(times, square, m, width) != 1 for m in exponents):
             return f, z, powers[:k]
     return None
+
+
+def _shift_images(z: int, f: int, count: int) -> list[int]:
+    """z * x**i mod f for i < count, each from the one before by a shift."""
+    top = 1 << (f.bit_length() - 1)
+    images = []
+    for _ in range(count):
+        images.append(z)
+        z <<= 1
+        if z & top:
+            z ^= f
+    return images
 
 
 def _split_tables(images: Sequence[int], width: int) -> list[list[int]]:
@@ -217,22 +234,47 @@ def _split_tables(images: Sequence[int], width: int) -> list[list[int]]:
     return tables
 
 
+def _table_power(times: list[list[int]], square: list[list[int]], exp: int, width: int) -> int:
+    """z**exp in F2[x]/f by square-and-multiply, from the split tables
+    (width `width`) of y -> z*y and y -> y**2."""
+    mask, high = (1 << width) - 1, 2 * width
+    s0, s1, s2 = square
+    t0, t1, t2 = times
+    y = 1
+    for bit in bin(exp)[2:]:
+        y = s0[y & mask] ^ s1[y >> width & mask] ^ s2[y >> high]
+        if bit == "1":
+            y = t0[y & mask] ^ t1[y >> width & mask] ^ t2[y >> high]
+    return y
+
+
 @lru_cache(maxsize=8)
-def _doubling_orbit_sizes(n: int) -> bytes:
-    """Entry j is the size of the orbit {j * 2**s mod n} when j is its least
-    member, else 0; n is odd, so doubling permutes the residues mod n."""
-    sizes = bytearray(n)
+def _doubling_orbit_leaders(n: int) -> tuple[array, bytes]:
+    """The least member j of each orbit {j * 2**s mod n}, ascending, and the
+    orbit's size, closed by the sentinel (n, 0).
+
+    n is odd, so doubling permutes the residues mod n.  The scan asks only for
+    n dividing 2**k - 1, where every orbit size divides k and fits a byte.
+    """
+    leaders, sizes = array("l"), bytearray()
     seen = bytearray(n)
-    for j in range(n):
-        if seen[j]:
-            continue
+    j = 0
+    while j >= 0:
         i, size = j, 0
-        while not seen[i]:
+        while True:
             seen[i] = 1
             size += 1
-            i = 2 * i % n
-        sizes[j] = size
-    return bytes(sizes)
+            i += i
+            if i >= n:
+                i -= n
+            if i == j:
+                break
+        leaders.append(j)
+        sizes.append(size)
+        j = seen.find(0, j + 1)
+    leaders.append(n)
+    sizes.append(0)
+    return leaders, bytes(sizes)
 
 
 def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int, dict[int, int]]:
@@ -246,12 +288,16 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
     meet each coset once.  For odd |G| squaring is the coordinate
     permutation g -> g**2, and (z**j)**2 lies in z**(2j mod N) T, so weights
     are constant on the doubling orbits {j * 2**s mod N} as well.  The walk
-    steps through z**j as k-bit integers (multiplication by z is three table
-    lookups), maps only the least exponent of each doubling orbit to its
-    codeword through tables built from beta**0, ..., beta**(k - 1), and
-    counts its weight n' times the orbit size.  The step is closed by
-    checking that z**N maps to a translate of e.  Each table has
-    2**ceil(k/3) entries (at most 2**10 for k <= 30).
+    visits only the least exponent of each doubling orbit, in ascending
+    order: it holds z**j as a k-bit integer and reaches the next leader j'
+    by multiplying by z**(2**b) for each set bit b of j' - j (three table
+    lookups each).  The table set of z**(2**b) is built when a gap first
+    needs it, from that of z**(2**(b - 1)) applied to its own k images.
+    Each leader is mapped to its codeword through tables built from
+    beta**0, ..., beta**(k - 1), and its weight counts n' times the orbit
+    size.  A last jump reaches z**N, and the walk is closed by checking that
+    z**N maps to a translate of e.  Each table has 2**ceil(k/3) entries (at
+    most 2**10 for k <= 30), and there are at most log2(N) + 1 table sets.
 
     When N == 1 the translates of e are all the nonzero words.  An ideal that
     _orbit_multiplier cannot certify as a field, such as a sum of two
@@ -270,19 +316,31 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
     f, z, powers = field
     width = -(-k // 3)
     mask, high = (1 << width) - 1, 2 * width
-    s0, s1, s2 = _split_tables([poly_mulmod(z, 1 << i, f) for i in range(k)], width)
     w0, w1, w2 = _split_tables(powers, width)
+    images = _shift_images(z, f, k)  # z**(2**b) * x**i for the last table set b
+    jumps = [_split_tables(images, width)]
     best, best_word = group.order + 1, 0
     hist = [0] * (group.order + 1)
-    x = 1
-    for size in _doubling_orbit_sizes(total // orbit):
+    x, at = 1, 0
+    for lead, size in zip(*_doubling_orbit_leaders(total // orbit)):
+        gap, at = lead - at, lead
+        while gap >> len(jumps):
+            t0, t1, t2 = jumps[-1]
+            images = [t0[y & mask] ^ t1[y >> width & mask] ^ t2[y >> high] for y in images]
+            jumps.append(_split_tables(images, width))
+        b = 0
+        while gap:
+            if gap & 1:
+                t0, t1, t2 = jumps[b]
+                x = t0[x & mask] ^ t1[x >> width & mask] ^ t2[x >> high]
+            gap >>= 1
+            b += 1
         if size:
             word = w0[x & mask] ^ w1[x >> width & mask] ^ w2[x >> high]
             w = word.bit_count()
             hist[w] += orbit * size
             if w < best:
                 best, best_word = w, word
-        x = s0[x & mask] ^ s1[x >> width & mask] ^ s2[x >> high]
     last = w0[x & mask] ^ w1[x >> width & mask] ^ w2[x >> high]
     if all(group.translate_bits(e.bits, group.unrank(r)) != last for r in ideal.translate_ranks):
         raise RuntimeError("the orbit walk did not close on a translate of e")
@@ -290,10 +348,10 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
 
 
 def clear_caches() -> None:
-    """Forget every cached ideal record and orbit-size table; cli.run calls it
-    as each run starts."""
+    """Forget every cached ideal record and doubling-orbit leader list;
+    cli.run calls it as each run starts."""
     _checked_ideal.cache_clear()
-    _doubling_orbit_sizes.cache_clear()
+    _doubling_orbit_leaders.cache_clear()
 
 
 @dataclass(frozen=True)

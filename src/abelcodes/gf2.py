@@ -116,19 +116,6 @@ def poly_mulmod(a: int, b: int, f: int) -> int:
     return out
 
 
-def poly_powmod(a: int, exp: int, f: int) -> int:
-    """a ** exp mod f over GF(2)."""
-    a = poly_mod(a, f)
-    out = poly_mod(1, f)
-    while exp:
-        if exp & 1:
-            out = poly_mulmod(out, a, f)
-        exp >>= 1
-        if exp:
-            a = poly_mulmod(a, a, f)
-    return out
-
-
 def poly_gcd(a: int, b: int) -> int:
     """Greatest common divisor over GF(2)."""
     while b:
@@ -162,7 +149,6 @@ __all__ = [
     "berlekamp_massey",
     "poly_mod",
     "poly_mulmod",
-    "poly_powmod",
     "poly_gcd",
     "poly_is_irreducible",
 ]

@@ -6,6 +6,7 @@ No code path of the package calls these; they are slow on purpose.
 import itertools
 import math
 
+from abelcodes.gf2 import poly_mod, poly_mulmod
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup
 
 
@@ -39,6 +40,37 @@ def naive_weight_distribution(rows) -> dict[int, int]:
         w = word.bit_count()
         hist[w] = hist.get(w, 0) + 1
     return hist
+
+
+def poly_powmod(a: int, exp: int, f: int) -> int:
+    """a ** exp mod f over GF(2), by square-and-multiply with poly_mulmod."""
+    a = poly_mod(a, f)
+    out = poly_mod(1, f)
+    while exp:
+        if exp & 1:
+            out = poly_mulmod(out, a, f)
+        exp >>= 1
+        if exp:
+            a = poly_mulmod(a, a, f)
+    return out
+
+
+def doubling_orbit_sizes(n: int) -> bytes:
+    """Entry j is the size of the orbit {j * 2**s mod n} when j is its least
+    member, else 0; n is odd, so doubling permutes the residues mod n.  Every
+    exponent is visited, and each size must fit a byte."""
+    sizes = bytearray(n)
+    seen = bytearray(n)
+    for j in range(n):
+        if seen[j]:
+            continue
+        i, size = j, 0
+        while not seen[i]:
+            seen[i] = 1
+            size += 1
+            i = 2 * i % n
+        sizes[j] = size
+    return bytes(sizes)
 
 
 def stepping_order(a: int, n: int) -> int:

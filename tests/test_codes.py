@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +27,7 @@ from abelcodes.codes import (
 from abelcodes.group_algebra import AlgebraElement
 from abelcodes.idempotents import family_pq, family_prime_power, family_three_primes
 from abelcodes.number_theory import hypothesis_failures, is_odd_prime
-from oracles import naive_weight_distribution
+from oracles import doubling_orbit_sizes, naive_weight_distribution, poly_powmod
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +355,94 @@ class TestOrbitWalk:
             witnesses.append(minimum_weight(fam.elements["e8"], budget=1 << 20).witness)
         assert witnesses[0] == witnesses[1]
         assert witnesses[0].weight == 48
+
+
+# N = (2**k - 1)/d for every d | 2**k - 1, k <= 18: the orders the scan sieves,
+# where every orbit size divides k; then the orders of the k = 20 workload codes
+SIEVE_ORDERS = sorted(
+    {((1 << k) - 1) // d for k in range(1, 19) for d in range(1, 1 << k) if ((1 << k) - 1) % d == 0}
+) + [6355, 13981, 19065, 41943]
+
+# (f, z) that the search with poly_powmod chose on each certified k >= 10 label
+# (9x25 I22* and I22** have k = 60 and are never scanned)
+POWMOD_GENERATORS = {
+    ("3x5x11", "e1"): (0b11111111111, 11),
+    ("3x5x11", "e6"): (0b11000100011, 3),
+    ("3x5x11", "e7"): (0b10010101001, 3),
+    ("3x5x11", "e8"): (0b101101101001011100111, 11),
+    ("3x5x11", "e9"): (0b111001110100101101101, 11),
+    ("3x5x11", "e10"): (0b111010001110010010011, 3),
+    ("3x5x11", "e11"): (0b110001011000111010101, 3),
+    ("3x5x11", "e12"): (0b110010010011100010111, 3),
+    ("3x5x11", "e13"): (0b101010111000110100011, 3),
+    ("9x25", "I02"): (0b100001000010000100001, 19),
+    ("9x25", "I12*"): (0b100001000000000000001, 3),
+    ("9x25", "I12**"): (0b100000000000000100001, 3),
+    ("9x25", "I21*"): (0b1001000000001, 3),
+    ("9x25", "I21**"): (0b1000000001001, 3),
+}
+
+
+class TestLeaderWalk:
+    @pytest.mark.parametrize("n", SIEVE_ORDERS)
+    def test_leaders_and_sizes_match_the_per_exponent_table(self, n):
+        codes.clear_caches()
+        leaders, sizes = codes._doubling_orbit_leaders(n)
+        table = doubling_orbit_sizes(n)
+        assert list(leaders) == [j for j, size in enumerate(table) if size] + [n]
+        assert list(sizes) == [size for size in table if size] + [0]
+        assert sum(sizes) == n
+
+    def test_a_walk_that_skips_a_leader_caches_no_scan(self, monkeypatch):
+        e = family_three_primes(3, 5, 11).elements["e10"]
+        codes.clear_caches()
+        original = codes._doubling_orbit_leaders
+
+        def one_short(n):
+            leaders, sizes = original(n)
+            drop = len(leaders) // 2
+            return leaders[:drop] + leaders[drop + 1 :], sizes[:drop] + sizes[drop + 1 :]
+
+        monkeypatch.setattr(codes, "_doubling_orbit_leaders", one_short)
+        with pytest.raises(RuntimeError, match="internal consistency checks"):
+            weight_distribution(e, budget=1 << 20)
+        assert "scan" not in vars(codes._checked_ideal(e))
+
+    @pytest.mark.parametrize("power", [2, 4, 64, 2048])
+    def test_a_wrong_jump_table_does_not_close(self, power, monkeypatch):
+        # the table set of y -> z**power * y gets a wrong image of y = 1
+        e = family_three_primes(3, 5, 11).elements["e10"]
+        codes.clear_caches()
+        f, z, _ = codes._orbit_multiplier(e, 20, codes._checked_ideal(e).translate_ranks)
+        jump = codes._shift_images(poly_powmod(z, power, f), f, 20)
+        original = codes._split_tables
+        corrupted = []
+
+        def split_tables(images, width):
+            if list(images) != jump:
+                return original(images, width)
+            corrupted.append(images)
+            return original([images[0] ^ 1, *images[1:]], width)
+
+        monkeypatch.setattr(codes, "_split_tables", split_tables)
+        with pytest.raises(RuntimeError, match="did not close"):
+            weight_distribution(e, budget=1 << 20)
+        assert len(corrupted) == 1
+        assert "scan" not in vars(codes._checked_ideal(e))
+
+    @pytest.mark.parametrize("spec, label", sorted(POWMOD_GENERATORS))
+    def test_table_powers_match_poly_powmod(self, spec, label):
+        fam = ORACLE_FAMILIES[spec]()
+        e, k = fam.elements[label], fam.predicted_dims[label]
+        f, z, _ = codes._orbit_multiplier(e, k, codes._checked_ideal(e).translate_ranks)
+        assert (f, z) == POWMOD_GENERATORS[spec, label]
+        width = -(-k // 3)
+        square = codes._split_tables(codes._shift_images(1, f, 2 * k)[::2], width)
+        rng = random.Random(k)
+        for y in [z] + [rng.randrange(1, 1 << k) for _ in range(15)]:
+            times = codes._split_tables(codes._shift_images(y, f, k), width)
+            for exp in [0, 1, (1 << k) - 1] + [rng.randrange(1 << (k + 1)) for _ in range(10)]:
+                assert codes._table_power(times, square, exp, width) == poly_powmod(y, exp, f)
 
 
 class TestTheory:

@@ -8,8 +8,8 @@ from abelcodes.gf2 import (
     poly_is_irreducible,
     poly_mod,
     poly_mulmod,
-    poly_powmod,
 )
+from oracles import poly_powmod
 
 
 def clmul(a, b):
