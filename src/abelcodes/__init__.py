@@ -46,7 +46,6 @@ from .idempotents import (
     p_group_idempotents,
     split_pair,
     uv_block,
-    verify_primitivity,
 )
 from .codes import (
     BudgetExceededError,
@@ -63,6 +62,7 @@ from .codes import (
     minimum_weight,
     explicit_bases,
     theoretical_expectations,
+    verify_primitivity,
     weight_distribution,
 )
 

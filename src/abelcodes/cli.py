@@ -9,7 +9,9 @@ config regardless of the thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -30,9 +32,9 @@ EXIT_BUDGET = 3
 EXIT_FALSIFIED = 4
 
 # The largest order whose `--dims` run was measured: 243x125 (order 30375)
-# took 3.6 s in-process with a 225 MB peak (2-vCPU VM, CPython 3.11.7).  pq
-# and three-prime shapes of about that order took 99 to 161 s, with peaks
-# near 255 MB.
+# took 2.6 to 2.9 s in a fresh process with a 224 MB peak (2-vCPU VM, CPython
+# 3.11.7).  pq and three-prime shapes of about that order took 80 s
+# (3x29x347) and 129 s (3x10091), with peaks near 255 MB.
 MAX_GROUP_ORDER = 30375
 MAX_BUDGET = 1 << 64  # far beyond any enumeration that can finish
 MAX_THREADS = 64  # --threads is validated and kept for compatibility; enumeration is single-threaded
@@ -381,13 +383,29 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _check_writable(path: str) -> None:
-    """Refuse an --export path that cannot be opened for writing; leaves a file's content alone."""
+def _check_writable(path: str) -> bool:
+    """Refuse an --export path that cannot be opened for writing; leaves a file's
+    content alone.  Returns whether the probe created the file."""
+    existed = os.path.exists(path)
     try:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
-        raise UsageError(f"cannot write --export {path}: {exc.strerror or exc}") from None
+        raise _cannot_write(path, exc) from None
+    return not existed
+
+
+def _cannot_write(path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write --export {path}: {exc.strerror or exc}")
+
+
+def _usage_failure(exc: ValueError, created: str | None) -> int:
+    """Report a failed run on stderr and remove the file the --export probe created."""
+    print(f"error: {exc}", file=sys.stderr)
+    if created:
+        with contextlib.suppress(OSError):
+            os.remove(created)
+    return EXIT_USAGE
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -452,6 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     if not analyses:
         analyses = ["idempotents", "dims"]
 
+    created = None
     try:
         config = RunConfig(
             group_spec=spec,
@@ -461,20 +480,22 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:
             raise UsageError(f"--threads {args.threads} is outside 1..{MAX_THREADS}")
-        if args.export:
-            _check_writable(args.export)
+        if args.export and _check_writable(args.export):
+            created = args.export
         code, report, text = run(config)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_failure(exc, created)
 
     if args.format == "json":
         sys.stdout.write(render_json(report))
     else:
         print(text)
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(render_json(report))
+        try:
+            with open(args.export, "w", encoding="utf-8") as fh:
+                fh.write(render_json(report))
+        except OSError as exc:
+            return _usage_failure(_cannot_write(args.export, exc), created)
     return code
 
 

@@ -2,8 +2,9 @@
 
 A code here is the ideal generated by an idempotent e: the span over F2 of the
 translates g*e.  Minimum weights and weight distributions are exact whenever
-2**dim fits the enumeration budget; otherwise honest bounds are reported, with
-the provenance of each bound recorded.
+2**dim fits the enumeration budget and the scan fits MAX_SCAN_ENTRIES;
+otherwise honest bounds are reported, with the provenance of each bound
+recorded.
 
 The enumeration of a minimal code (scan_codewords) rests on three facts.  An
 irreducible Berlekamp-Massey polynomial f of degree k = dim for a multiplier
@@ -18,9 +19,10 @@ only those exponents to codewords.  The Gray-code walk
 over every codeword runs only for an ideal that is not certified a field, and
 serves the tests as an oracle.
 
-Each ideal has one cached record: its checked basis, its translate ranks and,
-once a weight is asked for, its one enumeration, which gives the minimum
-weight, a witness word and the weight histogram together.
+Each ideal has one cached record: its basis, picked by one row reduction of
+its n' distinct translates (check_basis), its translate ranks and, once a
+weight is asked for, its one enumeration (minimum weight, a witness word and
+the weight histogram).  Dimension and primitivity read that one basis.
 """
 
 from __future__ import annotations
@@ -45,16 +47,30 @@ from .number_theory import PrimePair, crt_inverses, factorize, multiplicative_or
 DEFAULT_BUDGET = 1 << 24
 MIN_BUDGET = 1 << 10
 MAX_CACHED_CODES = 256  # bound for library callers; cli.run empties the cache per run
+# The most entries one scan may allocate: the doubling-orbit sieve's N on the
+# orbit walk, 2**k - 1 on the Gray walk.  A sieve of 2**24 - 1 exponents took
+# 2.6 s and raised the peak RSS from 18 to 41 MB (CPython 3.11.7, 2-vCPU Xeon
+# VM); at the default budget no scan reaches the limit.
+MAX_SCAN_ENTRIES = 1 << 24
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration was refused because 2**dim exceeds the budget."""
+    """An enumeration was refused because 2**dim exceeds the budget, or, with
+    `entries`, because its scan would allocate more than the budget
+    MAX_SCAN_ENTRIES."""
 
-    def __init__(self, dimension: int, budget: int):
-        super().__init__(
-            f"enumerating 2**{dimension} codewords exceeds the budget {budget}; "
-            f"required budget is {1 << dimension}"
-        )
+    def __init__(self, dimension: int, budget: int, *, entries: int = 0):
+        if entries:
+            message = (
+                f"scanning 2**{dimension} codewords needs {entries} entries, over the "
+                f"scan limit {budget}"
+            )
+        else:
+            message = (
+                f"enumerating 2**{dimension} codewords exceeds the budget {budget}; "
+                f"required budget is {1 << dimension}"
+            )
+        super().__init__(message)
         self.dimension = dimension
         self.required_budget = 1 << dimension
         self.budget = budget
@@ -65,15 +81,15 @@ class FalsificationError(AssertionError):
 
 
 def ideal_dimension(e: AlgebraElement) -> int:
-    """Rank over F2 of the translate matrix of e."""
-    return gf2_rank(distinct_translates(e)[0])
+    """Dimension of F2[G]e for an idempotent e: the length of its cached basis."""
+    return len(_checked_ideal(e).basis)
 
 
 def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
     """A deterministic basis: the first maximal independent set of translates.
 
-    The basis is built and passed through check_basis once per element; later
-    calls return a new list of the same words.
+    check_basis picks it once per element; later calls return a new list of
+    the same words.
     """
     return list(_checked_ideal(e).basis)
 
@@ -104,27 +120,49 @@ class _Ideal:
 @lru_cache(maxsize=MAX_CACHED_CODES)
 def _checked_ideal(e: AlgebraElement) -> _Ideal:
     rows, ranks = distinct_translates(e)
-    basis = tuple(AlgebraElement(e.group, rows[i]) for i in independent_row_indices(rows))
-    check_basis(basis, e)
+    basis = tuple(AlgebraElement(e.group, rows[i]) for i in check_basis(rows, e))
     return _Ideal(e, basis, tuple(ranks))
 
 
-def check_basis(basis: Sequence[AlgebraElement], e: AlgebraElement) -> None:
-    """Certify `basis` as independent words of the ideal F2[G]e, with one squaring.
+def check_basis(rows: Sequence[int], e: AlgebraElement) -> list[int]:
+    """Certify the ideal F2[G]e with one squaring; return the indices of the
+    first maximal independent subset of `rows`, in order.
 
-    Assumes every word is a translate g*e, as _checked_ideal builds them.
-    Then (g*e)*e = g*(e*e), and translation is injective, so every word is
+    Assumes every row is a translate g*e, as _checked_ideal passes them.
+    Then (g*e)*e = g*(e*e), and translation is injective, so every row is
     fixed by e exactly when e*e == e.  In commutative characteristic 2,
     e*e = sum of g**2 over the support of e, which is e.frobenius(); that
     one squaring is the membership proof.  Callers with other words
-    (explicit_bases) check x*e == x for each of them first.  Independence is
-    proved by rank.
+    (explicit_bases) check x*e == x for each of them first.  Each kept row is
+    independent of the rows kept before it, so the pick is its own
+    independence proof.
     """
     if e.frobenius() != e:
         raise FalsificationError("basis element is not fixed by the idempotent")
-    rows = [x.bits for x in basis]
-    if len(independent_row_indices(rows)) != len(rows):
-        raise FalsificationError("basis elements are linearly dependent")
+    return independent_row_indices(rows)
+
+
+def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> dict:
+    """Count the idempotents of the ideal F2[G]e; e is primitive when there are two.
+
+    Squaring is F2-linear and maps the ideal into itself, so its idempotents
+    are the kernel of x -> x**2 + x there.  Over the cached basis b of the
+    ideal the kernel has dimension c = dim - rank(b**2 + b), and the ideal
+    holds 2**c idempotents.  They are 0 and e exactly when c == 1.  The cost
+    is one rank at any dimension.
+    """
+    if e.frobenius() != e:
+        raise ValueError("element is not idempotent")
+    basis = _checked_ideal(e).basis
+    dim = len(basis)
+    fixed = dim - gf2_rank([b.frobenius().bits ^ b.bits for b in basis])
+    return {
+        "dimension": dim,
+        "predicted_dimension": predicted_dim,
+        "dimension_matches": predicted_dim is None or dim == predicted_dim,
+        "idempotents_found": 1 << fixed,
+        "primitive": fixed == 1,
+    }
 
 
 def gray_scan_codewords(rows: Sequence[int], *, ncols: int) -> tuple[int, int, dict[int, int]]:
@@ -301,7 +339,8 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
 
     When N == 1 the translates of e are all the nonzero words.  An ideal that
     _orbit_multiplier cannot certify as a field, such as a sum of two
-    minimal ideals, is scanned word by word by gray_scan_codewords.
+    minimal ideals, is scanned word by word by gray_scan_codewords.  A sieve
+    or Gray walk over MAX_SCAN_ENTRIES entries raises BudgetExceededError.
     """
     k, group = len(rows), e.group
     ideal = _checked_ideal(e)
@@ -310,8 +349,12 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
     if total == orbit:
         w = e.weight
         return w, e.bits, {w: orbit}
+    if total // orbit > MAX_SCAN_ENTRIES:
+        raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
     field = _orbit_multiplier(e, k, ideal.translate_ranks)
     if field is None:
+        if total > MAX_SCAN_ENTRIES:
+            raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total)
         return gray_scan_codewords(rows, ncols=group.order)
     f, z, powers = field
     width = -(-k // 3)
@@ -385,7 +428,8 @@ def minimum_weight(
     theory_lower: int | None = None,
     probes: Iterable[AlgebraElement] = (),
 ) -> WeightResult:
-    """Exact minimum weight by enumeration, or bounds when it does not fit.
+    """Exact minimum weight by enumeration, or bounds when it does not fit the
+    budget or the scan limit (MAX_SCAN_ENTRIES), with a note naming which.
 
     The fallback lower bound is 2 for augmentation-zero idempotents (all
     codewords then have even weight) and any supplied theory bound; the upper
@@ -393,16 +437,21 @@ def minimum_weight(
     """
     basis = ideal_basis(e)
     k = len(basis)
-    if (1 << k) <= budget:
-        best, word, _ = _checked_ideal(e).scan
-        return WeightResult(
-            lower=best,
-            upper=best,
-            exact=True,
-            witness=AlgebraElement(e.group, word),
-            notes=(f"enumerated all 2**{k} - 1 nonzero codewords",),
-        )
-    notes = [f"enumeration refused: 2**{k} exceeds budget {budget}"]
+    if (1 << k) > budget:
+        notes = [f"enumeration refused: 2**{k} exceeds budget {budget}"]
+    else:
+        try:
+            best, word, _ = _checked_ideal(e).scan
+        except BudgetExceededError as exc:
+            notes = [f"enumeration refused: {exc}"]
+        else:
+            return WeightResult(
+                lower=best,
+                upper=best,
+                exact=True,
+                witness=AlgebraElement(e.group, word),
+                notes=(f"enumerated all 2**{k} - 1 nonzero codewords",),
+            )
     lower = 1
     if e.augmentation() == 0:
         lower = 2
@@ -425,7 +474,8 @@ def minimum_weight(
 
 
 def weight_distribution(e: AlgebraElement, *, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """Full weight histogram of the nonzero codewords; refuses beyond budget."""
+    """Full weight histogram of the nonzero codewords; raises
+    BudgetExceededError beyond the budget or the scan limit."""
     basis = ideal_basis(e)
     k = len(basis)
     if (1 << k) > budget:
@@ -509,7 +559,8 @@ def explicit_bases(family: IdempotentFamily) -> dict[str, dict[str, list[Algebra
             # hat differences and seed-word translates are not translates of e
             if any(x * e != x for x in basis):
                 raise FalsificationError("basis element is not fixed by the idempotent")
-            check_basis(basis, e)
+            if len(check_basis([x.bits for x in basis], e)) != len(basis):
+                raise FalsificationError("basis elements are linearly dependent")
             if len(basis) != family.predicted_dims[label]:
                 raise FalsificationError(
                     f"basis of {label} has {len(basis)} words, expected "
@@ -947,6 +998,7 @@ __all__ = [
     "ideal_dimension",
     "ideal_basis",
     "check_basis",
+    "verify_primitivity",
     "scan_codewords",
     "gray_scan_codewords",
     "minimum_weight",

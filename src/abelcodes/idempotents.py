@@ -19,7 +19,8 @@ axioms: each member squares to itself, distinct members annihilate each
 other, the members sum to 1, and their number equals the number of squaring
 orbits of G.  IdempotentFamily.verify_axioms checks those, and --verify runs
 it.  Each ideal's basis certificate (codes.check_basis) also proves that
-ideal's generator idempotent, on every run that builds a basis.
+ideal's generator idempotent, on every run that builds a basis, and
+codes.verify_primitivity counts the ideal's idempotents on that basis.
 """
 
 from __future__ import annotations
@@ -32,13 +33,11 @@ from functools import cache, cached_property, reduce
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import class_count, class_sum
-from .gf2 import gf2_rank, independent_row_indices
 from .group_algebra import (
     AbelianGroup,
     AlgebraElement,
     GroupElement,
     Subgroup,
-    distinct_translates,
 )
 from .number_theory import (
     ConsistencyError,
@@ -639,31 +638,6 @@ def family_two_factor(
     )
 
 
-def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> dict:
-    """Count the idempotents of the ideal F2[G]e; e is primitive when there are two.
-
-    Squaring is F2-linear and maps the ideal into itself, so its idempotents
-    are the kernel of x -> x**2 + x there.  Over a basis b of the ideal the
-    kernel has dimension c = dim - rank(b**2 + b), and the ideal holds 2**c
-    idempotents.  They are 0 and e exactly when c == 1.  The cost is one rank
-    at any dimension.
-    """
-    if e.frobenius() != e:
-        raise ValueError("element is not idempotent")
-    translates, _ = distinct_translates(e)
-    basis = [translates[i] for i in independent_row_indices(translates)]
-    dim = len(basis)
-    images = [AlgebraElement(e.group, b).frobenius().bits ^ b for b in basis]
-    fixed = dim - gf2_rank(images)
-    return {
-        "dimension": dim,
-        "predicted_dimension": predicted_dim,
-        "dimension_matches": predicted_dim is None or dim == predicted_dim,
-        "idempotents_found": 1 << fixed,
-        "primitive": fixed == 1,
-    }
-
-
 __all__ = [
     "UVBlock",
     "IdempotentFamily",
@@ -676,5 +650,4 @@ __all__ = [
     "family_two_factor",
     "validate_triple",
     "p_group_idempotents",
-    "verify_primitivity",
 ]

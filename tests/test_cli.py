@@ -152,6 +152,26 @@ class TestBudget:
         with pytest.raises(UsageError):
             parse_budget("2^65")
 
+    def test_a_scan_over_the_limit_is_refused_like_the_budget(self, capsys):
+        # the dim-60 pair of 9x25 fits 2^64 but not the scan limit
+        argv = ["9x25", "--weights", "--distribution", "--budget", "2^64", "--format", "json"]
+        assert main(argv) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        big = json.loads(captured.out)
+        _, small, _ = run(RunConfig("9x25", ("weights", "distribution"), budget=1 << 20))
+        over = {"I22*", "I22**"}
+        for label in over:
+            weight = big["weights"][label]["min_weight"]
+            assert not weight["exact"] and "scan limit" in weight["notes"][0]
+            assert (weight["lower"], weight["upper"]) == (2, 8)
+            assert big["distributions"][label]["refused"]
+        others = set(big["weights"]) - over
+        assert len(others) == 11
+        for label in others:
+            assert big["weights"][label] == small["weights"][label], label
+            assert big["distributions"][label] == small["distributions"][label], label
+
 
 class TestRun:
     def test_verify_c15(self):
@@ -271,6 +291,42 @@ class TestMain:
         assert runs == [] and captured.out == ""
         assert captured.err.count("\n") == 1 and "--export" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_a_run_that_exits_1_removes_only_the_file_its_probe_created(
+        self, tmp_path, capsys
+    ):
+        created = tmp_path / "new.json"
+        assert main(["10", "--export", str(created)]) == EXIT_USAGE
+        assert not created.exists()
+        existing = tmp_path / "old.json"
+        existing.write_text("kept", encoding="utf-8")
+        assert main(["10", "--export", str(existing)]) == EXIT_USAGE
+        assert existing.read_text(encoding="utf-8") == "kept"
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
+    def test_a_failed_export_write_is_a_one_line_error(self, capsys):
+        assert main(["15", "--export", "/dev/full"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "idempotents" in captured.out  # the report was printed first
+        assert captured.err.startswith("error: cannot write --export /dev/full")
+        assert captured.err.count("\n") == 1
+
+    def test_a_failed_write_removes_the_file_its_probe_created(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "new.json"
+
+        def refusing_open(name, mode="r", **kwargs):
+            if mode == "w":
+                raise OSError(28, "No space left on device")
+            return open(name, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+        assert main(["15", "--export", str(path)]) == EXIT_USAGE
+        assert not path.exists()
+        assert "cannot write --export" in capsys.readouterr().err
 
     def test_exported_hex_reconstructs_the_elements(self, tmp_path, capsys):
         from abelcodes.group_algebra import AbelianGroup, AlgebraElement

@@ -22,6 +22,7 @@ from abelcodes.codes import (
     split_swap_map_matches,
     table_witness_words,
     theoretical_expectations,
+    verify_primitivity,
     weight_distribution,
 )
 from abelcodes.group_algebra import AlgebraElement
@@ -64,12 +65,13 @@ class TestDimension:
 
 
 class TestIdealCertificate:
-    def test_a_generator_that_is_not_idempotent_is_refused(self, fam15):
+    @pytest.mark.parametrize("build", [ideal_basis, ideal_dimension])
+    def test_a_generator_that_is_not_idempotent_is_refused(self, fam15, build):
         g = fam15.group
         e = fam15.elements["e3"] + AlgebraElement.monomial(g, g.generator(0))
         codes.clear_caches()
         with pytest.raises(FalsificationError, match="not fixed by the idempotent"):
-            ideal_basis(e)
+            build(e)
 
     def test_explicit_bases_refuse_a_hat_difference_word_outside_the_ideal(
         self, fam15, monkeypatch
@@ -87,11 +89,11 @@ class TestIdealCertificate:
         with pytest.raises(FalsificationError, match="not fixed by the idempotent"):
             explicit_bases(fam15)
 
-    def test_a_dependent_basis_is_refused(self, fam15):
-        e = fam15.elements["e3"]
-        word = e.translated(fam15.group.generator(0))
+    def test_a_dependent_basis_is_refused(self, fam15, monkeypatch):
+        # with every translate equal to its word, the e1 translate basis is e1, e1
+        monkeypatch.setattr(AlgebraElement, "translated", lambda x, g: x)
         with pytest.raises(FalsificationError, match="linearly dependent"):
-            codes.check_basis([word, word], e)
+            explicit_bases(fam15)
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam45", "fam675"])
     def test_each_basis_certificate_takes_one_squaring(self, fixture, request, monkeypatch):
@@ -187,6 +189,27 @@ class TestWeightDistribution:
         with pytest.raises(BudgetExceededError) as exc:
             weight_distribution(fam.elements["e3"], budget=1 << 10)
         assert exc.value.required_budget == 1 << 60
+
+    def test_an_oversize_sieve_is_refused_before_the_field_search(self, monkeypatch):
+        e = family_prime_power(3, 2, 5, 2).elements["I22*"]
+        rows = [x.bits for x in ideal_basis(e)]
+        searches = _count_calls(monkeypatch, codes, "_orbit_multiplier")
+        with pytest.raises(BudgetExceededError, match="scan limit") as exc:
+            scan_codewords(rows, e=e)
+        assert searches == [] and exc.value.required_budget == 1 << 60
+
+    def test_an_oversize_gray_walk_is_refused(self, fam15, monkeypatch):
+        # e3 + e4 is not a field: its sieve would need 255 // 15 entries, its Gray walk 255
+        e = fam15.elements["e3"] + fam15.elements["e4"]
+        codes.clear_caches()
+        rows = [x.bits for x in ideal_basis(e)]
+        monkeypatch.setattr(codes, "MAX_SCAN_ENTRIES", 100)
+        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
+        with pytest.raises(BudgetExceededError, match="needs 255 entries"):
+            scan_codewords(rows, e=e)
+        assert gray_calls == []
+        result = minimum_weight(e, budget=1 << 10)
+        assert not result.exact and "scan limit 100" in result.notes[0]
 
     def test_csv_export(self, fam33):
         from abelcodes.codes import distribution_csv
@@ -554,6 +577,28 @@ class TestOneAnalysisPass:
         )
         assert code == 0
         assert len(scans) == len(report["group"]["labels"])
+
+    @pytest.mark.parametrize("spec, analyses", [("27x25", ("dims",)), ("3x5x11", ("weights",))])
+    def test_a_cold_run_reduces_each_ideal_once(self, spec, analyses, monkeypatch):
+        reductions = _count_calls(monkeypatch, codes, "independent_row_indices")
+        code, report, _ = run(RunConfig(group_spec=spec, analyses=analyses))
+        assert code == 0
+        assert len(reductions) == len(report["group"]["labels"])
+
+    def test_primitivity_reads_the_cached_basis(self, fam675, monkeypatch):
+        codes.clear_caches()
+        analyze_family(fam675, want_weights=False)
+        translated = _count_calls(monkeypatch, codes, "distinct_translates")
+        reductions = _count_calls(monkeypatch, codes, "independent_row_indices")
+        ranks = _count_calls(monkeypatch, codes, "gf2_rank")
+        for label in fam675.labels:
+            report = verify_primitivity(fam675.elements[label], fam675.predicted_dims[label])
+            assert report["primitive"] and report["dimension_matches"], label
+        assert translated == [] and reductions == []
+        # one rank per member, over the images b**2 + b of its basis words
+        assert [len(args[0]) for args, _ in ranks] == [
+            fam675.predicted_dims[lab] for lab in fam675.labels
+        ]
 
     def test_verify_counts_the_squaring_orbits_once(self, monkeypatch):
         orbits = _count_calls(monkeypatch, cyclotomic, "cyclotomic_classes")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from abelcodes import idempotents
+from abelcodes.codes import verify_primitivity
 from abelcodes.cyclotomic import class_count, cyclotomic_classes
 from abelcodes.gf2 import gray_flip_sequence, independent_row_indices
 from abelcodes.group_algebra import (
@@ -24,7 +25,6 @@ from abelcodes.idempotents import (
     family_two_factor,
     p_group_idempotents,
     uv_block,
-    verify_primitivity,
 )
 from abelcodes.number_theory import ConsistencyError, HypothesisError, factorize
 from oracles import (
