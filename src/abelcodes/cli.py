@@ -32,9 +32,9 @@ EXIT_BUDGET = 3
 EXIT_FALSIFIED = 4
 
 # The largest order whose `--dims` run was measured: 243x125 (order 30375)
-# took 2.6 to 2.9 s in a fresh process with a 224 MB peak (2-vCPU VM, CPython
-# 3.11.7).  pq and three-prime shapes of about that order took 80 s
-# (3x29x347) and 129 s (3x10091), with peaks near 255 MB.
+# took 1.7 to 1.8 s in a fresh process with a 153 MB peak (2-vCPU VM, CPython
+# 3.11.7).  pq and three-prime shapes of about that order took 20 s
+# (5x11x547), 23 s (3x29x347) and 38 s (3x10091), with peaks of 161 to 178 MB.
 MAX_GROUP_ORDER = 30375
 MAX_BUDGET = 1 << 64  # far beyond any enumeration that can finish
 MAX_THREADS = 64  # --threads is validated and kept for compatibility; enumeration is single-threaded

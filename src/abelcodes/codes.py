@@ -6,27 +6,38 @@ translates g*e.  Minimum weights and weight distributions are exact whenever
 otherwise honest bounds are reported, with the provenance of each bound
 recorded.
 
-The enumeration of a minimal code (scan_codewords) rests on three facts.  An
-irreducible Berlekamp-Massey polynomial f of degree k = dim for a multiplier
-beta in the ideal proves the ideal is the field K = F2[x]/f, with x -> beta.
-A z in K with z**((2**k - 1)/r) != 1 mod f for every prime r dividing N =
-(2**k - 1)/n' generates K*/T, T the n' distinct translates of e, so the
-powers z**j, j < N, meet every translation orbit once.  For odd |G| squaring
-is a coordinate permutation, so weights are constant on the doubling orbits
-{j * 2**s mod N} too.  The walk therefore jumps through k-bit field
-elements from the least exponent of one doubling orbit to the next, and maps
-only those exponents to codewords.  The Gray-code walk
-over every codeword runs only for an ideal that is not certified a field, and
-serves the tests as an oracle.
+Each ideal F2[G]e is read on its quotient G/H, H the stabilizer of e
+(_cyclic_quotient): when G/H = <gamma> is cyclic of order n', e is the
+|H|-fold coset lift of the n'-bit word e-bar, e-bar_t = e(t * gamma), and the
+ideal is the lift of the cyclic code of e-bar, of dimension k = deg h for
+h = (x**n' + 1)/gcd(e-bar, x**n' + 1) (MacWilliams & Sloane, The Theory of
+Error-Correcting Codes, ch. 7).  Each ideal has one cached record: that
+quotient, its basis, and, once a weight is asked for, its one enumeration
+(minimum weight, a witness word and the weight histogram).  The basis is the
+first maximal independent set of translates, picked on the k-bit residues
+x**t mod h and certified at full width by check_basis; dimension and
+primitivity read it.  An ideal without a cyclic quotient (a sum of minimal
+ideals) reduces all its n' distinct translates instead.
 
-Each ideal has one cached record: its basis, picked by one row reduction of
-its n' distinct translates (check_basis), its translate ranks and, once a
-weight is asked for, its one enumeration (minimum weight, a witness word and
-the weight histogram).  Dimension and primitivity read that one basis.
+The enumeration of a minimal code (scan_codewords) runs on the quotient
+code, on n'-bit words, and rests on three facts.  The ideal is the field
+K = F2[x]/h exactly when h is irreducible.  A z in K with
+z**((2**k - 1)/r) != 1 mod h for every prime r dividing N = (2**k - 1)/n'
+generates K*/T, T the n' rotations of e-bar, so the powers z**j, j < N, meet
+every translation orbit once.  For odd |G| squaring is a coordinate
+permutation, so weights are constant on the doubling orbits {j * 2**s mod N}
+too.  The walk therefore jumps through k-bit field elements from the least
+exponent of one doubling orbit to the next, and maps only those exponents to
+codewords.  All faithful minimal cyclic codes of one length are equivalent
+under multipliers x -> x**u (ibid., ch. 8), so one walk is kept per n' and
+carried to the other codes of that length.  The Gray-code walk over every
+codeword runs only for an ideal that is not a field, and serves the tests as
+an oracle.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -34,13 +45,22 @@ from typing import Iterable, Sequence
 
 from .cyclotomic import verify_class_structure
 from .gf2 import (
-    berlekamp_massey,
     gf2_rank,
     gray_flip_sequence,
     independent_row_indices,
+    poly_gcd,
     poly_is_irreducible,
+    poly_mod,
 )
-from .group_algebra import AlgebraElement, Subgroup, cyclic_exponent, distinct_translates
+from .group_algebra import (
+    AbelianGroup,
+    AlgebraElement,
+    GroupElement,
+    Subgroup,
+    cyclic_exponent,
+    distinct_translates,
+    gather_bits,
+)
 from .idempotents import IdempotentFamily
 from .number_theory import PrimePair, crt_inverses, factorize, multiplicative_order
 
@@ -81,27 +101,167 @@ class FalsificationError(AssertionError):
 
 
 def ideal_dimension(e: AlgebraElement) -> int:
-    """Dimension of F2[G]e for an idempotent e: the length of its cached basis."""
+    """Dimension of F2[G]e for an idempotent e: the degree of the check
+    polynomial h of its quotient record, which its cached basis has as its
+    length (or, without a cyclic quotient, the rank of its translates)."""
     return len(_checked_ideal(e).basis)
 
 
 def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
     """A deterministic basis: the first maximal independent set of translates.
 
-    check_basis picks it once per element; later calls return a new list of
+    The record picks it once per element; later calls return a new list of
     the same words.
     """
     return list(_checked_ideal(e).basis)
 
 
 @dataclass(frozen=True)
+class _Quotient:
+    """G/H = <gamma> for H the stabilizer of e, and e read on it.
+
+    gamma generates G/H; coefficients[i] is the c with g_i = c * gamma
+    modulo H, g_i the generator of factor i; order is n' = |G/H|; word is
+    the n'-bit e-bar whose bit t is the coefficient of e at t * gamma; check
+    is h = (x**n' + 1) / gcd(e-bar, x**n' + 1).  c -> c * e-bar maps F2[x]/h
+    onto the cyclic code of e-bar, so the ideal, the |H|-fold coset lift of
+    that code, has dimension deg h.
+    """
+
+    group: AbelianGroup
+    gamma: GroupElement
+    coefficients: tuple[int, ...]
+    order: int
+    word: int
+    check: int
+
+    @property
+    def dimension(self) -> int:
+        return self.check.bit_length() - 1
+
+    def coset_indices(self) -> list[int]:
+        """Entry r is the t with the rank-r element in t * gamma * H."""
+        indices = [0]
+        for n, c in zip(self.group.factor_orders, self.coefficients):
+            indices = [(t + x * c) % self.order for x in range(n) for t in indices]
+        return indices
+
+    def lift(self, word: int) -> int:
+        """The word of F2[G] that is bit t of the n'-bit `word` on t * gamma * H."""
+        return gather_bits(word, self.order, self.coset_indices())
+
+
+def _cyclic_quotient(e: AlgebraElement) -> _Quotient | None:
+    """The quotient record of e, or None when G/H is not cyclic.
+
+    d_i, the order of g_i modulo H, is the least d with (d * g_i) * e == e:
+    starting from n_i, each prime r of n_i is divided out while the quotient
+    still fixes e, one translate per try.  For each prime r of n' = lcm(d_i), gamma takes
+    (d_j / r**a) * g_j, of order r**a modulo H, from the first factor j with
+    r**a dividing d_j; so gamma has order n' modulo H.  A factor that is j for
+    every prime of its d_i lies in <gamma> + H by construction; any other must
+    be found there, as c * gamma with c a unit multiple of n'/d_i, by one
+    translate per candidate.  Then G/H = <gamma>.
+    """
+    group, bits = e.group, e.bits
+
+    def fixed(g: GroupElement) -> bool:
+        return group.translate_bits(bits, g) == bits
+
+    generators = [group.generator(i) for i in range(len(group.factor_orders))]
+    orders = []
+    for g, n in zip(generators, group.factor_orders):
+        d = n
+        for r in factorize(n):
+            while d % r == 0 and fixed(group.scale(g, d // r)):
+                d //= r
+        orders.append(d)
+    order = math.lcm(*orders)
+    gamma, owner = [0] * len(orders), {}
+    for r, a in factorize(order).items():
+        owner[r] = next(i for i, d in enumerate(orders) if d % r**a == 0)
+        gamma[owner[r]] += orders[owner[r]] // r**a
+    gamma_element = group.reduce(gamma)
+    coefficients = []
+    for i, (g, d) in enumerate(zip(generators, orders)):
+        rest = order // d
+        if all(owner[r] == i for r in factorize(d)):
+            coefficients.append(rest * pow(rest * gamma[i], -1, d) % order)
+            continue
+        found = (
+            rest * s
+            for s in range(1, d)
+            if math.gcd(s, d) == 1 and fixed(group.add(g, group.scale(gamma_element, -rest * s)))
+        )
+        c = next(found, None)
+        if c is None:
+            return None
+        coefficients.append(c)
+    ranks = [0] * order  # of t * gamma
+    for c, g, n in zip(gamma_element, generators, group.factor_orders):
+        if c:
+            place = group.rank(g)
+            ranks = [r + t * c % n * place for t, r in enumerate(ranks)]
+    word = gather_bits(bits, group.order, ranks)
+    modulus = 1 << order | 1
+    check = _poly_quotient(modulus, poly_gcd(modulus, word))
+    return _Quotient(group, gamma_element, tuple(coefficients), order, word, check)
+
+
+def _poly_quotient(a: int, b: int) -> int:
+    """a // b over GF(2)."""
+    q, deg = 0, b.bit_length()
+    while a.bit_length() >= deg:
+        shift = a.bit_length() - deg
+        q |= 1 << shift
+        a ^= b << shift
+    return q
+
+
+def _residue_pick(quotient: _Quotient) -> list[int]:
+    """The ranks of the first maximal independent set of translates, picked
+    on k-bit residues: the rank-r translate of e lifts x**t(r) * e-bar, which
+    corresponds to x**t(r) mod h, so a translate is independent of the ones
+    before it exactly when its residue is.  Stops once deg h ranks are kept."""
+    k, h, order = quotient.dimension, quotient.check, quotient.order
+    top = 1 << k
+    residues = [1 << t for t in range(min(k, order))]
+    y = poly_mod(1 << len(residues), h)
+    for _ in range(len(residues), order):
+        residues.append(y)
+        y <<= 1
+        if y & top:
+            y ^= h
+    seen = bytearray(order)
+    pivots = [0] * (k + 1)  # by bit length of the leading term
+    kept: list[int] = []
+    for rank, t in enumerate(quotient.coset_indices()):
+        if len(kept) == k:
+            break
+        if seen[t]:
+            continue
+        seen[t] = 1
+        y = residues[t]
+        while y:
+            lead = y.bit_length()
+            if not pivots[lead]:
+                pivots[lead] = y
+                kept.append(rank)
+                break
+            y ^= pivots[lead]
+    return kept
+
+
+@dataclass(frozen=True)
 class _Ideal:
-    """The checked basis of F2[G]e, the rank of the first g giving each distinct
-    g*e, and, once read, the one scan of the code."""
+    """The checked basis of F2[G]e, the number n' of distinct translates g*e,
+    the quotient record (None when G/H is not cyclic), and, once read, the
+    one scan of the code."""
 
     e: AlgebraElement
     basis: tuple[AlgebraElement, ...]
-    translate_ranks: tuple[int, ...]  # ascending; rank 0, the identity, comes first
+    orbit: int
+    quotient: _Quotient | None
 
     @cached_property
     def scan(self) -> tuple[int, int, dict[int, int]]:
@@ -119,9 +279,24 @@ class _Ideal:
 
 @lru_cache(maxsize=MAX_CACHED_CODES)
 def _checked_ideal(e: AlgebraElement) -> _Ideal:
-    rows, ranks = distinct_translates(e)
-    basis = tuple(AlgebraElement(e.group, rows[i]) for i in check_basis(rows, e))
-    return _Ideal(e, basis, tuple(ranks))
+    """The record of F2[G]e.  With a cyclic quotient, the basis is the deg h
+    translates that _residue_pick keeps, built alone and certified by
+    check_basis; otherwise every distinct translate is reduced."""
+    group = e.group
+    quotient = _cyclic_quotient(e)
+    if quotient is None:
+        rows, _ = distinct_translates(e)
+        orbit = len(rows)
+        rows = [rows[i] for i in check_basis(rows, e)]
+    else:
+        ranks = _residue_pick(quotient)
+        rows = [group.translate_bits(e.bits, group.unrank(r)) for r in ranks]
+        if len(ranks) != quotient.dimension or len(check_basis(rows, e)) != len(rows):
+            raise FalsificationError(
+                f"the translates do not give {quotient.dimension} independent rows"
+            )
+        orbit = quotient.order
+    return _Ideal(e, tuple(AlgebraElement(group, row) for row in rows), orbit, quotient)
 
 
 def check_basis(rows: Sequence[int], e: AlgebraElement) -> list[int]:
@@ -135,7 +310,8 @@ def check_basis(rows: Sequence[int], e: AlgebraElement) -> list[int]:
     one squaring is the membership proof.  Callers with other words
     (explicit_bases) check x*e == x for each of them first.  Each kept row is
     independent of the rows kept before it, so the pick is its own
-    independence proof.
+    independence proof: _checked_ideal passes the deg h rows its residue
+    pick chose and requires every one of them back.
     """
     if e.frobenius() != e:
         raise FalsificationError("basis element is not fixed by the idempotent")
@@ -189,25 +365,17 @@ def _hist_dict(hist: list[int]) -> dict[int, int]:
     return {w: n for w, n in enumerate(hist) if n}
 
 
-def _orbit_multiplier(
-    e: AlgebraElement, k: int, translate_ranks: Sequence[int]
-) -> tuple[int, int, list[int]] | None:
-    """Certify the ideal F2[G]e as a field K = F2[x]/f and find z in K that
-    generates K*/T; return (f, z, [beta**0, ..., beta**(k - 1)]) with the
-    powers of beta as words of F2[G], or None when no certificate is found.
+def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int]] | None:
+    """Certify the ideal as a field K = F2[x]/f and find z in K that generates
+    K*/T; return (f, z, [beta**0, ..., beta**(k - 1)]) with the powers of
+    beta as n'-bit words of the quotient code, or None when the ideal is not
+    a field.
 
-    The multiplier beta is g*e for the first coset representative g (in rank
-    order) of order n' in G/H, H the stabilizer of e: g**(n'/r) * e != e for
-    every prime r dividing n'.  Berlekamp-Massey on the identity
-    coefficients of e, beta, ..., beta**(2k - 1) gives their minimal
-    polynomial f, which divides the minimal polynomial of beta on the
-    k-dimensional ideal.  If f is irreducible of degree k (Rabin test), it is
-    that polynomial, and x -> beta is an isomorphism of K onto the ideal,
-    which is then the field F2[beta].  In a field ideal g*e generates T, and
-    its minimal polynomial has degree ord_n'(2), so one candidate decides.
-
-    T is the unique subgroup of order n' of the cyclic group K*, so z
-    generates K*/T, cyclic of order N = (2**k - 1)/n', exactly when
+    x -> x * e-bar maps F2[x]/h onto the quotient code of e, so the ideal is
+    a field exactly when h is irreducible (Rabin test), and then f = h and
+    beta**i is e-bar rotated by i.  T, the n' rotations of e-bar, is the
+    unique subgroup of order n' of the cyclic group K*, so z generates
+    K*/T, cyclic of order N = (2**k - 1)/n', exactly when
     z**((2**k - 1)/r) != 1 mod f for every prime r dividing N.  Small
     polynomials z = x, x + 1, x**2, ... are tested in turn, each power by
     square-and-multiply on split tables of y -> y**2 (one per f) and
@@ -217,23 +385,11 @@ def _orbit_multiplier(
     k == ord_n'(2), which every field ideal satisfies (it is spanned by its
     translates, so it is F2[T]).
     """
-    group = e.group
-    orbit = len(translate_ranks)
+    orbit, f = quotient.order, quotient.check
     total = (1 << k) - 1
-    if not group.is_odd or orbit < 2 or total % orbit or multiplicative_order(2, orbit) != k:
+    if not quotient.group.is_odd or orbit < 2 or total % orbit:
         return None
-    cofactors = [orbit // r for r in factorize(orbit)]
-    for rank in translate_ranks[1:]:
-        g = group.unrank(rank)
-        if all(group.translate_bits(e.bits, group.scale(g, c)) != e.bits for c in cofactors):
-            break
-    else:
-        return None
-    powers = [e.bits]
-    for _ in range(2 * k - 1):
-        powers.append(group.translate_bits(powers[-1], g))
-    f = berlekamp_massey([x & 1 for x in powers])
-    if f.bit_length() - 1 != k or not poly_is_irreducible(f):
+    if multiplicative_order(2, orbit) != k or not poly_is_irreducible(f):
         return None
     exponents = [total // r for r in factorize(total // orbit)]
     width = -(-k // 3)
@@ -241,7 +397,8 @@ def _orbit_multiplier(
     for z in range(2, 1 << k):
         times = _split_tables(_shift_images(z, f, k), width)
         if all(_table_power(times, square, m, width) != 1 for m in exponents):
-            return f, z, powers[:k]
+            word, mask = quotient.word, (1 << orbit) - 1
+            return f, z, [(word << i | word >> (orbit - i)) & mask for i in range(k)]
     return None
 
 
@@ -315,57 +472,65 @@ def _doubling_orbit_leaders(n: int) -> tuple[array, bytes]:
     return leaders, bytes(sizes)
 
 
-def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int, dict[int, int]]:
-    """Minimum weight, the first word attaining it, and the weight histogram
-    of the nonzero words of the ideal F2[G]e, whose basis rows are `rows`.
+@lru_cache(maxsize=8)
+def _unit_coset_leaders(n: int) -> tuple[int, ...]:
+    """The least member of each coset u<2> of the units mod n, ascending;
+    n is odd, so 2 is a unit.  There are phi(n)/ord_n(2) of them."""
+    seen = bytearray(n)
+    leaders = []
+    for u in range(1, n):
+        if seen[u] or math.gcd(u, n) != 1:
+            continue
+        leaders.append(u)
+        while not seen[u]:
+            seen[u] = 1
+            u = 2 * u % n
+    return tuple(leaders)
 
-    Translation by g is multiplication by g*e, so the n' distinct translates
-    of e form a group T of units, and every weight is constant on the cosets
-    xT.  When _orbit_multiplier certifies the ideal as the field K = F2[x]/f
-    with z generating K*/T, the words z**j, 0 <= j < N = (2**k - 1)/n',
-    meet each coset once.  For odd |G| squaring is the coordinate
-    permutation g -> g**2, and (z**j)**2 lies in z**(2j mod N) T, so weights
-    are constant on the doubling orbits {j * 2**s mod N} as well.  The walk
-    visits only the least exponent of each doubling orbit, in ascending
-    order: it holds z**j as a k-bit integer and reaches the next leader j'
-    by multiplying by z**(2**b) for each set bit b of j' - j (three table
-    lookups each).  The table set of z**(2**b) is built when a gap first
-    needs it, from that of z**(2**(b - 1)) applied to its own k images.
-    Each leader is mapped to its codeword through tables built from
-    beta**0, ..., beta**(k - 1), and its weight counts n' times the orbit
-    size.  A last jump reaches z**N, and the walk is closed by checking that
-    z**N maps to a translate of e.  Each table has 2**ceil(k/3) entries (at
-    most 2**10 for k <= 30), and there are at most log2(N) + 1 table sets.
 
-    When N == 1 the translates of e are all the nonzero words.  An ideal that
-    _orbit_multiplier cannot certify as a field, such as a sum of two
-    minimal ideals, is scanned word by word by gray_scan_codewords.  A sieve
-    or Gray walk over MAX_SCAN_ENTRIES entries raises BudgetExceededError.
+# One faithful scan per quotient order n': (e-bar, min weight, a minimum word,
+# histogram), all on n'-bit words; emptied by clear_caches.
+_faithful_scans: dict[int, tuple[int, int, int, dict[int, int]]] = {}
+
+
+def _carried_scan(quotient: _Quotient) -> tuple[int, int, dict[int, int]] | None:
+    """The faithful scan kept for n', carried to this code by a multiplier.
+
+    mu_u, bit t -> bit u*t mod n', is a weight-preserving automorphism of
+    F2[x]/(x**n' + 1) for a unit u.  The units act transitively on the
+    faithful minimal codes of length n', and mu_2 maps each of them onto
+    itself, so one u per coset of <2> meets every one.  When mu_u maps the
+    kept e-bar to this one, it maps the kept code onto this code: the
+    histogram and minimum carry over, and mu_u of the kept minimum word is a
+    minimum word here.
     """
-    k, group = len(rows), e.group
-    ideal = _checked_ideal(e)
-    orbit = len(ideal.translate_ranks)
-    total = (1 << k) - 1
-    if total == orbit:
-        w = e.weight
-        return w, e.bits, {w: orbit}
-    if total // orbit > MAX_SCAN_ENTRIES:
-        raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
-    field = _orbit_multiplier(e, k, ideal.translate_ranks)
-    if field is None:
-        if total > MAX_SCAN_ENTRIES:
-            raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total)
-        return gray_scan_codewords(rows, ncols=group.order)
-    f, z, powers = field
+    kept = _faithful_scans.get(quotient.order)
+    if kept is None:
+        return None
+    word, best, best_word, hist = kept
+    n = quotient.order
+    for u in _unit_coset_leaders(n):
+        sources = [u * t % n for t in range(n)]  # the sources of mu_(u**-1)
+        if gather_bits(word, n, sources) == quotient.word:
+            return best, gather_bits(best_word, n, sources), hist
+    return None
+
+
+def _orbit_walk(
+    quotient: _Quotient, k: int, f: int, z: int, powers: list[int]
+) -> tuple[int, int, dict[int, int]]:
+    """Minimum weight, a minimum word and the histogram of the quotient code,
+    on n'-bit words, by the leader walk that scan_codewords describes."""
+    orbit = quotient.order
     width = -(-k // 3)
     mask, high = (1 << width) - 1, 2 * width
     w0, w1, w2 = _split_tables(powers, width)
     images = _shift_images(z, f, k)  # z**(2**b) * x**i for the last table set b
     jumps = [_split_tables(images, width)]
-    best, best_word = group.order + 1, 0
-    hist = [0] * (group.order + 1)
+    best, best_word = orbit + 1, 0
+    hist = [0] * (orbit + 1)
     x, at = 1, 0
-    for lead, size in zip(*_doubling_orbit_leaders(total // orbit)):
+    for lead, size in zip(*_doubling_orbit_leaders(((1 << k) - 1) // orbit)):
         gap, at = lead - at, lead
         while gap >> len(jumps):
             t0, t1, t2 = jumps[-1]
@@ -385,16 +550,76 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
             if w < best:
                 best, best_word = w, word
     last = w0[x & mask] ^ w1[x >> width & mask] ^ w2[x >> high]
-    if all(group.translate_bits(e.bits, group.unrank(r)) != last for r in ideal.translate_ranks):
+    text = format(quotient.word, f"0{orbit}b")
+    if format(last, f"0{orbit}b") not in text + text:
         raise RuntimeError("the orbit walk did not close on a translate of e")
     return best, best_word, _hist_dict(hist)
 
 
+def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int, dict[int, int]]:
+    """Minimum weight, the first word attaining it, and the weight histogram
+    of the nonzero words of the ideal F2[G]e, whose basis rows are `rows`.
+
+    The ideal is the |H|-fold coset lift of the cyclic code of e-bar on G/H
+    (_Quotient), so its weights are |H| times those of that code, and the
+    scan runs on n'-bit words.  The n' rotations of e-bar form a group T of
+    units, and every weight is constant on the cosets xT.  When
+    _orbit_multiplier certifies the code as the field K = F2[x]/h with z
+    generating K*/T, the words z**j, 0 <= j < N = (2**k - 1)/n', meet each
+    coset once.  For odd |G| squaring is the coordinate permutation
+    t -> 2t, and (z**j)**2 lies in z**(2j mod N) T, so weights are constant
+    on the doubling orbits {j * 2**s mod N} as well.  The walk visits only
+    the least exponent of each doubling orbit, in ascending order: it holds
+    z**j as a k-bit integer and reaches the next leader j' by multiplying by
+    z**(2**b) for each set bit b of j' - j (three table lookups each).  The
+    table set of z**(2**b) is built when a gap first needs it, from that of
+    z**(2**(b - 1)) applied to its own k images.  Each leader is mapped to
+    its word through tables built from the rotations of e-bar by 0, ..., k - 1,
+    and its weight counts n' times the orbit size.  A last jump reaches z**N,
+    and the walk is closed by checking that z**N maps to a rotation of e-bar.
+    Each table has 2**ceil(k/3) entries (at most 2**10 for k <= 30), and
+    there are at most log2(N) + 1 table sets.
+
+    One walk is kept per n' (_carried_scan): a later code of the same n'
+    that a multiplier maps it onto takes its histogram and minimum word.
+    The minimum word is lifted to G, one coset of H per set bit.
+
+    When N == 1 the translates of e are all the nonzero words.  An ideal that
+    is not a field, such as a sum of two minimal ideals, is scanned word by
+    word by gray_scan_codewords.  A sieve or Gray walk over MAX_SCAN_ENTRIES
+    entries raises BudgetExceededError.
+    """
+    k = len(rows)
+    ideal = _checked_ideal(e)
+    orbit, quotient = ideal.orbit, ideal.quotient
+    total = (1 << k) - 1
+    if total == orbit:
+        w = e.weight
+        return w, e.bits, {w: orbit}
+    if total // orbit > MAX_SCAN_ENTRIES:
+        raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
+    faithful = _carried_scan(quotient) if quotient else None
+    if faithful is None:
+        field = _orbit_multiplier(quotient, k) if quotient else None
+        if field is None:
+            if total > MAX_SCAN_ENTRIES:
+                raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total)
+            return gray_scan_codewords(rows, ncols=e.group.order)
+        faithful = _orbit_walk(quotient, k, *field)
+        if len(_faithful_scans) < MAX_CACHED_CODES:
+            _faithful_scans.setdefault(orbit, (quotient.word, *faithful))
+    best, word, hist = faithful
+    scale = e.group.order // orbit
+    return scale * best, quotient.lift(word), {scale * w: n for w, n in hist.items()}
+
+
 def clear_caches() -> None:
-    """Forget every cached ideal record and doubling-orbit leader list;
-    cli.run calls it as each run starts."""
+    """Forget every cached ideal record, faithful scan, doubling-orbit leader
+    list and unit coset list; cli.run calls it as each run starts."""
     _checked_ideal.cache_clear()
+    _faithful_scans.clear()
     _doubling_orbit_leaders.cache_clear()
+    _unit_coset_leaders.cache_clear()
 
 
 @dataclass(frozen=True)

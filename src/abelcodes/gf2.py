@@ -69,31 +69,6 @@ def gray_flip_sequence(k: int) -> bytes:
     return seq
 
 
-def berlekamp_massey(seq: Sequence[int]) -> int:
-    """Minimal polynomial of a 0/1 sequence: the monic f of least degree L with
-    sum(f_j * seq[t + j] for j in 0..L) == 0 for every t + L < len(seq).
-
-    The answer is the sequence's true minimal polynomial once len(seq) is at
-    least twice its linear complexity (Massey, IEEE Trans. IT 15, 1969).
-    """
-    conn, prev = 1, 1  # connection polynomials: 1 + c_1 x + ... + c_L x**L
-    length, gap = 0, 1
-    for i, s in enumerate(seq):
-        d = s
-        for j in range(1, length + 1):
-            d ^= (conn >> j) & seq[i - j]
-        if not d:
-            gap += 1
-        elif 2 * length <= i:
-            conn, prev = conn ^ (prev << gap), conn
-            length, gap = i + 1 - length, 1
-        else:
-            conn ^= prev << gap
-            gap += 1
-    # the minimal polynomial is the degree-L reciprocal of the connection polynomial
-    return sum(1 << (length - j) for j in range(length + 1) if (conn >> j) & 1)
-
-
 def poly_mod(a: int, f: int) -> int:
     """a mod f over GF(2)."""
     deg = f.bit_length()
@@ -146,7 +121,6 @@ __all__ = [
     "gf2_rank",
     "independent_row_indices",
     "gray_flip_sequence",
-    "berlekamp_massey",
     "poly_mod",
     "poly_mulmod",
     "poly_gcd",

@@ -10,6 +10,9 @@ rank-k group element.  Addition is XOR, weight is a popcount, and squaring
 moves each coefficient along the doubling map g -> g**2 on ranks, built once
 per group (a permutation when |G| is odd).  This fixes a bit-exact export order:
 serialized coefficients are the bitset as little-endian bytes, hex-encoded.
+A coordinate permutation of a bitset (gather_bits) reads the bits through one
+string view and writes the word back from one joined string, with no loop
+over the support in Python.
 
 Translation by a group element is a per-factor block rotation of the bitset.
 Adding s to factor i moves each rank by s*places[i] inside its block of
@@ -36,7 +39,7 @@ class AbelianGroup:
     """Finite abelian group given by the orders of its cyclic factors."""
 
     __slots__ = (
-        "factor_orders", "order", "_places", "_elements", "_block_patterns", "_doubling"
+        "factor_orders", "order", "_places", "_elements", "_block_patterns", "_doubling", "_halving"
     )
 
     def __init__(self, factor_orders: Sequence[int]) -> None:
@@ -54,6 +57,7 @@ class AbelianGroup:
         self._elements: list[GroupElement] | None = None
         self._block_patterns: tuple[int, ...] | None = None
         self._doubling: list[int] | None = None
+        self._halving: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"AbelianGroup({list(self.factor_orders)})"
@@ -156,6 +160,18 @@ class AbelianGroup:
             self._doubling = perm
         return self._doubling
 
+    def halving_permutation(self) -> list[int]:
+        """The inverse of doubling_permutation for odd order: entry r is the rank
+        of the g with g**2 the rank-r element.  Callers must not mutate it."""
+        if self._halving is None:
+            if not self.is_odd:
+                raise ValueError("doubling is a permutation only for odd group order")
+            inverse = [0] * self.order
+            for r, image in enumerate(self.doubling_permutation()):
+                inverse[image] = r
+            self._halving = inverse
+        return self._halving
+
     def permute_bits_by_scaling(self, bits: int, k: int) -> int:
         """Apply the power map g -> g**k to a support bitset."""
         out = 0
@@ -239,12 +255,17 @@ class AlgebraElement:
         return AlgebraElement(g, out)
 
     def frobenius(self) -> "AlgebraElement":
-        """The square: in characteristic 2 it is the sum of g**2 over the support."""
-        perm = self.group.doubling_permutation()
-        out = 0
-        for r in bit_indices(self.bits):
-            out ^= 1 << perm[r]
-        return AlgebraElement(self.group, out)
+        """The square: in characteristic 2 it is the sum of g**2 over the support.
+
+        For odd |G| squaring permutes the coordinates, so the square is one
+        gather through the halving permutation.  For even |G| distinct g share
+        a square and their terms cancel in pairs; the product sums them.
+        """
+        group = self.group
+        if not group.is_odd:
+            return self * self
+        square = gather_bits(self.bits, group.order, group.halving_permutation())
+        return AlgebraElement(group, square)
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -273,6 +294,16 @@ class AlgebraElement:
     def from_hex(cls, group: AbelianGroup, text: str) -> "AlgebraElement":
         bits = int.from_bytes(bytes.fromhex(text), "little")
         return cls(group, bits)
+
+
+def gather_bits(bits: int, width: int, sources: Sequence[int]) -> int:
+    """The word whose bit j is bit sources[j] of the width-bit word `bits`.
+
+    One string view of `bits` (bit r at index r), one indexed read per entry
+    of `sources`, and one conversion back; the result has len(sources) bits.
+    """
+    view = format(bits, f"0{width}b")[::-1]
+    return int("".join(map(view.__getitem__, sources))[::-1], 2)
 
 
 def distinct_translates(e: AlgebraElement) -> tuple[list[int], list[int]]:
@@ -386,6 +417,7 @@ __all__ = [
     "AlgebraElement",
     "Subgroup",
     "distinct_translates",
+    "gather_bits",
     "cyclic_exponent",
     "as_cyclic",
     "from_cyclic_exponents",

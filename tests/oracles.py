@@ -6,7 +6,9 @@ No code path of the package calls these; they are slow on purpose.
 import itertools
 import math
 
-from abelcodes.gf2 import poly_mod, poly_mulmod
+from typing import Sequence
+
+from abelcodes.gf2 import bit_indices, poly_mod, poly_mulmod
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup
 
 
@@ -22,6 +24,40 @@ def first_translates(e: AlgebraElement) -> tuple[list[int], list[int]]:
     for rank, row in enumerate(all_translates(e)):
         first.setdefault(row, rank)
     return list(first), list(first.values())
+
+
+def per_bit_square(x: AlgebraElement) -> AlgebraElement:
+    """x**2 as the sum of g**2 over the support of x, one support bit at a time."""
+    perm = x.group.doubling_permutation()
+    out = 0
+    for r in bit_indices(x.bits):
+        out ^= 1 << perm[r]
+    return AlgebraElement(x.group, out)
+
+
+def berlekamp_massey(seq: Sequence[int]) -> int:
+    """Minimal polynomial of a 0/1 sequence: the monic f of least degree L with
+    sum(f_j * seq[t + j] for j in 0..L) == 0 for every t + L < len(seq).
+
+    The answer is the sequence's true minimal polynomial once len(seq) is at
+    least twice its linear complexity (Massey, IEEE Trans. IT 15, 1969).
+    """
+    conn, prev = 1, 1  # connection polynomials: 1 + c_1 x + ... + c_L x**L
+    length, gap = 0, 1
+    for i, s in enumerate(seq):
+        d = s
+        for j in range(1, length + 1):
+            d ^= (conn >> j) & seq[i - j]
+        if not d:
+            gap += 1
+        elif 2 * length <= i:
+            conn, prev = conn ^ (prev << gap), conn
+            length, gap = i + 1 - length, 1
+        else:
+            conn ^= prev << gap
+            gap += 1
+    # the minimal polynomial is the degree-L reciprocal of the connection polynomial
+    return sum(1 << (length - j) for j in range(length + 1) if (conn >> j) & 1)
 
 
 def naive_weight_distribution(rows) -> dict[int, int]:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -25,10 +27,23 @@ from abelcodes.codes import (
     verify_primitivity,
     weight_distribution,
 )
-from abelcodes.group_algebra import AlgebraElement
-from abelcodes.idempotents import family_pq, family_prime_power, family_three_primes
-from abelcodes.number_theory import hypothesis_failures, is_odd_prime
-from oracles import doubling_orbit_sizes, naive_weight_distribution, poly_powmod
+from abelcodes.gf2 import gf2_rank, independent_row_indices
+from abelcodes.group_algebra import AlgebraElement, Subgroup, distinct_translates
+from abelcodes.idempotents import (
+    family_pq,
+    family_prime_power,
+    family_three_primes,
+    family_two_factor,
+)
+from abelcodes.number_theory import hypothesis_failures, is_odd_prime, multiplicative_order
+from oracles import (
+    berlekamp_massey,
+    doubling_orbit_sizes,
+    first_translates,
+    naive_weight_distribution,
+    poly_powmod,
+    quotient_is_cyclic,
+)
 
 
 @pytest.fixture(scope="module")
@@ -338,12 +353,12 @@ class TestOrbitWalk:
 
     @pytest.mark.parametrize("label", ["e8", "e9"])
     def test_one_field_certificate_per_code(self, label, monkeypatch):
-        # one candidate: the translate by an element of order n' in G/H
+        # one irreducibility test, of the check polynomial h of the quotient record
         e = family_three_primes(3, 5, 11).elements[label]
         codes.clear_caches()
-        certificates = _count_calls(monkeypatch, codes, "berlekamp_massey")
+        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
         assert minimum_weight(e, budget=1 << 20).value == 48
-        assert len(certificates) == 1
+        assert [args for args, _ in certificates] == [(codes._checked_ideal(e).quotient.check,)]
 
     def test_a_walk_that_misses_the_translates_is_refused(self, monkeypatch):
         e = family_three_primes(3, 5, 11).elements["e10"]
@@ -386,8 +401,9 @@ SIEVE_ORDERS = sorted(
     {((1 << k) - 1) // d for k in range(1, 19) for d in range(1, 1 << k) if ((1 << k) - 1) % d == 0}
 ) + [6355, 13981, 19065, 41943]
 
-# (f, z) that the search with poly_powmod chose on each certified k >= 10 label
-# (9x25 I22* and I22** have k = 60 and are never scanned)
+# (f, z) that the search with poly_powmod chose on each certified k >= 10 label,
+# f the check polynomial h of its record (9x25 I22* and I22** have k = 60 and
+# are never scanned)
 POWMOD_GENERATORS = {
     ("3x5x11", "e1"): (0b11111111111, 11),
     ("3x5x11", "e6"): (0b11000100011, 3),
@@ -436,7 +452,7 @@ class TestLeaderWalk:
         # the table set of y -> z**power * y gets a wrong image of y = 1
         e = family_three_primes(3, 5, 11).elements["e10"]
         codes.clear_caches()
-        f, z, _ = codes._orbit_multiplier(e, 20, codes._checked_ideal(e).translate_ranks)
+        f, z, _ = codes._orbit_multiplier(codes._checked_ideal(e).quotient, 20)
         jump = codes._shift_images(poly_powmod(z, power, f), f, 20)
         original = codes._split_tables
         corrupted = []
@@ -457,8 +473,10 @@ class TestLeaderWalk:
     def test_table_powers_match_poly_powmod(self, spec, label):
         fam = ORACLE_FAMILIES[spec]()
         e, k = fam.elements[label], fam.predicted_dims[label]
-        f, z, _ = codes._orbit_multiplier(e, k, codes._checked_ideal(e).translate_ranks)
+        quotient = codes._checked_ideal(e).quotient
+        f, z, _ = codes._orbit_multiplier(quotient, k)
         assert (f, z) == POWMOD_GENERATORS[spec, label]
+        assert f == quotient.check
         width = -(-k // 3)
         square = codes._split_tables(codes._shift_images(1, f, 2 * k)[::2], width)
         rng = random.Random(k)
@@ -466,6 +484,179 @@ class TestLeaderWalk:
             times = codes._split_tables(codes._shift_images(y, f, k), width)
             for exp in [0, 1, (1 << k) - 1] + [rng.randrange(1 << (k + 1)) for _ in range(10)]:
                 assert codes._table_power(times, square, exp, width) == poly_powmod(y, exp, f)
+
+
+QUOTIENT_FAMILIES = {
+    "(3x3)x11": lambda: family_two_factor([3, 3], [11]),
+    "(3x3)x5": lambda: family_two_factor([3, 3], [5]),
+    "(9x9)x5": lambda: family_two_factor([9, 9], [5]),
+    "(27x9)x5": lambda: family_two_factor([27, 9], [5]),
+    "27x25": lambda: family_prime_power(3, 3, 5, 2),
+    "3x5x11": lambda: family_three_primes(3, 5, 11),
+}
+
+RANK_FAMILIES = {
+    **ORACLE_FAMILIES,
+    "(3x3)x11": QUOTIENT_FAMILIES["(3x3)x11"],
+    "(27x9)x5": QUOTIENT_FAMILIES["(27x9)x5"],
+}
+
+ADMISSIBLE_PAIRS_BELOW_100 = [
+    (p, q)
+    for p in range(3, 100)
+    for q in range(p + 1, 100)
+    if is_odd_prime(p) and is_odd_prime(q) and not hypothesis_failures(p, q)
+]
+
+
+def _stabilizer(e):
+    group = e.group
+    fixed = [g for g in group.elements() if group.translate_bits(e.bits, g) == e.bits]
+    return Subgroup.from_generators(group, fixed)
+
+
+class TestQuotientRecord:
+    @pytest.mark.parametrize("spec", sorted(QUOTIENT_FAMILIES))
+    def test_every_member_is_the_lift_of_its_quotient_word(self, spec):
+        fam = QUOTIENT_FAMILIES[spec]()
+        group = fam.group
+        for label in fam.labels:
+            e = fam.elements[label]
+            quotient = codes._cyclic_quotient(e)
+            rows, _ = first_translates(e)
+            assert quotient.order == len(rows) == group.order // _stabilizer(e).order, label
+            assert quotient.lift(quotient.word) == e.bits, label
+            # gamma has order n' modulo H, and g_i = c_i * gamma modulo H
+            cosets = quotient.coset_indices()
+            for t in range(quotient.order):
+                g = group.scale(quotient.gamma, t)
+                assert cosets[group.rank(g)] == t, (label, t)
+            for i, c in enumerate(quotient.coefficients):
+                g = group.add(group.generator(i), group.scale(quotient.gamma, -c))
+                assert group.translate_bits(e.bits, g) == e.bits, (label, i)
+
+    def test_sums_of_two_members_have_a_record_exactly_when_g_mod_h_is_cyclic(self):
+        fam = QUOTIENT_FAMILIES["(3x3)x11"]()
+        outcomes = []
+        for i, j in itertools.combinations(range(len(fam.labels)), 2):
+            e = fam.elements[fam.labels[i]] + fam.elements[fam.labels[j]]
+            quotient = codes._cyclic_quotient(e)
+            stabilizer = _stabilizer(e)
+            assert (quotient is not None) == quotient_is_cyclic(fam.group, stabilizer), (i, j)
+            if quotient is not None:
+                assert quotient.order == fam.group.order // stabilizer.order, (i, j)
+                assert quotient.lift(quotient.word) == e.bits, (i, j)
+            codes.clear_caches()
+            rows, _ = first_translates(e)
+            oracle = [rows[r] for r in independent_row_indices(rows)]
+            assert [x.bits for x in ideal_basis(e)] == oracle, (i, j)
+            outcomes.append(quotient is None)
+        assert (outcomes.count(True), outcomes.count(False)) == (54, 37)
+
+    @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES))
+    def test_gcd_dimension_matches_the_rank_of_the_translates(self, spec):
+        fam = RANK_FAMILIES[spec]()
+        for label in fam.labels:
+            e = fam.elements[label]
+            quotient = codes._cyclic_quotient(e)
+            rank = gf2_rank(first_translates(e)[0])
+            assert quotient.dimension == rank == fam.predicted_dims[label], label
+            assert ideal_dimension(e) == rank, label
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(ADMISSIBLE_PAIRS_BELOW_100))
+    def test_gcd_dimension_matches_the_rank_on_pq_pairs(self, pair):
+        fam = family_pq(*pair)
+        for label in fam.labels:
+            e = fam.elements[label]
+            rank = gf2_rank(distinct_translates(e)[0])
+            assert codes._cyclic_quotient(e).dimension == rank == ideal_dimension(e), (pair, label)
+
+    @pytest.mark.parametrize("spec", ["3x5x11", "9x25"])
+    def test_check_polynomial_is_the_minimal_polynomial_of_beta(self, spec):
+        # beta = gamma * e; the identity coefficients of e, beta, beta**2, ...
+        fam = ORACLE_FAMILIES[spec]()
+        group = fam.group
+        for label in fam.labels:
+            e = fam.elements[label]
+            quotient = codes._checked_ideal(e).quotient
+            k = quotient.dimension
+            seq = [
+                group.translate_bits(e.bits, group.scale(quotient.gamma, i)) & 1
+                for i in range(2 * k)
+            ]
+            assert berlekamp_massey(seq) == quotient.check, label
+
+
+def _walks_and_scans(fam, labels):
+    walks = []
+    original = codes._orbit_walk
+
+    def counted(quotient, *args):
+        walks.append(quotient.order)
+        return original(quotient, *args)
+
+    codes.clear_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "_orbit_walk", counted)
+        scans = {}
+        for label in labels:
+            e = fam.elements[label]
+            scans[label] = scan_codewords([x.bits for x in ideal_basis(e)], e=e)
+    return walks, scans
+
+
+class TestCarriedScans:
+    @pytest.mark.parametrize("spec", sorted(ORACLE_FAMILIES))
+    def test_each_carried_scan_matches_the_code_own_walk(self, spec):
+        fam = ORACLE_FAMILIES[spec]()
+        labels = [lab for lab in fam.labels if fam.predicted_dims[lab] <= 20]
+        walks, shared = _walks_and_scans(fam, labels)
+        for label in labels:
+            e = fam.elements[label]
+            _, alone = _walks_and_scans(fam, [label])
+            best, word, hist = shared[label]
+            assert (best, hist) == (alone[label][0], alone[label][2]), label
+            witness = AlgebraElement(fam.group, word)
+            assert witness.weight == best and witness * e == witness, label
+        # one walk per quotient order n'
+        assert sorted(walks) == sorted(set(walks))
+
+    def test_the_dimension_20_codes_of_165_take_two_walks(self):
+        fam = ORACLE_FAMILIES["3x5x11"]()
+        labels = [lab for lab in fam.labels if fam.predicted_dims[lab] == 20]
+        walks, scans = _walks_and_scans(fam, labels)
+        assert labels == ["e8", "e9", "e10", "e11", "e12", "e13"]
+        assert walks == [55, 165]
+        for label in labels:
+            e = fam.elements[label]
+            best, word, hist = scans[label]
+            witness = AlgebraElement(fam.group, word)
+            assert best == 48 and witness.weight == 48 and witness * e == witness, label
+            assert sum(hist.values()) == (1 << 20) - 1
+
+    @pytest.mark.parametrize("n", [15, 33, 45, 55, 165, 225, 675, 1023])
+    def test_one_unit_from_each_coset_of_2(self, n):
+        codes.clear_caches()
+        leaders = codes._unit_coset_leaders(n)
+        units = {u for u in range(1, n) if math.gcd(u, n) == 1}
+        cosets = [frozenset(u * pow(2, s, n) % n for s in range(n)) for u in leaders]
+        assert all(math.gcd(u, n) == 1 for u in leaders)
+        assert len(set(cosets)) == len(leaders) == len(units) // multiplicative_order(2, n)
+        assert frozenset().union(*cosets) == units
+        assert list(leaders) == sorted(min(c) for c in cosets)
+
+
+class TestNoGrayWalkOnTheCli:
+    @pytest.mark.parametrize("spec", ["15", "33", "45", "3x5x11", "9x25", "27x25"])
+    def test_every_cli_code_is_walked_as_a_field(self, spec, monkeypatch):
+        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
+        scans = _count_calls(monkeypatch, codes, "scan_codewords")
+        code, report, _ = run(
+            RunConfig(group_spec=spec, analyses=("weights", "distribution"), budget=1 << 20)
+        )
+        assert code in (0, 3) and scans
+        assert gray_calls == []
 
 
 class TestTheory:
@@ -559,14 +750,20 @@ class TestOneAnalysisPass:
     def test_cli_builds_each_basis_once_and_scans_each_code_once(self, fam15, monkeypatch):
         codes.clear_caches()
         checked = _count_calls(monkeypatch, codes, "check_basis")
+        records = _count_calls(monkeypatch, codes, "_cyclic_quotient")
         translated = _count_calls(monkeypatch, codes, "distinct_translates")
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         config = RunConfig(group_spec="15", analyses=("weights", "distribution", "verify"))
         code, report, _ = run(config)
         labels = report["group"]["labels"]
         assert code == 0 and report["verify"]["passed"]
-        assert [args[0] for args, _ in translated] == [fam15.elements[lab] for lab in labels]
+        assert [args[0] for args, _ in records] == [fam15.elements[lab] for lab in labels]
+        assert translated == []
+        # check_basis runs once per label, on the deg h rows the residue pick kept
         assert [args[1] for args, _ in checked] == [fam15.elements[lab] for lab in labels]
+        assert [len(args[0]) for args, _ in checked] == [
+            fam15.predicted_dims[lab] for lab in labels
+        ]
         assert len(scans) == len(labels)
 
     def test_weights_with_verify_scan_each_code_once(self, monkeypatch):
@@ -588,13 +785,14 @@ class TestOneAnalysisPass:
     def test_primitivity_reads_the_cached_basis(self, fam675, monkeypatch):
         codes.clear_caches()
         analyze_family(fam675, want_weights=False)
+        records = _count_calls(monkeypatch, codes, "_cyclic_quotient")
         translated = _count_calls(monkeypatch, codes, "distinct_translates")
         reductions = _count_calls(monkeypatch, codes, "independent_row_indices")
         ranks = _count_calls(monkeypatch, codes, "gf2_rank")
         for label in fam675.labels:
             report = verify_primitivity(fam675.elements[label], fam675.predicted_dims[label])
             assert report["primitive"] and report["dimension_matches"], label
-        assert translated == [] and reductions == []
+        assert records == [] and translated == [] and reductions == []
         # one rank per member, over the images b**2 + b of its basis words
         assert [len(args[0]) for args, _ in ranks] == [
             fam675.predicted_dims[lab] for lab in fam675.labels

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from abelcodes.gf2 import (
-    berlekamp_massey,
     poly_gcd,
     poly_is_irreducible,
     poly_mod,
     poly_mulmod,
 )
-from oracles import poly_powmod
+from oracles import berlekamp_massey, poly_powmod
 
 
 def clmul(a, b):

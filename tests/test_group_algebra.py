@@ -14,7 +14,7 @@ from abelcodes.group_algebra import (
     distinct_translates,
     from_cyclic_exponents,
 )
-from oracles import all_subgroups, first_translates, searched_subgroup_ranks
+from oracles import all_subgroups, first_translates, per_bit_square, searched_subgroup_ranks
 
 C15 = AbelianGroup([15])
 C3x5 = AbelianGroup([3, 5])
@@ -162,6 +162,13 @@ class TestFrobenius:
         for bits in words:
             expected = group.permute_bits_by_scaling(bits, 2)
             assert AlgebraElement(group, bits).frobenius().bits == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(factor_orders, st.data())
+    def test_matches_the_per_bit_square(self, orders, data):
+        # even orders too: there distinct g share a square and the terms cancel
+        x = random_element(AbelianGroup(orders), data)
+        assert x.frobenius() == per_bit_square(x)
 
     def test_square_by_doubling_in_c5(self):
         c5 = AbelianGroup([5])

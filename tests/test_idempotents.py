@@ -34,6 +34,7 @@ from oracles import (
     embedded_sides,
     every_character_kernel,
     first_translates,
+    per_bit_square,
 )
 
 GOLDEN_15 = [1, 2, 3, 4, 6, 8, 9, 12]
@@ -601,6 +602,13 @@ class TestAxiomsAgainstThePairwiseReference:
         checks = fam.verify_axioms()
         assert checks == _pairwise_axioms(fam)
         assert all(c["passed"] for c in checks)
+
+    @pytest.mark.parametrize("name", list(AXIOM_FAMILIES))
+    def test_every_member_squares_as_the_per_bit_square(self, name):
+        fam = _axiom_family(name)
+        for lab in fam.labels:
+            e = fam.elements[lab]
+            assert e.frobenius() == per_bit_square(e) == e, lab
 
     @pytest.mark.parametrize("name", list(AXIOM_FAMILIES))
     def test_a_passing_family_takes_at_most_n_minus_1_products(self, name, monkeypatch):
