@@ -32,9 +32,10 @@ EXIT_BUDGET = 3
 EXIT_FALSIFIED = 4
 
 # The largest order whose `--dims` run was measured: 243x125 (order 30375)
-# took 1.7 to 1.8 s in a fresh process with a 153 MB peak (2-vCPU VM, CPython
-# 3.11.7).  pq and three-prime shapes of about that order took 20 s
-# (5x11x547), 23 s (3x29x347) and 38 s (3x10091), with peaks of 161 to 178 MB.
+# took 1.4 s in a fresh process with a 149 MB peak (2-vCPU VM, CPython
+# 3.11.7).  pq and three-prime shapes of about that order took 19 to 21 s
+# (5x11x547), 17 to 20 s (3x29x347) and 27 to 28 s (3x10091), with peaks of
+# 159 to 176 MB.
 MAX_GROUP_ORDER = 30375
 MAX_BUDGET = 1 << 64  # far beyond any enumeration that can finish
 MAX_THREADS = 64  # --threads is validated and kept for compatibility; enumeration is single-threaded
@@ -73,19 +74,23 @@ class GroupShape:
 def _parse_power(text: str, limit: int, what: str) -> int:
     """Parse "b^e" or a plain integer, refusing values above `limit`.
 
-    The size of b**e is bounded from the bit length of b before the power is
-    computed, so a huge exponent is refused at once.
+    b and e are ASCII digits only: int() would also take a sign, "_" and
+    surrounding spaces, so "-3^2" would pass as 9.  The size of b**e is
+    bounded from the bit length of b before the power is computed, so a huge
+    exponent is refused at once.
     """
     base_text, caret, exp_text = text.partition("^")
+    numerals = (base_text, exp_text) if caret else (base_text,)
     try:
-        base = int(base_text)
-        exp = int(exp_text) if caret else 1
-    except ValueError:
+        if not all(s.isascii() and s.isdigit() for s in numerals):
+            raise ValueError
+        base, exp = int(base_text), int(exp_text) if caret else 1
+    except ValueError:  # also a numeral beyond int()'s digit limit
         raise UsageError(f"cannot parse {what} {text!r}") from None
     if exp < 1:
         raise UsageError(f"exponent in {text!r} must be positive")
-    # |b| >= 2**(bits - 1), so a large (bits - 1) * e proves |b**e| > limit unevaluated
-    if (abs(base).bit_length() - 1) * exp < limit.bit_length():
+    # b >= 2**(bits - 1), so a large (bits - 1) * e proves b**e > limit unevaluated
+    if (base.bit_length() - 1) * exp < limit.bit_length():
         value = base**exp
         if value <= limit:
             return value

@@ -14,25 +14,17 @@ h = (x**n' + 1)/gcd(e-bar, x**n' + 1) (MacWilliams & Sloane, The Theory of
 Error-Correcting Codes, ch. 7).  Each ideal has one cached record: that
 quotient, its basis, and, once a weight is asked for, its one enumeration
 (minimum weight, a witness word and the weight histogram).  The basis is the
-first maximal independent set of translates, picked on the k-bit residues
-x**t mod h and certified at full width by check_basis; dimension and
+k translates of e by t * gamma, t < k, the lifts of the first k cyclic shifts
+of e-bar, and check_basis certifies all of them at full width; dimension and
 primitivity read it.  An ideal without a cyclic quotient (a sum of minimal
-ideals) reduces all its n' distinct translates instead.
+ideals) keeps the independent ones of its |G| translates in rank order
+instead.
 
-The enumeration of a minimal code (scan_codewords) runs on the quotient
-code, on n'-bit words, and rests on three facts.  The ideal is the field
-K = F2[x]/h exactly when h is irreducible.  A z in K with
-z**((2**k - 1)/r) != 1 mod h for every prime r dividing N = (2**k - 1)/n'
-generates K*/T, T the n' rotations of e-bar, so the powers z**j, j < N, meet
-every translation orbit once.  For odd |G| squaring is a coordinate
-permutation, so weights are constant on the doubling orbits {j * 2**s mod N}
-too.  The walk therefore jumps through k-bit field elements from the least
-exponent of one doubling orbit to the next, and maps only those exponents to
-codewords.  All faithful minimal cyclic codes of one length are equivalent
-under multipliers x -> x**u (ibid., ch. 8), so one walk is kept per n' and
-carried to the other codes of that length.  The Gray-code walk over every
-codeword runs only for an ideal that is not a field, and serves the tests as
-an oracle.
+A minimal code is enumerated on its quotient, on n'-bit words, by the walk
+over the doubling-orbit leaders of K*/T that scan_codewords describes, one
+walk per n', carried to the other codes of that length by multipliers
+x -> x**u (ibid., ch. 8).  The Gray-code walk over every codeword runs only
+for an ideal that is not a field, and serves the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +42,6 @@ from .gf2 import (
     independent_row_indices,
     poly_gcd,
     poly_is_irreducible,
-    poly_mod,
 )
 from .group_algebra import (
     AbelianGroup,
@@ -58,7 +49,6 @@ from .group_algebra import (
     GroupElement,
     Subgroup,
     cyclic_exponent,
-    distinct_translates,
     gather_bits,
 )
 from .idempotents import IdempotentFamily
@@ -101,17 +91,20 @@ class FalsificationError(AssertionError):
 
 
 def ideal_dimension(e: AlgebraElement) -> int:
-    """Dimension of F2[G]e for an idempotent e: the degree of the check
-    polynomial h of its quotient record, which its cached basis has as its
-    length (or, without a cyclic quotient, the rank of its translates)."""
+    """Dimension of F2[G]e for an idempotent e: the length of its cached
+    basis, which is deg h for the check polynomial h of its quotient record
+    (or, without a cyclic quotient, the rank of its translates)."""
     return len(_checked_ideal(e).basis)
 
 
 def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
-    """A deterministic basis: the first maximal independent set of translates.
+    """A deterministic basis of translates of e.
 
-    The record picks it once per element; later calls return a new list of
-    the same words.
+    With a cyclic quotient G/H = <gamma> it is the translates of e by
+    t * gamma for t < deg h, the first maximal independent set of translates
+    taken along gamma; otherwise the first maximal independent set of the
+    translates in rank order.  The record builds it once per element; later
+    calls return a new list of the same words.
     """
     return list(_checked_ideal(e).basis)
 
@@ -218,49 +211,13 @@ def _poly_quotient(a: int, b: int) -> int:
     return q
 
 
-def _residue_pick(quotient: _Quotient) -> list[int]:
-    """The ranks of the first maximal independent set of translates, picked
-    on k-bit residues: the rank-r translate of e lifts x**t(r) * e-bar, which
-    corresponds to x**t(r) mod h, so a translate is independent of the ones
-    before it exactly when its residue is.  Stops once deg h ranks are kept."""
-    k, h, order = quotient.dimension, quotient.check, quotient.order
-    top = 1 << k
-    residues = [1 << t for t in range(min(k, order))]
-    y = poly_mod(1 << len(residues), h)
-    for _ in range(len(residues), order):
-        residues.append(y)
-        y <<= 1
-        if y & top:
-            y ^= h
-    seen = bytearray(order)
-    pivots = [0] * (k + 1)  # by bit length of the leading term
-    kept: list[int] = []
-    for rank, t in enumerate(quotient.coset_indices()):
-        if len(kept) == k:
-            break
-        if seen[t]:
-            continue
-        seen[t] = 1
-        y = residues[t]
-        while y:
-            lead = y.bit_length()
-            if not pivots[lead]:
-                pivots[lead] = y
-                kept.append(rank)
-                break
-            y ^= pivots[lead]
-    return kept
-
-
 @dataclass(frozen=True)
 class _Ideal:
-    """The checked basis of F2[G]e, the number n' of distinct translates g*e,
-    the quotient record (None when G/H is not cyclic), and, once read, the
-    one scan of the code."""
+    """The checked basis of F2[G]e, the quotient record (None when G/H is not
+    cyclic), and, once read, the one scan of the code."""
 
     e: AlgebraElement
     basis: tuple[AlgebraElement, ...]
-    orbit: int
     quotient: _Quotient | None
 
     @cached_property
@@ -279,24 +236,24 @@ class _Ideal:
 
 @lru_cache(maxsize=MAX_CACHED_CODES)
 def _checked_ideal(e: AlgebraElement) -> _Ideal:
-    """The record of F2[G]e.  With a cyclic quotient, the basis is the deg h
-    translates that _residue_pick keeps, built alone and certified by
-    check_basis; otherwise every distinct translate is reduced."""
-    group = e.group
-    quotient = _cyclic_quotient(e)
+    """The record of F2[G]e.  With a cyclic quotient, the basis is the
+    translates of e by t * gamma, t < k = deg h: they lift x**t * e-bar,
+    and the first k shifts of a cyclic code with check polynomial h are a
+    basis of it (_Quotient).  check_basis must return all k of them.
+    Without one, the |G| translates are reduced in rank order."""
+    group, quotient = e.group, _cyclic_quotient(e)
     if quotient is None:
-        rows, _ = distinct_translates(e)
-        orbit = len(rows)
+        rows = [group.translate_bits(e.bits, g) for g in group.elements()]
         rows = [rows[i] for i in check_basis(rows, e)]
     else:
-        ranks = _residue_pick(quotient)
-        rows = [group.translate_bits(e.bits, group.unrank(r)) for r in ranks]
-        if len(ranks) != quotient.dimension or len(check_basis(rows, e)) != len(rows):
-            raise FalsificationError(
-                f"the translates do not give {quotient.dimension} independent rows"
-            )
-        orbit = quotient.order
-    return _Ideal(e, tuple(AlgebraElement(group, row) for row in rows), orbit, quotient)
+        k = quotient.dimension
+        rows = [e.bits]
+        while len(rows) < k:
+            rows.append(group.translate_bits(rows[-1], quotient.gamma))
+        del rows[k:]  # k == 0 only for e == 0
+        if len(check_basis(rows, e)) != k:
+            raise FalsificationError(f"the translates do not give {k} independent rows")
+    return _Ideal(e, tuple(AlgebraElement(group, row) for row in rows), quotient)
 
 
 def check_basis(rows: Sequence[int], e: AlgebraElement) -> list[int]:
@@ -310,8 +267,9 @@ def check_basis(rows: Sequence[int], e: AlgebraElement) -> list[int]:
     one squaring is the membership proof.  Callers with other words
     (explicit_bases) check x*e == x for each of them first.  Each kept row is
     independent of the rows kept before it, so the pick is its own
-    independence proof: _checked_ideal passes the deg h rows its residue
-    pick chose and requires every one of them back.
+    independence proof: _checked_ideal requires all k rows taken along
+    gamma back, and keeps the independent ones of the |G| translates of an
+    ideal without a cyclic quotient (repeated translates reduce to zero).
     """
     if e.frobenius() != e:
         raise FalsificationError("basis element is not fixed by the idempotent")
@@ -443,7 +401,6 @@ def _table_power(times: list[list[int]], square: list[list[int]], exp: int, widt
     return y
 
 
-@lru_cache(maxsize=8)
 def _doubling_orbit_leaders(n: int) -> tuple[array, bytes]:
     """The least member j of each orbit {j * 2**s mod n}, ascending, and the
     orbit's size, closed by the sentinel (n, 0).
@@ -472,20 +429,14 @@ def _doubling_orbit_leaders(n: int) -> tuple[array, bytes]:
     return leaders, bytes(sizes)
 
 
-@lru_cache(maxsize=8)
 def _unit_coset_leaders(n: int) -> tuple[int, ...]:
-    """The least member of each coset u<2> of the units mod n, ascending;
-    n is odd, so 2 is a unit.  There are phi(n)/ord_n(2) of them."""
-    seen = bytearray(n)
-    leaders = []
-    for u in range(1, n):
-        if seen[u] or math.gcd(u, n) != 1:
-            continue
-        leaders.append(u)
-        while not seen[u]:
-            seen[u] = 1
-            u = 2 * u % n
-    return tuple(leaders)
+    """The least member of each coset u<2> of the units mod n, ascending: the
+    cosets are the doubling orbits of the units, so these are the unit
+    leaders of _doubling_orbit_leaders(n).  There are phi(n)/ord_n(2) of
+    them; _carried_scan asks only for an n' with a kept walk, where
+    ord_n'(2) = k and every orbit size fits a byte."""
+    leaders, _ = _doubling_orbit_leaders(n)
+    return tuple(u for u in leaders[:-1] if math.gcd(u, n) == 1)
 
 
 # One faithful scan per quotient order n': (e-bar, min weight, a minimum word,
@@ -584,42 +535,47 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
     that a multiplier maps it onto takes its histogram and minimum word.
     The minimum word is lifted to G, one coset of H per set bit.
 
-    When N == 1 the translates of e are all the nonzero words.  An ideal that
-    is not a field, such as a sum of two minimal ideals, is scanned word by
-    word by gray_scan_codewords.  A sieve or Gray walk over MAX_SCAN_ENTRIES
-    entries raises BudgetExceededError.
+    When N == 1 the translates of e are all the nonzero words.  An ideal
+    without a cyclic quotient is never that: it is a sum of two or more
+    minimal ideals, and the component of e in one of them would be an
+    idempotent translate g*e, which forces g*e == e.  Such an ideal, and any
+    other that is not a field, is scanned word by word by
+    gray_scan_codewords.  A sieve or Gray walk over MAX_SCAN_ENTRIES entries
+    raises BudgetExceededError, and a row count other than the dimension of
+    the ideal raises ValueError before any scan.
     """
     k = len(rows)
     ideal = _checked_ideal(e)
-    orbit, quotient = ideal.orbit, ideal.quotient
-    total = (1 << k) - 1
-    if total == orbit:
-        w = e.weight
-        return w, e.bits, {w: orbit}
-    if total // orbit > MAX_SCAN_ENTRIES:
-        raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
-    faithful = _carried_scan(quotient) if quotient else None
+    if k != len(ideal.basis):
+        raise ValueError(f"scan_codewords takes {len(ideal.basis)} basis rows, got {k}")
+    quotient, total = ideal.quotient, (1 << k) - 1
+    faithful = None
+    if quotient is not None:
+        orbit = quotient.order
+        if total == orbit:
+            w = e.weight
+            return w, e.bits, {w: orbit}
+        if total // orbit > MAX_SCAN_ENTRIES:
+            raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
+        faithful = _carried_scan(quotient)
+        if faithful is None and (field := _orbit_multiplier(quotient, k)) is not None:
+            faithful = _orbit_walk(quotient, k, *field)
+            if len(_faithful_scans) < MAX_CACHED_CODES:
+                _faithful_scans.setdefault(orbit, (quotient.word, *faithful))
     if faithful is None:
-        field = _orbit_multiplier(quotient, k) if quotient else None
-        if field is None:
-            if total > MAX_SCAN_ENTRIES:
-                raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total)
-            return gray_scan_codewords(rows, ncols=e.group.order)
-        faithful = _orbit_walk(quotient, k, *field)
-        if len(_faithful_scans) < MAX_CACHED_CODES:
-            _faithful_scans.setdefault(orbit, (quotient.word, *faithful))
+        if total > MAX_SCAN_ENTRIES:
+            raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total)
+        return gray_scan_codewords(rows, ncols=e.group.order)
     best, word, hist = faithful
-    scale = e.group.order // orbit
+    scale = e.group.order // quotient.order
     return scale * best, quotient.lift(word), {scale * w: n for w, n in hist.items()}
 
 
 def clear_caches() -> None:
-    """Forget every cached ideal record, faithful scan, doubling-orbit leader
-    list and unit coset list; cli.run calls it as each run starts."""
+    """Forget every cached ideal record and faithful scan; cli.run calls it
+    as each run starts."""
     _checked_ideal.cache_clear()
     _faithful_scans.clear()
-    _doubling_orbit_leaders.cache_clear()
-    _unit_coset_leaders.cache_clear()
 
 
 @dataclass(frozen=True)

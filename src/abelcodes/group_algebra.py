@@ -306,35 +306,6 @@ def gather_bits(bits: int, width: int, sources: Sequence[int]) -> int:
     return int("".join(map(view.__getitem__, sources))[::-1], 2)
 
 
-def distinct_translates(e: AlgebraElement) -> tuple[list[int], list[int]]:
-    """The distinct rows g*e, each with the least rank g that gives it, in
-    ascending rank order; their span is the ideal F2[G]e.
-
-    The rows are built as a tower over the cyclic factors, so about n' =
-    |G|/|H| translates are made, H the stabilizer of e.  After factor i - 1
-    the rows are the orbit S of e under the first i factors G_<i.  Each block
-    x*g_i*S is an orbit of G_<i too, so it is S itself or disjoint from it,
-    and blocks x and y coincide exactly when d divides x - y, d the least
-    x >= 1 with x*g_i*e in S.  Blocks 1..d-1 are appended.  A row of block x
-    comes first from rank x*places[i] plus the least rank of its preimage in
-    S, which is below places[i], so the ranks stay ascending.
-    """
-    group = e.group
-    rows, ranks = [e.bits], [0]
-    for i, place in enumerate(group._places):
-        step = group.generator(i)
-        known = set(rows)
-        probe, d = group.translate_bits(e.bits, step), 1
-        while probe not in known:
-            probe, d = group.translate_bits(probe, step), d + 1
-        block, grown = rows, list(rows)
-        for _ in range(1, d):
-            block = [group.translate_bits(b, step) for b in block]
-            grown += block
-        rows, ranks = grown, [x * place + r for x in range(d) for r in ranks]
-    return rows, ranks
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by generators, held as the bitset of its elements (its hat)."""
@@ -416,7 +387,6 @@ __all__ = [
     "AbelianGroup",
     "AlgebraElement",
     "Subgroup",
-    "distinct_translates",
     "gather_bits",
     "cyclic_exponent",
     "as_cyclic",

@@ -114,6 +114,42 @@ class TestParserFuzz:
         assert MIN_BUDGET <= value <= MAX_BUDGET
 
 
+class TestDigitNumerals:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dims", "-g=-3^2x25"],
+            ["--dims", "-g=-3^2x5", "--budget=-2^20"],
+            ["15", "--budget", "-2^20"],
+            ["15", "--budget=-2^20"],
+            ["+15"],
+            ["1_5"],
+            ["15", "--budget=+2^20"],
+            ["15", "--budget=1_048_576"],
+        ],
+    )
+    def test_signs_and_underscores_exit_1(self, argv, capsys):
+        # int() reads "-3^2" as 9 and "1_5" as 15; argparse itself refuses a
+        # separate "-2^20" as a missing --budget value
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        assert status == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", ["-3^2x25", "+15", "1_5", "3x-5", "3^+2x5", "3^2_0x5"])
+    def test_signed_specs_are_refused(self, text):
+        with pytest.raises(UsageError, match="cannot parse"):
+            parse_group_spec(text)
+
+    def test_digit_numerals_still_parse(self):
+        assert parse_group_spec("15").kind == "pq"
+        assert parse_group_spec("3^2 x 5^1").order == 45
+        assert parse_budget("2^20") == parse_budget("1048576") == 1 << 20
+
+
 class TestFailFast:
     @pytest.mark.parametrize(
         "argv",

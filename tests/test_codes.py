@@ -28,7 +28,7 @@ from abelcodes.codes import (
     weight_distribution,
 )
 from abelcodes.gf2 import gf2_rank, independent_row_indices
-from abelcodes.group_algebra import AlgebraElement, Subgroup, distinct_translates
+from abelcodes.group_algebra import AlgebraElement, Subgroup, gather_bits
 from abelcodes.idempotents import (
     family_pq,
     family_prime_power,
@@ -212,6 +212,20 @@ class TestWeightDistribution:
         with pytest.raises(BudgetExceededError, match="scan limit") as exc:
             scan_codewords(rows, e=e)
         assert searches == [] and exc.value.required_budget == 1 << 60
+
+    def test_a_row_count_other_than_the_dimension_is_refused_cold_and_warm(self, fam33):
+        # unchecked, a cold scan of 3 rows walks their 7 words and a warm one returns
+        # the 1023 of the carried full scan
+        e = fam33.elements["e3"]
+        codes.clear_caches()
+        rows = [x.bits for x in ideal_basis(e)]
+        assert len(rows) == 10
+        with pytest.raises(ValueError, match="takes 10 basis rows, got 3"):
+            scan_codewords(rows[:3], e=e)
+        assert sum(scan_codewords(rows, e=e)[2].values()) == 1023
+        for wrong in (rows[:3], rows[:9], rows + rows[:1]):
+            with pytest.raises(ValueError, match="takes 10 basis rows"):
+                scan_codewords(wrong, e=e)
 
     def test_an_oversize_gray_walk_is_refused(self, fam15, monkeypatch):
         # e3 + e4 is not a field: its sieve would need 255 // 15 entries, its Gray walk 255
@@ -509,6 +523,29 @@ ADMISSIBLE_PAIRS_BELOW_100 = [
 ]
 
 
+def _rotation(word, t, n):
+    """The n-bit word rotated by t: bit s goes to bit s + t mod n."""
+    return (word << t | word >> (n - t)) & ((1 << n) - 1)
+
+
+def _assert_gamma_basis(e, tag):
+    """The basis of an ideal with a record is its k translates along gamma,
+    certified in full by check_basis, with the span of all its translates."""
+    group = e.group
+    quotient = codes._checked_ideal(e).quotient
+    n, k = quotient.order, quotient.dimension
+    rows = [x.bits for x in ideal_basis(e)]
+    assert len(rows) == k, tag
+    cosets = quotient.coset_indices()  # quotient.lift, with the indices built once
+    for t, row in enumerate(rows):
+        assert row == group.translate_bits(e.bits, group.scale(quotient.gamma, t)), (tag, t)
+        assert row == gather_bits(_rotation(quotient.word, t, n), n, cosets), (tag, t)
+    assert codes.check_basis(rows, e) == list(range(k)), tag
+    translates, _ = first_translates(e)
+    oracle = [translates[i] for i in independent_row_indices(translates)]
+    assert len(oracle) == k == gf2_rank(rows + oracle), tag
+
+
 def _stabilizer(e):
     group = e.group
     fixed = [g for g in group.elements() if group.translate_bits(e.bits, g) == e.bits]
@@ -547,9 +584,12 @@ class TestQuotientRecord:
                 assert quotient.order == fam.group.order // stabilizer.order, (i, j)
                 assert quotient.lift(quotient.word) == e.bits, (i, j)
             codes.clear_caches()
-            rows, _ = first_translates(e)
-            oracle = [rows[r] for r in independent_row_indices(rows)]
-            assert [x.bits for x in ideal_basis(e)] == oracle, (i, j)
+            if quotient is None:
+                rows, _ = first_translates(e)
+                oracle = [rows[r] for r in independent_row_indices(rows)]
+                assert [x.bits for x in ideal_basis(e)] == oracle, (i, j)
+            else:
+                _assert_gamma_basis(e, (i, j))
             outcomes.append(quotient is None)
         assert (outcomes.count(True), outcomes.count(False)) == (54, 37)
 
@@ -569,8 +609,24 @@ class TestQuotientRecord:
         fam = family_pq(*pair)
         for label in fam.labels:
             e = fam.elements[label]
-            rank = gf2_rank(distinct_translates(e)[0])
+            rank = gf2_rank(first_translates(e)[0])
             assert codes._cyclic_quotient(e).dimension == rank == ideal_dimension(e), (pair, label)
+
+    @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES))
+    def test_every_basis_is_taken_along_gamma(self, spec):
+        fam = RANK_FAMILIES[spec]()
+        codes.clear_caches()
+        for label in fam.labels:
+            _assert_gamma_basis(fam.elements[label], label)
+
+    # few examples: the oracle reduces all |G| translates of each label (5561 on 67x83)
+    @settings(max_examples=4, deadline=None)
+    @given(st.sampled_from(ADMISSIBLE_PAIRS_BELOW_100))
+    def test_every_basis_is_taken_along_gamma_on_pq_pairs(self, pair):
+        fam = family_pq(*pair)
+        codes.clear_caches()
+        for label in fam.labels:
+            _assert_gamma_basis(fam.elements[label], (pair, label))
 
     @pytest.mark.parametrize("spec", ["3x5x11", "9x25"])
     def test_check_polynomial_is_the_minimal_polynomial_of_beta(self, spec):
@@ -746,20 +802,34 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _returns(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the value of each call."""
+    values = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        values.append(original(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return values
+
+
 class TestOneAnalysisPass:
     def test_cli_builds_each_basis_once_and_scans_each_code_once(self, fam15, monkeypatch):
         codes.clear_caches()
         checked = _count_calls(monkeypatch, codes, "check_basis")
         records = _count_calls(monkeypatch, codes, "_cyclic_quotient")
-        translated = _count_calls(monkeypatch, codes, "distinct_translates")
+        quotients = _returns(monkeypatch, codes, "_cyclic_quotient")
         scans = _count_calls(monkeypatch, codes, "scan_codewords")
         config = RunConfig(group_spec="15", analyses=("weights", "distribution", "verify"))
         code, report, _ = run(config)
         labels = report["group"]["labels"]
         assert code == 0 and report["verify"]["passed"]
         assert [args[0] for args, _ in records] == [fam15.elements[lab] for lab in labels]
-        assert translated == []
-        # check_basis runs once per label, on the deg h rows the residue pick kept
+        # every member has a record, so no basis reduces all |G| translates
+        assert len(quotients) == len(labels) and None not in quotients
+        # check_basis runs once per label, on the deg h rows taken along gamma
         assert [args[1] for args, _ in checked] == [fam15.elements[lab] for lab in labels]
         assert [len(args[0]) for args, _ in checked] == [
             fam15.predicted_dims[lab] for lab in labels
@@ -786,13 +856,12 @@ class TestOneAnalysisPass:
         codes.clear_caches()
         analyze_family(fam675, want_weights=False)
         records = _count_calls(monkeypatch, codes, "_cyclic_quotient")
-        translated = _count_calls(monkeypatch, codes, "distinct_translates")
         reductions = _count_calls(monkeypatch, codes, "independent_row_indices")
         ranks = _count_calls(monkeypatch, codes, "gf2_rank")
         for label in fam675.labels:
             report = verify_primitivity(fam675.elements[label], fam675.predicted_dims[label])
             assert report["primitive"] and report["dimension_matches"], label
-        assert records == [] and translated == [] and reductions == []
+        assert records == [] and reductions == []
         # one rank per member, over the images b**2 + b of its basis words
         assert [len(args[0]) for args, _ in ranks] == [
             fam675.predicted_dims[lab] for lab in fam675.labels

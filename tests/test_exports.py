@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ MODULES = [abelcodes] + [
     for info in pkgutil.iter_modules(abelcodes.__path__)
     if info.name != "__main__"
 ]
+SRC = Path(abelcodes.__file__).parent
 
 
 @pytest.mark.parametrize(
@@ -19,3 +22,34 @@ def test_every_exported_name_resolves_and_is_listed_once(module):
     names = module.__all__
     assert [name for name in names if not hasattr(module, name)] == []
     assert len(names) == len(set(names))
+
+
+SOURCES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(node):
+    """Every name a node reads, attribute names and imported names included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub, sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub, sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub, sub.name
+
+
+def test_every_private_helper_is_used_outside_its_definition():
+    defined = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    orphans = []
+    for filename, tree in SOURCES.items():
+        for node in tree.body:
+            if not isinstance(node, defined) or not node.name.startswith("_"):
+                continue
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not any(
+                name == node.name and id(sub) not in inside
+                for other in SOURCES.values()
+                for sub, name in _names(other)
+            ):
+                orphans.append(f"{filename}:{node.name}")
+    assert orphans == []

@@ -11,10 +11,9 @@ from abelcodes.group_algebra import (
     Subgroup,
     as_cyclic,
     cyclic_exponent,
-    distinct_translates,
     from_cyclic_exponents,
 )
-from oracles import all_subgroups, first_translates, per_bit_square, searched_subgroup_ranks
+from oracles import all_subgroups, per_bit_square, searched_subgroup_ranks
 
 C15 = AbelianGroup([15])
 C3x5 = AbelianGroup([3, 5])
@@ -245,28 +244,10 @@ class TestTranslate:
 
 
 # One to three factors, with even orders and non-cyclic Sylow subgroups among them.
-translate_tower_orders = st.one_of(
+closure_orders = st.one_of(
     st.sampled_from(NAMED_TRANSLATE_GROUPS + [[4, 6], [9, 3, 5]]),
     st.lists(st.integers(2, 9), min_size=1, max_size=3).filter(lambda o: math.prod(o) <= 300),
 )
-
-
-class TestDistinctTranslates:
-    @settings(max_examples=150, deadline=None)
-    @given(translate_tower_orders, st.data())
-    def test_hat_times_any_element_gives_the_first_occurrences(self, orders, data):
-        # hat(H)*x is fixed by H, so its stabilizer is H or larger
-        group = AbelianGroup(orders)
-        ranks = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
-        hat = Subgroup.from_generators(group, [group.unrank(r) for r in ranks]).hat()
-        e = hat * random_element(group, data)
-        assert distinct_translates(e) == first_translates(e)
-
-    def test_a_monomial_has_every_translate(self):
-        group = AbelianGroup([4, 6])
-        rows, ranks = distinct_translates(AlgebraElement.one(group))
-        assert rows == [1 << r for r in range(group.order)]
-        assert ranks == list(range(group.order))
 
 
 class TestAugmentation:
@@ -293,7 +274,7 @@ class TestSubgroupClosure:
         assert h.order == 15
 
     @settings(max_examples=200, deadline=None)
-    @given(translate_tower_orders, st.data())
+    @given(closure_orders, st.data())
     def test_translation_closure_agrees_with_the_search(self, orders, data):
         group = AbelianGroup(orders)
         ranks = data.draw(st.lists(st.integers(0, group.order - 1), max_size=3))

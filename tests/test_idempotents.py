@@ -16,7 +16,6 @@ from abelcodes.group_algebra import (
     AlgebraElement,
     Subgroup,
     as_cyclic,
-    distinct_translates,
 )
 from abelcodes.idempotents import (
     family_pq,
@@ -33,7 +32,6 @@ from oracles import (
     cyclic_quotient_covers,
     embedded_sides,
     every_character_kernel,
-    first_translates,
     per_bit_square,
 )
 
@@ -566,18 +564,6 @@ AXIOM_FAMILIES = {
 @cache
 def _axiom_family(name):
     return AXIOM_FAMILIES[name]()
-
-
-TRANSLATE_FAMILIES = {**AXIOM_FAMILIES, "(27x9)x5": lambda: family_two_factor([27, 9], [5])}
-
-
-class TestDistinctTranslates:
-    @pytest.mark.parametrize("name", list(TRANSLATE_FAMILIES))
-    def test_every_member_gives_the_first_occurrences_of_all_translates(self, name):
-        fam = TRANSLATE_FAMILIES[name]()
-        for lab in fam.labels:
-            e = fam.elements[lab]
-            assert distinct_translates(e) == first_translates(e), lab
 
 
 def _sum_of_two(fam, k, j):
