@@ -491,10 +491,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         return _usage_failure(exc, created)
 
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        print(text)
+    try:
+        if args.format == "json":
+            sys.stdout.write(render_json(report))
+        else:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (say `| head`): drop the rest of stdout, so that the
+        # flush at exit cannot raise again, and still export and exit as usual
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.export:
         try:
             with open(args.export, "w", encoding="utf-8") as fh:

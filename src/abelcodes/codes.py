@@ -134,10 +134,7 @@ class _Quotient:
 
     def coset_indices(self) -> list[int]:
         """Entry r is the t with the rank-r element in t * gamma * H."""
-        indices = [0]
-        for n, c in zip(self.group.factor_orders, self.coefficients):
-            indices = [(t + x * c) % self.order for x in range(n) for t in indices]
-        return indices
+        return self.group.linear_values(self.coefficients, self.order)
 
     def lift(self, word: int) -> int:
         """The word of F2[G] that is bit t of the n'-bit `word` on t * gamma * H."""
@@ -190,12 +187,7 @@ def _cyclic_quotient(e: AlgebraElement) -> _Quotient | None:
         if c is None:
             return None
         coefficients.append(c)
-    ranks = [0] * order  # of t * gamma
-    for c, g, n in zip(gamma_element, generators, group.factor_orders):
-        if c:
-            place = group.rank(g)
-            ranks = [r + t * c % n * place for t, r in enumerate(ranks)]
-    word = gather_bits(bits, group.order, ranks)
+    word = gather_bits(bits, group.order, group.multiple_ranks(gamma_element, order))
     modulus = 1 << order | 1
     check = _poly_quotient(modulus, poly_gcd(modulus, word))
     return _Quotient(group, gamma_element, tuple(coefficients), order, word, check)

@@ -28,12 +28,12 @@ class CyclotomicClass:
 def cyclotomic_classes(group: AbelianGroup) -> list[CyclotomicClass]:
     """The orbit partition of G under squaring, ordered by representative rank.
 
-    Each orbit is a cycle of the group's doubling permutation, walked from its
-    least rank.
+    For odd |G| squaring permutes the ranks (group.power_ranks(2)); each
+    orbit is one of its cycles, walked from its least rank.
     """
     if not group.is_odd:
         raise ValueError("squaring orbits are only supported for odd group order")
-    perm = group.doubling_permutation()
+    perm = group.power_ranks(2)
     seen = bytearray(group.order)
     classes = []
     for root in range(group.order):
@@ -61,7 +61,7 @@ def class_sum(group: AbelianGroup, x: GroupElement) -> AlgebraElement:
     """Sum over the squaring orbit of x."""
     if not group.is_odd:
         raise ValueError("squaring orbits are only supported for odd group order")
-    perm = group.doubling_permutation()
+    perm = group.power_ranks(2)
     start = group.rank(group.reduce(x))
     bits, r = 1 << start, perm[start]
     while r != start:

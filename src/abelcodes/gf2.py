@@ -6,7 +6,6 @@ polynomial over GF(2) is an int too: bit i is the coefficient of x**i.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .number_theory import factorize
@@ -54,7 +53,6 @@ def independent_row_indices(rows: Sequence[int]) -> list[int]:
     return kept
 
 
-@lru_cache(maxsize=6)
 def gray_flip_sequence(k: int) -> bytes:
     """Flip order of a k-bit Gray walk: entry i-1 is the row index toggled at step i.
 

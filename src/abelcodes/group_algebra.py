@@ -6,13 +6,13 @@ are mixed-radix with the first factor least significant:
     rank(e) = sum(e[i] * prod(factor_orders[:i]))
 
 An algebra element is an int used as a bitset: bit k is the coefficient of the
-rank-k group element.  Addition is XOR, weight is a popcount, and squaring
-moves each coefficient along the doubling map g -> g**2 on ranks, built once
-per group (a permutation when |G| is odd).  This fixes a bit-exact export order:
+rank-k group element.  Addition is XOR and weight is a popcount.  A map on G
+acts on ranks through one of three tables, built factor by factor like the
+ranks: power_ranks(k) (g -> g**k), multiple_ranks(g, count) (t -> g**t) and
+linear_values(c, m) (e -> sum(c[i] * e[i]) mod m).  gather_bits moves a
+bitset's coefficients through such a table with no loop over the support in
+Python; for odd |G| squaring is one gather.  The export order is bit-exact:
 serialized coefficients are the bitset as little-endian bytes, hex-encoded.
-A coordinate permutation of a bitset (gather_bits) reads the bits through one
-string view and writes the word back from one joined string, with no loop
-over the support in Python.
 
 Translation by a group element is a per-factor block rotation of the bitset.
 Adding s to factor i moves each rank by s*places[i] inside its block of
@@ -38,9 +38,7 @@ GroupElement = tuple[int, ...]
 class AbelianGroup:
     """Finite abelian group given by the orders of its cyclic factors."""
 
-    __slots__ = (
-        "factor_orders", "order", "_places", "_elements", "_block_patterns", "_doubling", "_halving"
-    )
+    __slots__ = ("factor_orders", "order", "_places", "_elements", "_block_patterns", "_powers")
 
     def __init__(self, factor_orders: Sequence[int]) -> None:
         orders = tuple(int(x) for x in factor_orders)
@@ -56,8 +54,7 @@ class AbelianGroup:
         self._places = tuple(places)
         self._elements: list[GroupElement] | None = None
         self._block_patterns: tuple[int, ...] | None = None
-        self._doubling: list[int] | None = None
-        self._halving: list[int] | None = None
+        self._powers: dict[int, list[int]] = {}
 
     def __repr__(self) -> str:
         return f"AbelianGroup({list(self.factor_orders)})"
@@ -91,13 +88,9 @@ class AbelianGroup:
 
     def _element_table(self) -> list[GroupElement]:
         if self._elements is None:
-            table = []
-            for r in range(self.order):
-                exps = []
-                for n in self.factor_orders:
-                    r, x = divmod(r, n)
-                    exps.append(x)
-                table.append(tuple(exps))
+            table: list[GroupElement] = [()]
+            for n in self.factor_orders:
+                table = [e + (x,) for x in range(n) for e in table]
             self._elements = table
         return self._elements
 
@@ -147,30 +140,31 @@ class AbelianGroup:
             bits, g = grown, self.scale(g, 2)
         return bits
 
-    def doubling_permutation(self) -> list[int]:
-        """Entry r is the rank of g**2 for the rank-r element g, built on first use.
-
-        A permutation of the ranks when the order is odd.  Callers must not
-        mutate the list.
-        """
-        if self._doubling is None:
-            perm = [0]
+    def power_ranks(self, k: int) -> list[int]:
+        """Entry r is the rank of g**k for the rank-r element g, built once per
+        k; callers must not mutate it."""
+        table = self._powers.get(k)
+        if table is None:
+            table = [0]
             for n, place in zip(self.factor_orders, self._places):
-                perm = [r + 2 * x % n * place for x in range(n) for r in perm]
-            self._doubling = perm
-        return self._doubling
+                table = [r + k * x % n * place for x in range(n) for r in table]
+            self._powers[k] = table
+        return table
 
-    def halving_permutation(self) -> list[int]:
-        """The inverse of doubling_permutation for odd order: entry r is the rank
-        of the g with g**2 the rank-r element.  Callers must not mutate it."""
-        if self._halving is None:
-            if not self.is_odd:
-                raise ValueError("doubling is a permutation only for odd group order")
-            inverse = [0] * self.order
-            for r, image in enumerate(self.doubling_permutation()):
-                inverse[image] = r
-            self._halving = inverse
-        return self._halving
+    def multiple_ranks(self, g: GroupElement, count: int) -> list[int]:
+        """Entry t is the rank of g**t, for t < count."""
+        ranks = [0] * count
+        for c, n, place in zip(g, self.factor_orders, self._places):
+            if c:
+                ranks = [r + t * c % n * place for t, r in enumerate(ranks)]
+        return ranks
+
+    def linear_values(self, images: Sequence[int], modulus: int) -> list[int]:
+        """Entry r is sum(images[i] * e[i]) mod modulus for the rank-r element e."""
+        values = [0]
+        for n, c in zip(self.factor_orders, images):
+            values = [(v + x * c) % modulus for x in range(n) for v in values]
+        return values
 
     def permute_bits_by_scaling(self, bits: int, k: int) -> int:
         """Apply the power map g -> g**k to a support bitset."""
@@ -258,13 +252,15 @@ class AlgebraElement:
         """The square: in characteristic 2 it is the sum of g**2 over the support.
 
         For odd |G| squaring permutes the coordinates, so the square is one
-        gather through the halving permutation.  For even |G| distinct g share
-        a square and their terms cancel in pairs; the product sums them.
+        gather through the power table of the square root g**((N + 1) / 2), N
+        the exponent.  For even |G| distinct g share a square and their terms
+        cancel in pairs; the product sums them.
         """
         group = self.group
         if not group.is_odd:
             return self * self
-        square = gather_bits(self.bits, group.order, group.halving_permutation())
+        roots = group.power_ranks((math.lcm(*group.factor_orders) + 1) // 2)
+        square = gather_bits(self.bits, group.order, roots)
         return AlgebraElement(group, square)
 
     def __pow__(self, k: int) -> "AlgebraElement":
@@ -354,10 +350,8 @@ class Subgroup:
 def cyclic_exponent(group: AbelianGroup, e: GroupElement) -> int:
     """Exponent of e as a power of a single generator, for coprime cyclic factors."""
     orders = group.factor_orders
-    for i in range(len(orders)):
-        for j in range(i + 1, len(orders)):
-            if math.gcd(orders[i], orders[j]) != 1:
-                raise ValueError("factors are not pairwise coprime; group is not cyclic")
+    if math.lcm(*orders) != group.order:  # the exponent is the order
+        raise ValueError("factors are not pairwise coprime; group is not cyclic")
     k, modulus = 0, 1
     for x, n in zip(e, orders):
         inv = pow(modulus % n, -1, n)
@@ -367,12 +361,13 @@ def cyclic_exponent(group: AbelianGroup, e: GroupElement) -> int:
 
 
 def as_cyclic(x: AlgebraElement) -> AlgebraElement:
-    """Rewrite over the single-generator presentation C_n, n = |G|."""
-    target = AbelianGroup([x.group.order])
-    bits = 0
-    for e in x.support():
-        bits |= 1 << cyclic_exponent(x.group, e)
-    return AlgebraElement(target, bits)
+    """Rewrite over the single-generator presentation C_n, n = |G|: bit t is
+    the coefficient of x at g**t, g = (1, ..., 1)."""
+    group = x.group
+    if math.lcm(*group.factor_orders) != group.order:
+        raise ValueError("factors are not pairwise coprime; group is not cyclic")
+    powers = group.multiple_ranks((1,) * len(group.factor_orders), group.order)
+    return AlgebraElement(AbelianGroup([group.order]), gather_bits(x.bits, group.order, powers))
 
 
 def from_cyclic_exponents(group: AbelianGroup, exponents: Iterable[int]) -> AlgebraElement:

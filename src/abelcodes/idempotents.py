@@ -85,11 +85,11 @@ def uv_block(
         raise ConsistencyError(
             f"base element does not step the subgroup by index {prime}"
         )
-    exponents = sorted({pow(2, 2 * k, prime) for k in range((prime - 1) // 2)})
-    terms = [group.scale(group.reduce(base), r) for r in exponents]
-    if prime % 4 == 3:
-        terms.append(group.identity())
-    inner = AlgebraElement.from_terms(group, terms)
+    powers = group.multiple_ranks(base, prime)  # distinct ranks: base is not in H
+    bits = int(prime % 4 == 3)  # the identity, rank 0
+    for r in {pow(2, 2 * k, prime) for k in range((prime - 1) // 2)}:
+        bits |= 1 << powers[r]
+    inner = AlgebraElement(group, bits)
     u = h.hat() * inner if h.order > 1 else inner
     u2 = u.frobenius()
     unity = h.hat() + star.hat()
@@ -189,7 +189,7 @@ def _character_kernels(
     orders = group.factor_orders[axes.start : axes.stop]
     place = group.rank(group.generator(axes.start))
     exponent = math.lcm(*orders)
-    table = list(AbelianGroup(orders).elements())
+    factor = AbelianGroup(orders)
     kernels: dict[tuple[int, ...], tuple[int, ...]] = {}
     seen: set[tuple[int, ...]] = set()
     for c in itertools.product(*(range(n) for n in orders)):
@@ -199,7 +199,7 @@ def _character_kernels(
             tuple(k * ci % n for ci, n in zip(c, orders)) for k in range(1, exponent) if k % p
         )
         weights = [ci * (exponent // n) for ci, n in zip(c, orders)]
-        chi = [sum(w * x for w, x in zip(weights, g)) % exponent for g in table]
+        chi = factor.linear_values(weights, exponent)
         ranks = tuple(place * r for r, y in enumerate(chi) if y == 0)
         kernels[ranks] = tuple(place * r for r, y in enumerate(chi) if p * y % exponent == 0)
     closed = {ranks: _subgroup_with_ranks(group, ranks) for ranks in {*kernels, *kernels.values()}}
@@ -599,6 +599,9 @@ def family_two_factor(
     halves of e_H e_K split through the u and v blocks built from coset
     generators of H* / H and K* / K.
     """
+    for side, orders in (("p_factors", p_factors), ("q_factors", q_factors)):
+        if not orders:
+            raise ValueError(f"{side} is empty: each side needs at least one cyclic factor")
     p = next(iter(factorize(math.prod(p_factors))))
     q = next(iter(factorize(math.prod(q_factors))))
     pair = validate_hypotheses(p, q, normalize=False, override=override)

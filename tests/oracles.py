@@ -28,11 +28,11 @@ def first_translates(e: AlgebraElement) -> tuple[list[int], list[int]]:
 
 def per_bit_square(x: AlgebraElement) -> AlgebraElement:
     """x**2 as the sum of g**2 over the support of x, one support bit at a time."""
-    perm = x.group.doubling_permutation()
+    group = x.group
     out = 0
     for r in bit_indices(x.bits):
-        out ^= 1 << perm[r]
-    return AlgebraElement(x.group, out)
+        out ^= 1 << group.rank(group.scale(group.unrank(r), 2))
+    return AlgebraElement(group, out)
 
 
 def berlekamp_massey(seq: Sequence[int]) -> int:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from datetime import timedelta
@@ -54,6 +57,29 @@ IDEMPOTENT_EXPORTS = json.loads(
 LARGE_GROUP_STDOUT = json.loads(
     (Path(__file__).parent / "data" / "large_group_stdout_sha256.json").read_text()
 )
+
+
+class TestClosedStdout:
+    def test_a_closed_pipe_still_exports_and_keeps_the_exit_code(self, tmp_path, capsys):
+        argv = ["9x25", "--idempotents", "--dims", "--export"]
+        expected_code = main(argv + [str(tmp_path / "expected.json")])
+        capsys.readouterr()
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "abelcodes", *argv, str(tmp_path / "out.json")],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == expected_code
+        exported = (tmp_path / "out.json").read_bytes()
+        assert exported == (tmp_path / "expected.json").read_bytes()
 
 
 class TestGroupSpecParsing:

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import abelcodes
+from abelcodes import codes
+from abelcodes.idempotents import family_pq
 
 MODULES = [abelcodes] + [
     importlib.import_module(f"abelcodes.{info.name}")
@@ -53,3 +55,17 @@ def test_every_private_helper_is_used_outside_its_definition():
             ):
                 orphans.append(f"{filename}:{node.name}")
     assert orphans == []
+
+
+def test_clear_caches_leaves_no_module_cache_holding_entries():
+    fam = family_pq(3, 5)
+    e = fam.elements["e3"] + fam.elements["e4"]  # not a field: a Gray scan
+    assert codes.minimum_weight(e, budget=1 << 10).value == 4
+    codes.clear_caches()
+    held = [
+        f"{module.__name__}.{name}"
+        for module in MODULES
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.cache_info().currsize
+    ]
+    assert held == []

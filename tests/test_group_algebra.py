@@ -317,6 +317,52 @@ class TestSerialization:
         assert AlgebraElement.from_hex(group, x.to_hex()) == x
 
 
+TABLE_GROUPS = [[15], [3, 5], [9, 25], [3, 5, 11], [3, 3, 11], [27, 9, 5], [6]]
+
+
+class TestRankTables:
+    """Each table against the element-by-element map it tabulates."""
+
+    @pytest.mark.parametrize("orders", TABLE_GROUPS)
+    def test_power_ranks(self, orders):
+        group = AbelianGroup(orders)
+        for k in (0, 1, 2, 3, 7, (math.lcm(*orders) + 1) // 2, -1):
+            table = group.power_ranks(k)
+            assert table == [
+                group.rank(group.scale(group.unrank(r), k)) for r in range(group.order)
+            ]
+            assert group.power_ranks(k) is table
+
+    @pytest.mark.parametrize("orders", TABLE_GROUPS)
+    def test_multiple_ranks(self, orders):
+        group = AbelianGroup(orders)
+        rng = random.Random(group.order)
+        picks = [group.identity(), (1,) * len(orders), group.generator(len(orders) - 1)]
+        picks += [group.unrank(rng.randrange(group.order)) for _ in range(3)]
+        for g in picks:
+            assert group.multiple_ranks(g, group.order) == [
+                group.rank(group.scale(g, t)) for t in range(group.order)
+            ]
+
+    @pytest.mark.parametrize("orders", TABLE_GROUPS)
+    def test_linear_values(self, orders):
+        group = AbelianGroup(orders)
+        rng = random.Random(group.order)
+        for modulus in (math.lcm(*orders), group.order, 7):
+            images = [rng.randrange(modulus) for _ in orders]
+            assert group.linear_values(images, modulus) == [
+                sum(c * x for c, x in zip(images, group.unrank(r))) % modulus
+                for r in range(group.order)
+            ]
+
+    @pytest.mark.parametrize("orders", TABLE_GROUPS)
+    def test_unrank_inverts_rank(self, orders):
+        group = AbelianGroup(orders)
+        elements = list(group.elements())
+        assert [group.rank(e) for e in elements] == list(range(group.order))
+        assert all(0 <= x < n for e in elements for x, n in zip(e, orders))
+
+
 class TestCyclicBridge:
     def test_generator_exponents(self):
         assert cyclic_exponent(C3x5, (1, 0)) == 10
@@ -331,3 +377,16 @@ class TestCyclicBridge:
     def test_rejects_non_coprime_factors(self):
         with pytest.raises(ValueError, match="coprime"):
             cyclic_exponent(AbelianGroup([3, 3]), (1, 1))
+
+    def test_as_cyclic_rejects_non_coprime_factors_even_for_zero(self):
+        c3x3 = AbelianGroup([3, 3])
+        for x in (AlgebraElement.zero(c3x3), AlgebraElement.one(c3x3)):
+            with pytest.raises(ValueError, match="coprime"):
+                as_cyclic(x)
+
+    @pytest.mark.parametrize("orders", [[15], [3, 5], [3, 5, 11], [9, 25]])
+    def test_as_cyclic_matches_the_per_element_exponents(self, orders):
+        group = AbelianGroup(orders)
+        x = AlgebraElement(group, random.Random(group.order).getrandbits(group.order))
+        expected = sum(1 << cyclic_exponent(group, e) for e in x.support())
+        assert as_cyclic(x) == AlgebraElement(AbelianGroup([group.order]), expected)

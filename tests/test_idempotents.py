@@ -447,6 +447,14 @@ class TestErrors:
         assert raised.type is error
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "p_factors, q_factors, side", [([], [5], "p_factors"), ([3], [], "q_factors")]
+    )
+    def test_an_empty_side_is_refused_by_name(self, p_factors, q_factors, side):
+        with pytest.raises(ValueError, match=f"^{side} is empty") as raised:
+            family_two_factor(p_factors, q_factors)
+        assert raised.type is ValueError
+
 
 # (C3 x C3) x C11, recorded before the two-sided families shared one builder:
 # labels in family order and each member's bitset as hex
