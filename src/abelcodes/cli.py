@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -53,22 +54,21 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class GroupShape:
-    """A parsed group specification."""
+    """A parsed group specification: its factors (p, m), one per C_{p^m}, in
+    spec order (ascending for a single integer), and the text it came from."""
 
-    kind: str  # "pq" | "prime_power" | "three_primes"
-    p: int = 0
-    m: int = 0
-    q: int = 0
-    n: int = 0
-    primes: tuple[int, ...] = ()
+    factors: tuple[tuple[int, int], ...]
     text: str = ""
 
     @property
+    def kind(self) -> str:  # "pq" | "prime_power" | "three_primes"
+        if len(self.factors) == 3:
+            return "three_primes"
+        return "pq" if all(m == 1 for _, m in self.factors) else "prime_power"
+
+    @property
     def order(self) -> int:
-        if self.kind == "three_primes":
-            p1, p2, p3 = self.primes
-            return p1 * p2 * p3
-        return self.p**self.m * self.q**self.n
+        return math.prod(p**m for p, m in self.factors)
 
 
 def _parse_power(text: str, limit: int, what: str) -> int:
@@ -117,40 +117,31 @@ def parse_group_spec(spec: str) -> GroupShape:
         value = _parse_power(parts[0], MAX_GROUP_ORDER, "group order")
         if value < 2:
             raise UsageError(f"group order {value} is too small")
-        factors = factorize(value)
-        if 2 in factors:
+        exponents = factorize(value)
+        if 2 in exponents:
             raise UsageError("even group orders are not supported")
-        if len(factors) == 2:
-            (p, m), (q, n) = sorted(factors.items())
-            return GroupShape(kind="prime_power" if (m, n) != (1, 1) else "pq",
-                              p=p, m=m, q=q, n=n, text=spec)
-        if len(factors) == 3 and all(e == 1 for e in factors.values()):
-            return GroupShape(
-                kind="three_primes", primes=tuple(sorted(factors)), text=spec
-            )
+        if len(exponents) == 2 or len(exponents) == 3 and set(exponents.values()) == {1}:
+            return GroupShape(tuple(sorted(exponents.items())), spec)
         raise UsageError(
             f"group order {value} does not factor as p^m q^n or p1 p2 p3"
         )
+    if len(parts) > 3:
+        raise UsageError(f"cannot parse group spec {spec!r}")
+    factors = []
+    for part in parts:
+        p, m = _parse_prime_power(part)
+        if len(parts) == 3 and m != 1:
+            raise UsageError("three-factor groups must be squarefree")
+        factors.append((p, m))
+    primes = {p for p, _ in factors}
     if len(parts) == 2:
-        p, m = _parse_prime_power(parts[0])
-        q, n = _parse_prime_power(parts[1])
-        if p == q:
+        if len(primes) == 1:
             raise UsageError("the two factors must involve distinct primes")
-        if p == 2 or q == 2:
+        if 2 in primes:
             raise UsageError("even group orders are not supported")
-        kind = "pq" if (m, n) == (1, 1) else "prime_power"
-        return GroupShape(kind=kind, p=p, m=m, q=q, n=n, text=spec)
-    if len(parts) == 3:
-        primes = []
-        for part in parts:
-            p, m = _parse_prime_power(part)
-            if m != 1:
-                raise UsageError("three-factor groups must be squarefree")
-            primes.append(p)
-        if len(set(primes)) != 3 or 2 in primes:
-            raise UsageError("three-factor groups need three distinct odd primes")
-        return GroupShape(kind="three_primes", primes=tuple(primes), text=spec)
-    raise UsageError(f"cannot parse group spec {spec!r}")
+    elif len(primes) != 3 or 2 in primes:
+        raise UsageError("three-factor groups need three distinct odd primes")
+    return GroupShape(tuple(factors), spec)
 
 
 @dataclass
@@ -171,11 +162,12 @@ def parse_budget(text: str) -> int:
 def build_family(shape: GroupShape, *, override: bool = False) -> IdempotentFamily:
     if shape.order > MAX_GROUP_ORDER:
         raise UsageError(f"group order {shape.order} exceeds the {MAX_GROUP_ORDER} guard")
+    if shape.kind == "three_primes":
+        return family_three_primes(*(p for p, _ in shape.factors), override=override)
+    (p, m), (q, n) = shape.factors
     if shape.kind == "pq":
-        return family_pq(shape.p, shape.q, override=override)
-    if shape.kind == "prime_power":
-        return family_prime_power(shape.p, shape.m, shape.q, shape.n, override=override)
-    return family_three_primes(*shape.primes, override=override)
+        return family_pq(p, q, override=override)
+    return family_prime_power(p, m, q, n, override=override)
 
 
 def _group_section(shape: GroupShape, family: IdempotentFamily) -> dict:

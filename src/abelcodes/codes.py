@@ -51,7 +51,7 @@ from .group_algebra import (
     cyclic_exponent,
     gather_bits,
 )
-from .idempotents import IdempotentFamily
+from .idempotents import IdempotentFamily, _check
 from .number_theory import PrimePair, crt_inverses, factorize, multiplicative_order
 
 DEFAULT_BUDGET = 1 << 24
@@ -742,12 +742,17 @@ def explicit_bases(family: IdempotentFamily) -> dict[str, dict[str, list[Algebra
     return out
 
 
+def _table_weight(p: int, m: int, q: int, n: int, i: int, j: int) -> int:
+    """The paper's minimum weight of I0, Ii0 and I0j (i == 0 or j == 0) on
+    C_{p^m} x C_{q^n}: p**(m-i) q**(n-j), doubled off the repetition code."""
+    return (2 if i or j else 1) * p ** (m - i) * q ** (n - j)
+
+
 def table_witness_words(family: IdempotentFamily) -> dict[str, AlgebraElement]:
     """Codewords attaining the single-factor weight values of a prime-power family.
 
-    For I0j the word is (1 + b**q**(j-1)) hat(a) hat(b**q**j), of weight
-    2 p**m q**(n-j); symmetrically for Ii0.  A different weight falsifies the
-    construction.
+    For I0j the word is (1 + b**q**(j-1)) hat(a) hat(b**q**j), symmetrically
+    for Ii0; a weight other than the table's falsifies the construction.
     """
     if family.shape != "prime_power":
         raise ValueError("witness words are defined for the prime-power shape")
@@ -762,13 +767,12 @@ def table_witness_words(family: IdempotentFamily) -> dict[str, AlgebraElement]:
         if i == 0 and j > 0:
             hat_bj = Subgroup.from_generators(group, [(0, q**j % q**n)]).hat()
             word = (one + AlgebraElement.monomial(group, (0, q ** (j - 1)))) * a_hat * hat_bj
-            expected = 2 * p**m * q ** (n - j)
         elif j == 0 and i > 0:
             hat_ai = Subgroup.from_generators(group, [(p**i % p**m, 0)]).hat()
             word = (one + AlgebraElement.monomial(group, (p ** (i - 1), 0))) * hat_ai * b_hat
-            expected = 2 * p ** (m - i) * q**n
         else:
             continue
+        expected = _table_weight(p, m, q, n, i, j)
         if word.weight != expected:
             raise FalsificationError(
                 f"witness for {label} has weight {word.weight}, expected {expected}"
@@ -820,21 +824,11 @@ def theoretical_expectations(family: IdempotentFamily) -> dict[str, TheoryWeight
         p, q = int(family.params["p"]), int(family.params["q"])
         m, n = int(family.params["m"]), int(family.params["n"])
         for label, (i, j) in family.levels.items():
-            if (i, j) == (0, 0):
-                out[label] = TheoryWeight(
-                    "exact", value=p**m * q**n, source="repetition code"
-                )
-            elif j == 0:
+            if i == 0 or j == 0:
                 out[label] = TheoryWeight(
                     "exact",
-                    value=2 * p ** (m - i) * q**n,
-                    source="single-factor weight table",
-                )
-            elif i == 0:
-                out[label] = TheoryWeight(
-                    "exact",
-                    value=2 * p**m * q ** (n - j),
-                    source="single-factor weight table",
+                    value=_table_weight(p, m, q, n, i, j),
+                    source="single-factor weight table" if i or j else "repetition code",
                 )
             elif (p, q) == (3, 5) and 1 <= i <= m - 1 and 1 <= j <= n - 1:
                 out[label] = TheoryWeight(
@@ -1008,9 +1002,11 @@ def distribution_csv(hist: dict[int, int]) -> str:
 def split_swap_map_matches(family: IdempotentFamily) -> bool:
     """Whether the power map by a mixed-class exponent carries e3's support to e4's.
 
-    The exponent is read off the fifth squaring orbit (the mixed
-    residue/nonresidue class); the map is a group automorphism, so it realizes
-    the equivalence of the two split codes.
+    The exponent k is read off the fifth squaring orbit (the mixed
+    residue/nonresidue class); g -> g**k is a group automorphism, so it
+    realizes the equivalence of the two split codes.  It carries e3 onto e4
+    exactly when e4(g**k) = e3(g) for every g: one gather of e4 through the
+    power table of k.
     """
     if family.shape != "pq":
         raise ValueError("the swap map applies to the pq shape")
@@ -1022,12 +1018,8 @@ def split_swap_map_matches(family: IdempotentFamily) -> bool:
         k_pair = (p - 1, q - 1)
     # A single exponent acting as k_pair componentwise: the CRT lift.
     k = cyclic_exponent(group, k_pair)
-    image = group.permute_bits_by_scaling(family.elements["e3"].bits, k)
-    return image == family.elements["e4"].bits
-
-
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": passed, "detail": detail}
+    pulled_back = gather_bits(family.elements["e4"].bits, group.order, group.power_ranks(k))
+    return pulled_back == family.elements["e3"].bits
 
 
 def _report_checks(family: IdempotentFamily, reports: dict[str, CodeReport]) -> list[dict]:
@@ -1176,6 +1168,7 @@ __all__ = [
     "gray_scan_codewords",
     "minimum_weight",
     "weight_distribution",
+    "clear_caches",
     "code_seed_word",
     "explicit_bases",
     "table_witness_words",

@@ -29,18 +29,6 @@ def _reduce(row: int, pivots: dict[int, int]) -> int:
     return row
 
 
-def gf2_rank(rows: Sequence[int]) -> int:
-    """Rank over GF(2) of the span of the given bitset rows."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        reduced = _reduce(row, pivots)
-        if reduced:
-            pivots[reduced.bit_length() - 1] = reduced
-            rank += 1
-    return rank
-
-
 def independent_row_indices(rows: Sequence[int]) -> list[int]:
     """Indices of a greedy maximal independent subset, scanning in input order."""
     pivots: dict[int, int] = {}
@@ -51,6 +39,11 @@ def independent_row_indices(rows: Sequence[int]) -> list[int]:
             pivots[reduced.bit_length() - 1] = reduced
             kept.append(idx)
     return kept
+
+
+def gf2_rank(rows: Sequence[int]) -> int:
+    """Rank over GF(2) of the span of the given bitset rows."""
+    return len(independent_row_indices(rows))
 
 
 def gray_flip_sequence(k: int) -> bytes:

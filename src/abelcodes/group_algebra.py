@@ -5,14 +5,21 @@ are mixed-radix with the first factor least significant:
 
     rank(e) = sum(e[i] * prod(factor_orders[:i]))
 
+reduce, unrank, multiple_ranks, linear_values and cyclic_exponent take
+elements and ranks from callers and raise ValueError on a tuple of the wrong
+length or a rank outside [0, |G|); rank, add, scale and translate_bits take
+only tuples the package built and do not check them.
+
 An algebra element is an int used as a bitset: bit k is the coefficient of the
-rank-k group element.  Addition is XOR and weight is a popcount.  A map on G
-acts on ranks through one of three tables, built factor by factor like the
-ranks: power_ranks(k) (g -> g**k), multiple_ranks(g, count) (t -> g**t) and
-linear_values(c, m) (e -> sum(c[i] * e[i]) mod m).  gather_bits moves a
-bitset's coefficients through such a table with no loop over the support in
-Python; for odd |G| squaring is one gather.  The export order is bit-exact:
-serialized coefficients are the bitset as little-endian bytes, hex-encoded.
+rank-k group element.  Addition is XOR and weight is a popcount.  Every map on
+G that the package applies acts on ranks through one of three tables, built
+factor by factor like the ranks: power_ranks(k) (g -> g**k),
+multiple_ranks(g, count) (t -> g**t) and linear_values(c, m)
+(e -> sum(c[i] * e[i]) mod m).  gather_bits moves a bitset's coefficients
+through such a table with no loop over the support in Python; for odd |G|
+squaring is one gather.  The support-bit-by-bit reference, for the tests, is
+tests/oracles.per_bit_square.  The export order is bit-exact: serialized
+coefficients are the bitset as little-endian bytes, hex-encoded.
 
 Translation by a group element is a per-factor block rotation of the bitset.
 Adding s to factor i moves each rank by s*places[i] inside its block of
@@ -77,13 +84,23 @@ class AbelianGroup:
         e[i] = 1
         return tuple(e)
 
+    def _require_factor_count(self, entries: Sequence[int]) -> None:
+        if len(entries) != len(self.factor_orders):
+            raise ValueError(
+                f"expected {len(self.factor_orders)} entries, one per cyclic factor, "
+                f"got {len(entries)}"
+            )
+
     def reduce(self, exps: Sequence[int]) -> GroupElement:
+        self._require_factor_count(exps)
         return tuple(x % n for x, n in zip(exps, self.factor_orders))
 
     def rank(self, e: GroupElement) -> int:
         return sum(x * w for x, w in zip(e, self._places))
 
     def unrank(self, r: int) -> GroupElement:
+        if not 0 <= r < self.order:
+            raise ValueError(f"rank {r} is outside [0, {self.order})")
         return self._element_table()[r]
 
     def _element_table(self) -> list[GroupElement]:
@@ -153,6 +170,7 @@ class AbelianGroup:
 
     def multiple_ranks(self, g: GroupElement, count: int) -> list[int]:
         """Entry t is the rank of g**t, for t < count."""
+        self._require_factor_count(g)
         ranks = [0] * count
         for c, n, place in zip(g, self.factor_orders, self._places):
             if c:
@@ -161,18 +179,11 @@ class AbelianGroup:
 
     def linear_values(self, images: Sequence[int], modulus: int) -> list[int]:
         """Entry r is sum(images[i] * e[i]) mod modulus for the rank-r element e."""
+        self._require_factor_count(images)
         values = [0]
         for n, c in zip(self.factor_orders, images):
             values = [(v + x * c) % modulus for x in range(n) for v in values]
         return values
-
-    def permute_bits_by_scaling(self, bits: int, k: int) -> int:
-        """Apply the power map g -> g**k to a support bitset."""
-        out = 0
-        table = self._element_table()
-        for r in bit_indices(bits):
-            out |= 1 << self.rank(self.scale(table[r], k))
-        return out
 
 
 @dataclass(frozen=True)
@@ -326,10 +337,11 @@ class Subgroup:
 
     def extended(self, g: GroupElement) -> "Subgroup":
         """The subgroup generated by this one and g, closed by translation."""
+        g = self.group.reduce(g)
         bits = self.group.close_bits(self.bits, g)
         if self.group.order % bits.bit_count() != 0:
             raise RuntimeError("closure size does not divide the group order")
-        return Subgroup(self.group, self.generators + (self.group.reduce(g),), bits)
+        return Subgroup(self.group, self.generators + (g,), bits)
 
     @property
     def order(self) -> int:
@@ -353,7 +365,7 @@ def cyclic_exponent(group: AbelianGroup, e: GroupElement) -> int:
     if math.lcm(*orders) != group.order:  # the exponent is the order
         raise ValueError("factors are not pairwise coprime; group is not cyclic")
     k, modulus = 0, 1
-    for x, n in zip(e, orders):
+    for x, n in zip(group.reduce(e), orders):
         inv = pow(modulus % n, -1, n)
         k = k + modulus * ((x - k) * inv % n)
         modulus *= n

@@ -273,6 +273,11 @@ def _product_members(group: AbelianGroup, factors: Sequence[_Factor]) -> list[_M
     return members
 
 
+def _check(name: str, passed: bool, detail: str) -> dict:
+    """One entry of a verification report."""
+    return {"name": name, "passed": passed, "detail": detail}
+
+
 @dataclass
 class IdempotentFamily:
     """A complete labeled set of primitive idempotents for one group shape."""
@@ -318,16 +323,8 @@ class IdempotentFamily:
         a partial-sum product is nonzero, every pair is multiplied, so the
         detail names each failing pair.
         """
-        checks = []
         members = [self.elements[lab] for lab in self.labels]
         bad = [lab for lab, x in zip(self.labels, members) if x.frobenius() != x]
-        checks.append(
-            {
-                "name": "each member squares to itself",
-                "passed": not bad,
-                "detail": f"failing labels: {bad}" if bad else f"{len(self.labels)} members",
-            }
-        )
         orthogonal = not bad
         total = AlgebraElement.zero(self.group)
         for x in members:
@@ -340,30 +337,26 @@ class IdempotentFamily:
                 for lb in self.labels[i + 1 :]:
                     if (self.elements[la] * self.elements[lb]).bits:
                         bad_pairs.append((la, lb))
-        checks.append(
-            {
-                "name": "distinct members annihilate each other",
-                "passed": not bad_pairs,
-                "detail": f"failing pairs: {bad_pairs}" if bad_pairs else "all pairs checked",
-            }
-        )
         ok_sum = total == AlgebraElement.one(self.group)
-        checks.append(
-            {
-                "name": "members sum to 1",
-                "passed": ok_sum,
-                "detail": "" if ok_sum else f"sum has weight {total.weight}",
-            }
-        )
         n_classes = self.squaring_orbit_count
-        checks.append(
-            {
-                "name": "member count equals squaring-orbit count",
-                "passed": len(self.labels) == n_classes,
-                "detail": f"{len(self.labels)} members, {n_classes} orbits",
-            }
-        )
-        return checks
+        return [
+            _check(
+                "each member squares to itself",
+                not bad,
+                f"failing labels: {bad}" if bad else f"{len(self.labels)} members",
+            ),
+            _check(
+                "distinct members annihilate each other",
+                not bad_pairs,
+                f"failing pairs: {bad_pairs}" if bad_pairs else "all pairs checked",
+            ),
+            _check("members sum to 1", ok_sum, "" if ok_sum else f"sum has weight {total.weight}"),
+            _check(
+                "member count equals squaring-orbit count",
+                len(self.labels) == n_classes,
+                f"{len(self.labels)} members, {n_classes} orbits",
+            ),
+        ]
 
     def to_json(self) -> dict:
         return {

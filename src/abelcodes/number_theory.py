@@ -30,17 +30,8 @@ class ConsistencyError(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; inputs are desk-scale."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic, by factorize's trial division; inputs are desk-scale."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def is_odd_prime(n: int) -> bool:

@@ -26,13 +26,18 @@ def first_translates(e: AlgebraElement) -> tuple[list[int], list[int]]:
     return list(first), list(first.values())
 
 
-def per_bit_square(x: AlgebraElement) -> AlgebraElement:
-    """x**2 as the sum of g**2 over the support of x, one support bit at a time."""
+def per_bit_power(x: AlgebraElement, k: int) -> AlgebraElement:
+    """The sum of g**k over the support of x, one support bit at a time."""
     group = x.group
     out = 0
     for r in bit_indices(x.bits):
-        out ^= 1 << group.rank(group.scale(group.unrank(r), 2))
+        out ^= 1 << group.rank(group.scale(group.unrank(r), k))
     return AlgebraElement(group, out)
+
+
+def per_bit_square(x: AlgebraElement) -> AlgebraElement:
+    """x**2 as the sum of g**2 over the support of x, one support bit at a time."""
+    return per_bit_power(x, 2)
 
 
 def berlekamp_massey(seq: Sequence[int]) -> int:

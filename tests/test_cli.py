@@ -86,22 +86,22 @@ class TestGroupSpecParsing:
     def test_single_integer_pq(self):
         shape = parse_group_spec("15")
         assert shape.kind == "pq"
-        assert (shape.p, shape.m, shape.q, shape.n) == (3, 1, 5, 1)
+        assert shape.factors == ((3, 1), (5, 1))
 
     def test_two_factor_powers(self):
         shape = parse_group_spec("9x25")
         assert shape.kind == "prime_power"
-        assert (shape.p, shape.m, shape.q, shape.n) == (3, 2, 5, 2)
+        assert shape.factors == ((3, 2), (5, 2))
 
     def test_caret_form(self):
         shape = parse_group_spec("3^2 x 5^1")
         assert shape.kind == "prime_power"
-        assert (shape.p, shape.m, shape.q, shape.n) == (3, 2, 5, 1)
+        assert shape.factors == ((3, 2), (5, 1))
 
     def test_three_primes(self):
         shape = parse_group_spec("3x5x11")
         assert shape.kind == "three_primes"
-        assert shape.primes == (3, 5, 11)
+        assert shape.factors == ((3, 1), (5, 1), (11, 1))
 
     def test_single_integer_three_primes(self):
         assert parse_group_spec("165").kind == "three_primes"
@@ -109,7 +109,23 @@ class TestGroupSpecParsing:
     def test_single_integer_prime_power_pair(self):
         shape = parse_group_spec("45")
         assert shape.kind == "prime_power"
-        assert (shape.p, shape.m, shape.q, shape.n) == (3, 2, 5, 1)
+        assert shape.factors == ((3, 2), (5, 1))
+
+    @pytest.mark.parametrize(
+        "spec, factors, kind, order",
+        [
+            ("15", ((3, 1), (5, 1)), "pq", 15),
+            ("45", ((3, 2), (5, 1)), "prime_power", 45),
+            ("165", ((3, 1), (5, 1), (11, 1)), "three_primes", 165),
+            ("3^2 x 5^1", ((3, 2), (5, 1)), "prime_power", 45),
+            ("3x5x11", ((3, 1), (5, 1), (11, 1)), "three_primes", 165),
+            ("25x3", ((5, 2), (3, 1)), "prime_power", 75),  # spec order, not sorted
+            ("11x5x3", ((11, 1), (5, 1), (3, 1)), "three_primes", 165),
+        ],
+    )
+    def test_factors_kind_and_order(self, spec, factors, kind, order):
+        shape = parse_group_spec(spec)
+        assert (shape.factors, shape.kind, shape.order) == (factors, kind, order)
 
     @pytest.mark.parametrize("bad", ["", "8", "9", "27", "4x9", "3x3", "105x2", "abc"])
     def test_rejected_specs(self, bad):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -41,6 +42,7 @@ from oracles import (
     doubling_orbit_sizes,
     first_translates,
     naive_weight_distribution,
+    per_bit_power,
     poly_powmod,
     quotient_is_cyclic,
 )
@@ -749,6 +751,33 @@ class TestTheory:
     def test_swap_map(self, fam15, fam33):
         assert split_swap_map_matches(fam15)
         assert split_swap_map_matches(fam33)
+
+
+ADMISSIBLE_PAIRS_BELOW_60 = [
+    (p, q)
+    for p in range(3, 60)
+    for q in range(p + 1, 60)
+    if is_odd_prime(p) and is_odd_prime(q) and not hypothesis_failures(p, q)
+]
+
+
+class TestSwapMap:
+    @pytest.mark.parametrize("pair", ADMISSIBLE_PAIRS_BELOW_60, ids=str)
+    def test_matches_the_per_bit_image(self, pair):
+        fam = family_pq(*pair)
+        p, q = fam.group.factor_orders
+        a, b = (q % p, p % q) if fam.params["case"] == "a" else (p - 1, q - 1)
+        k = next(k for k in range(p * q) if k % p == a and k % q == b)
+        assert per_bit_power(fam.elements["e3"], k) == fam.elements["e4"]
+        assert split_swap_map_matches(fam)
+
+    @pytest.mark.parametrize("pair", ADMISSIBLE_PAIRS_BELOW_60, ids=str)
+    def test_refuses_a_translate_of_e4(self, pair):
+        fam = family_pq(*pair)
+        moved = fam.elements["e4"].translated((1, 0))
+        assert moved != fam.elements["e4"]
+        swapped = dataclasses.replace(fam, elements={**fam.elements, "e4": moved})
+        assert not split_swap_map_matches(swapped)
 
 
 class TestGeneratorMatrix:

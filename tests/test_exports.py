@@ -29,6 +29,19 @@ def test_every_exported_name_resolves_and_is_listed_once(module):
 SOURCES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if hasattr(m, "__all__")], ids=lambda m: m.__name__
+)
+def test_every_public_function_and_class_is_exported(module):
+    tree = SOURCES[Path(module.__file__).name]
+    public = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert [name for name in public if name not in module.__all__] == []
+
+
 def _names(node):
     """Every name a node reads, attribute names and imported names included."""
     for sub in ast.walk(node):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from abelcodes.gf2 import (
+    gf2_rank,
     poly_gcd,
     poly_is_irreducible,
     poly_mod,
@@ -79,3 +81,11 @@ class TestPolynomials:
             g = poly_gcd(clmul(f, common), clmul(a | 1, common))
             assert poly_mod(g, common) == 0
             assert poly_mod(clmul(f, common), g) == 0 and poly_mod(clmul(a | 1, common), g) == 0
+
+
+@given(st.lists(st.integers(0, (1 << 9) - 1), max_size=10))
+def test_rank_counts_the_span(rows):
+    span = {0}  # every subset XOR of the rows seen so far
+    for row in rows:
+        span |= {x ^ row for x in span}
+    assert 2 ** gf2_rank(rows) == len(span)

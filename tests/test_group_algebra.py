@@ -159,8 +159,8 @@ class TestFrobenius:
         rng = random.Random(group.order)
         words = [1, (1 << group.order) - 1, *(rng.getrandbits(group.order) for _ in range(4))]
         for bits in words:
-            expected = group.permute_bits_by_scaling(bits, 2)
-            assert AlgebraElement(group, bits).frobenius().bits == expected
+            x = AlgebraElement(group, bits)
+            assert x.frobenius() == per_bit_square(x)
 
     @settings(max_examples=60, deadline=None)
     @given(factor_orders, st.data())
@@ -390,3 +390,44 @@ class TestCyclicBridge:
         x = AlgebraElement(group, random.Random(group.order).getrandbits(group.order))
         expected = sum(1 << cyclic_exponent(group, e) for e in x.support())
         assert as_cyclic(x) == AlgebraElement(AbelianGroup([group.order]), expected)
+
+
+class TestOutsideInputsAreChecked:
+    """An element or rank from a caller is refused, not zipped short or wrapped."""
+
+    WRONG_LENGTH = "expected 2 entries, one per cyclic factor"
+
+    @pytest.mark.parametrize("e", [(1, 2, 4), (1,)])
+    def test_monomial(self, e):
+        with pytest.raises(ValueError, match=self.WRONG_LENGTH):
+            AlgebraElement.monomial(C3x5, e)
+
+    def test_from_terms(self):
+        with pytest.raises(ValueError, match=self.WRONG_LENGTH):
+            AlgebraElement.from_terms(C3x5, [(1,), (1, 0)])
+
+    def test_subgroup_generator(self):
+        with pytest.raises(ValueError, match=self.WRONG_LENGTH):
+            Subgroup.from_generators(C3x5, [(1,)])
+
+    def test_extended_reduces_its_generator(self):
+        sub = Subgroup.trivial(C3x5).extended((4, 10))
+        assert sub.generators == ((1, 0),) and sub.order == 3
+
+    @pytest.mark.parametrize("e", [(1,), (1, 0, 7)])
+    def test_cyclic_exponent(self, e):
+        with pytest.raises(ValueError, match=self.WRONG_LENGTH):
+            cyclic_exponent(C3x5, e)
+
+    @pytest.mark.parametrize("r", [-1, 15])
+    def test_unrank(self, r):
+        with pytest.raises(ValueError, match=r"outside \[0, 15\)"):
+            C3x5.unrank(r)
+
+    def test_multiple_ranks(self):
+        with pytest.raises(ValueError, match=self.WRONG_LENGTH):
+            C3x5.multiple_ranks((1,), 15)
+
+    def test_linear_values(self):
+        with pytest.raises(ValueError, match=self.WRONG_LENGTH):
+            C3x5.linear_values([1], 15)

@@ -11,6 +11,7 @@ from abelcodes.number_theory import (
     crt_split,
     hypothesis_failures,
     is_odd_prime,
+    is_prime,
     joint_order_2,
     minus_one_is_residue,
     multiplicative_order,
@@ -20,6 +21,16 @@ from abelcodes.number_theory import (
 from oracles import stepping_order
 
 ODD_PRIMES_UNDER_200 = [p for p in range(3, 200) if is_odd_prime(p)]
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 5000
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, limit, d))
+    assert [is_prime(n) for n in range(limit)] == sieve
+    assert not is_prime(-7)
 
 
 class TestMultiplicativeOrder:
