@@ -51,6 +51,7 @@ from .codes import (
     BudgetExceededError,
     CodeReport,
     FalsificationError,
+    NotMinimalIdealError,
     WeightResult,
     analyze_code,
     analyze_family,
@@ -83,6 +84,7 @@ __all__ = [
     "ConsistencyError",
     "BudgetExceededError",
     "FalsificationError",
+    "NotMinimalIdealError",
     "as_cyclic",
     "cyclic_exponent",
     "from_cyclic_exponents",

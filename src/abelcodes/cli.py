@@ -1,9 +1,10 @@
 """Command-line front end: analysis runs, verification suites, and exports.
 
-Exit codes: 0 ok, 1 usage, 2 hypothesis failure, 3 budget refusal,
-4 falsified invariant.  A run builds one JSON report; the text view and the
-exit code are pure functions of it.  JSON output is byte-identical for a fixed
-config regardless of the thread count.
+Exit codes: 0 ok, 1 usage, 2 hypothesis failure, 3 refused distribution
+(over budget, or under overridden hypotheses a member that is not a minimal
+ideal), 4 falsified invariant.  A run builds one JSON report; the text view
+and the exit code are pure functions of it.  JSON output is byte-identical for
+a fixed config regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -225,10 +226,17 @@ def _code_sections(
             lab: (
                 {str(w): c for w, c in sorted(r.distribution.items())}
                 if r.distribution is not None
-                else {"refused": True, "required_budget": r.distribution_refused}
+                else _refusal(r.distribution_refused)
             )
             for lab, r in reports.items()
         }
+
+
+def _refusal(refused: int | str) -> dict:
+    """A refused distribution: over budget, or a member that no budget scans."""
+    if isinstance(refused, int):
+        return {"refused": True, "required_budget": refused}
+    return {"refused": True, "required_budget": None, "reason": refused}
 
 
 def build_report(config: RunConfig) -> dict:
@@ -310,6 +318,8 @@ def _weight_text(entry: dict) -> str:
 
 
 def _distribution_text(dist: dict) -> str:
+    if "reason" in dist:
+        return f"refused, {dist['reason']}"
     if "refused" in dist:
         return f"refused, required budget {dist['required_budget']}"
     body = ", ".join(f"{w}:{c}" for w, c in sorted(dist.items(), key=lambda wc: int(wc[0])))

@@ -1,13 +1,13 @@
 """Turning idempotents into codes: bases, exact minimum weights, distributions.
 
-A code here is the ideal generated by an idempotent e: the span over F2 of the
-translates g*e.  Minimum weights and weight distributions are exact whenever
-2**dim fits the enumeration budget and the scan fits MAX_SCAN_ENTRIES;
-otherwise honest bounds are reported, with the provenance of each bound
-recorded.
+A code here is the minimal ideal generated by a primitive idempotent e: the
+span over F2 of the translates g*e.  Minimum weights and weight distributions
+are exact whenever 2**dim fits the enumeration budget and the doubling-orbit
+sieve fits MAX_SCAN_ENTRIES; otherwise honest bounds are reported, with the
+provenance of each bound recorded.
 
 Each ideal F2[G]e is read on its quotient G/H, H the stabilizer of e
-(_cyclic_quotient): when G/H = <gamma> is cyclic of order n', e is the
+(_cyclic_quotient): G/H = <gamma> is cyclic of order n', e is the
 |H|-fold coset lift of the n'-bit word e-bar, e-bar_t = e(t * gamma), and the
 ideal is the lift of the cyclic code of e-bar, of dimension k = deg h for
 h = (x**n' + 1)/gcd(e-bar, x**n' + 1) (MacWilliams & Sloane, The Theory of
@@ -16,15 +16,17 @@ quotient, its basis, and, once a weight is asked for, its one enumeration
 (minimum weight, a witness word and the weight histogram).  The basis is the
 k translates of e by t * gamma, t < k, the lifts of the first k cyclic shifts
 of e-bar, and check_basis certifies all of them at full width; dimension and
-primitivity read it.  An ideal without a cyclic quotient (a sum of minimal
-ideals) keeps the independent ones of its |G| translates in rank order
-instead.
+primitivity read it.  An element whose G/H is not cyclic is not a minimal
+ideal, and a NotMinimalIdealError (a ValueError) refuses it; a sum of minimal
+ideals with a cyclic G/H keeps its basis, dimension and idempotent count.
 
-A minimal code is enumerated on its quotient, on n'-bit words, by the walk
-over the doubling-orbit leaders of K*/T that scan_codewords describes, one
-walk per n', carried to the other codes of that length by multipliers
-x -> x**u (ibid., ch. 8).  The Gray-code walk over every codeword runs only
-for an ideal that is not a field, and serves the tests as an oracle.
+A minimal code is a field (ibid., ch. 8), enumerated on its quotient, on
+n'-bit words, by the walk over the doubling-orbit leaders of K*/T that
+scan_codewords describes, one walk per n', carried to the other codes of
+that length by multipliers x -> x**u.  An ideal that is not a field is not a
+minimal ideal, and its scan is refused with a NotMinimalIdealError.  Only a
+family built under overridden hypotheses has such members; analyze_code
+reports weight bounds and a refused distribution for them.
 """
 
 from __future__ import annotations
@@ -36,13 +38,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .cyclotomic import verify_class_structure
-from .gf2 import (
-    gf2_rank,
-    gray_flip_sequence,
-    independent_row_indices,
-    poly_gcd,
-    poly_is_irreducible,
-)
+from .gf2 import gf2_rank, independent_row_indices, poly_gcd, poly_is_irreducible
 from .group_algebra import (
     AbelianGroup,
     AlgebraElement,
@@ -57,8 +53,8 @@ from .number_theory import PrimePair, crt_inverses, factorize, multiplicative_or
 DEFAULT_BUDGET = 1 << 24
 MIN_BUDGET = 1 << 10
 MAX_CACHED_CODES = 256  # bound for library callers; cli.run empties the cache per run
-# The most entries one scan may allocate: the doubling-orbit sieve's N on the
-# orbit walk, 2**k - 1 on the Gray walk.  A sieve of 2**24 - 1 exponents took
+# The most entries one scan may allocate: the doubling-orbit sieve's
+# N = (2**k - 1)/n'.  A sieve of 2**24 - 1 exponents took
 # 2.6 s and raised the peak RSS from 18 to 41 MB (CPython 3.11.7, 2-vCPU Xeon
 # VM); at the default budget no scan reaches the limit.
 MAX_SCAN_ENTRIES = 1 << 24
@@ -66,8 +62,8 @@ MAX_SCAN_ENTRIES = 1 << 24
 
 class BudgetExceededError(RuntimeError):
     """An enumeration was refused because 2**dim exceeds the budget, or, with
-    `entries`, because its scan would allocate more than the budget
-    MAX_SCAN_ENTRIES."""
+    `entries`, because its doubling-orbit sieve would allocate more than the
+    budget MAX_SCAN_ENTRIES."""
 
     def __init__(self, dimension: int, budget: int, *, entries: int = 0):
         if entries:
@@ -90,20 +86,25 @@ class FalsificationError(AssertionError):
     """A value the theory pins down exactly came out different."""
 
 
+class NotMinimalIdealError(ValueError):
+    """F2[G]e is not a minimal ideal: its G/H is not cyclic, or it is not a field."""
+
+
 def ideal_dimension(e: AlgebraElement) -> int:
     """Dimension of F2[G]e for an idempotent e: the length of its cached
-    basis, which is deg h for the check polynomial h of its quotient record
-    (or, without a cyclic quotient, the rank of its translates)."""
+    basis, which is deg h for the check polynomial h of its quotient record.
+    An element whose G/H is not cyclic is not a minimal ideal:
+    NotMinimalIdealError."""
     return len(_checked_ideal(e).basis)
 
 
 def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
     """A deterministic basis of translates of e.
 
-    With a cyclic quotient G/H = <gamma> it is the translates of e by
-    t * gamma for t < deg h, the first maximal independent set of translates
-    taken along gamma; otherwise the first maximal independent set of the
-    translates in rank order.  The record builds it once per element; later
+    It is the translates of e by t * gamma for t < deg h, G/H = <gamma> the
+    cyclic quotient: the first maximal independent set of translates taken
+    along gamma.  An element whose G/H is not cyclic is not a minimal ideal
+    and raises NotMinimalIdealError.  The record builds it once per element; later
     calls return a new list of the same words.
     """
     return list(_checked_ideal(e).basis)
@@ -141,8 +142,8 @@ class _Quotient:
         return gather_bits(word, self.order, self.coset_indices())
 
 
-def _cyclic_quotient(e: AlgebraElement) -> _Quotient | None:
-    """The quotient record of e, or None when G/H is not cyclic.
+def _cyclic_quotient(e: AlgebraElement) -> _Quotient:
+    """The quotient record of e; NotMinimalIdealError when G/H is not cyclic.
 
     d_i, the order of g_i modulo H, is the least d with (d * g_i) * e == e:
     starting from n_i, each prime r of n_i is divided out while the quotient
@@ -185,7 +186,7 @@ def _cyclic_quotient(e: AlgebraElement) -> _Quotient | None:
         )
         c = next(found, None)
         if c is None:
-            return None
+            raise NotMinimalIdealError("G/H is not cyclic, so F2[G]e is not a minimal ideal")
         coefficients.append(c)
     word = gather_bits(bits, group.order, group.multiple_ranks(gamma_element, order))
     modulus = 1 << order | 1
@@ -205,12 +206,12 @@ def _poly_quotient(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class _Ideal:
-    """The checked basis of F2[G]e, the quotient record (None when G/H is not
-    cyclic), and, once read, the one scan of the code."""
+    """The checked basis of F2[G]e, the quotient record and, once read, the
+    one scan of the code."""
 
     e: AlgebraElement
     basis: tuple[AlgebraElement, ...]
-    quotient: _Quotient | None
+    quotient: _Quotient
 
     @cached_property
     def scan(self) -> tuple[int, int, dict[int, int]]:
@@ -221,51 +222,42 @@ class _Ideal:
         """
         rows = [x.bits for x in self.basis]
         best, word, hist = scan_codewords(rows, e=self.e)
-        if sum(hist.values()) != (1 << len(rows)) - 1 or (hist and min(hist) != best):
+        if sum(hist.values()) != (1 << len(rows)) - 1 or min(hist) != best:
             raise RuntimeError("weight histogram failed its internal consistency checks")
         return best, word, hist
 
 
 @lru_cache(maxsize=MAX_CACHED_CODES)
 def _checked_ideal(e: AlgebraElement) -> _Ideal:
-    """The record of F2[G]e.  With a cyclic quotient, the basis is the
-    translates of e by t * gamma, t < k = deg h: they lift x**t * e-bar,
-    and the first k shifts of a cyclic code with check polynomial h are a
-    basis of it (_Quotient).  check_basis must return all k of them.
-    Without one, the |G| translates are reduced in rank order."""
+    """The record of F2[G]e.  The basis is the translates of e by
+    t * gamma, t < k = deg h: they lift x**t * e-bar, and the first k shifts
+    of a cyclic code with check polynomial h are a basis of it (_Quotient).
+    check_basis must find all k of them independent."""
     group, quotient = e.group, _cyclic_quotient(e)
-    if quotient is None:
-        rows = [group.translate_bits(e.bits, g) for g in group.elements()]
-        rows = [rows[i] for i in check_basis(rows, e)]
-    else:
-        k = quotient.dimension
-        rows = [e.bits]
-        while len(rows) < k:
-            rows.append(group.translate_bits(rows[-1], quotient.gamma))
-        del rows[k:]  # k == 0 only for e == 0
-        if len(check_basis(rows, e)) != k:
-            raise FalsificationError(f"the translates do not give {k} independent rows")
+    k = quotient.dimension
+    rows = [e.bits]
+    while len(rows) < k:
+        rows.append(group.translate_bits(rows[-1], quotient.gamma))
+    del rows[k:]  # k == 0 only for e == 0
+    if check_basis(rows, e) != k:
+        raise FalsificationError(f"the translates do not give {k} independent rows")
     return _Ideal(e, tuple(AlgebraElement(group, row) for row in rows), quotient)
 
 
-def check_basis(rows: Sequence[int], e: AlgebraElement) -> list[int]:
-    """Certify the ideal F2[G]e with one squaring; return the indices of the
-    first maximal independent subset of `rows`, in order.
+def check_basis(rows: Sequence[int], e: AlgebraElement) -> int:
+    """Certify the ideal F2[G]e with one squaring; return the rank of `rows`.
 
     Assumes every row is a translate g*e, as _checked_ideal passes them.
     Then (g*e)*e = g*(e*e), and translation is injective, so every row is
     fixed by e exactly when e*e == e.  In commutative characteristic 2,
     e*e = sum of g**2 over the support of e, which is e.frobenius(); that
     one squaring is the membership proof.  Callers with other words
-    (explicit_bases) check x*e == x for each of them first.  Each kept row is
-    independent of the rows kept before it, so the pick is its own
-    independence proof: _checked_ideal requires all k rows taken along
-    gamma back, and keeps the independent ones of the |G| translates of an
-    ideal without a cyclic quotient (repeated translates reduce to zero).
+    (explicit_bases) check x*e == x for each of them first.  The rows are a
+    basis exactly when the rank is their count, which both callers require.
     """
     if e.frobenius() != e:
         raise FalsificationError("basis element is not fixed by the idempotent")
-    return independent_row_indices(rows)
+    return len(independent_row_indices(rows))
 
 
 def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> dict:
@@ -275,7 +267,8 @@ def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> d
     are the kernel of x -> x**2 + x there.  Over the cached basis b of the
     ideal the kernel has dimension c = dim - rank(b**2 + b), and the ideal
     holds 2**c idempotents.  They are 0 and e exactly when c == 1.  The cost
-    is one rank at any dimension.
+    is one rank at any dimension.  An element whose G/H is not cyclic is not
+    a minimal ideal and raises NotMinimalIdealError.
     """
     if e.frobenius() != e:
         raise ValueError("element is not idempotent")
@@ -291,35 +284,11 @@ def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> d
     }
 
 
-def gray_scan_codewords(rows: Sequence[int], *, ncols: int) -> tuple[int, int, dict[int, int]]:
-    """Enumerate every nonzero word of the span of `rows` in Gray-code order.
-
-    The enumerator for ideals that scan_codewords cannot certify as fields,
-    and the test oracle for scan_codewords.  Returns (min weight, the first
-    word attaining it, weight histogram).
-    """
-    if not rows:
-        return 0, 0, {}
-    best, best_word, word = ncols + 1, 0, 0
-    hist = [0] * (ncols + 1)
-    for f in gray_flip_sequence(len(rows)):
-        word ^= rows[f]
-        w = word.bit_count()
-        hist[w] += 1
-        if w < best:
-            best, best_word = w, word
-    return best, best_word, _hist_dict(hist)
-
-
-def _hist_dict(hist: list[int]) -> dict[int, int]:
-    return {w: n for w, n in enumerate(hist) if n}
-
-
-def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int]] | None:
+def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int]]:
     """Certify the ideal as a field K = F2[x]/f and find z in K that generates
     K*/T; return (f, z, [beta**0, ..., beta**(k - 1)]) with the powers of
-    beta as n'-bit words of the quotient code, or None when the ideal is not
-    a field.
+    beta as n'-bit words of the quotient code.  An ideal that is not a field
+    is not a minimal ideal and raises NotMinimalIdealError.
 
     x -> x * e-bar maps F2[x]/h onto the quotient code of e, so the ideal is
     a field exactly when h is irreducible (Rabin test), and then f = h and
@@ -331,25 +300,30 @@ def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int]]
     square-and-multiply on split tables of y -> y**2 (one per f) and
     y -> z*y (one per candidate).
 
-    The search is skipped unless |G| is odd, n' divides 2**k - 1 and
-    k == ord_n'(2), which every field ideal satisfies (it is spanned by its
-    translates, so it is F2[T]).
+    The Rabin test runs only when |G| is odd, n' > 1 divides 2**k - 1 and
+    k == ord_n'(2), as for every field ideal scan_codewords passes here (it
+    is F2[T]; the repetition code, n' == 1, takes the N == 1 shortcut).
+    K*/T is cyclic, so the search for z always ends.
     """
     orbit, f = quotient.order, quotient.check
     total = (1 << k) - 1
-    if not quotient.group.is_odd or orbit < 2 or total % orbit:
-        return None
-    if multiplicative_order(2, orbit) != k or not poly_is_irreducible(f):
-        return None
+    if (
+        not quotient.group.is_odd
+        or orbit < 2
+        or total % orbit
+        or multiplicative_order(2, orbit) != k
+        or not poly_is_irreducible(f)
+    ):
+        raise NotMinimalIdealError("F2[G]e is not a field, so it is not a minimal ideal")
     exponents = [total // r for r in factorize(total // orbit)]
     width = -(-k // 3)
     square = _split_tables(_shift_images(1, f, 2 * k)[::2], width)
     for z in range(2, 1 << k):
         times = _split_tables(_shift_images(z, f, k), width)
         if all(_table_power(times, square, m, width) != 1 for m in exponents):
-            word, mask = quotient.word, (1 << orbit) - 1
-            return f, z, [(word << i | word >> (orbit - i)) & mask for i in range(k)]
-    return None
+            break
+    word, mask = quotient.word, (1 << orbit) - 1
+    return f, z, [(word << i | word >> (orbit - i)) & mask for i in range(k)]
 
 
 def _shift_images(z: int, f: int, count: int) -> list[int]:
@@ -496,7 +470,7 @@ def _orbit_walk(
     text = format(quotient.word, f"0{orbit}b")
     if format(last, f"0{orbit}b") not in text + text:
         raise RuntimeError("the orbit walk did not close on a translate of e")
-    return best, best_word, _hist_dict(hist)
+    return best, best_word, {w: n for w, n in enumerate(hist) if n}
 
 
 def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int, dict[int, int]]:
@@ -527,37 +501,29 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
     that a multiplier maps it onto takes its histogram and minimum word.
     The minimum word is lifted to G, one coset of H per set bit.
 
-    When N == 1 the translates of e are all the nonzero words.  An ideal
-    without a cyclic quotient is never that: it is a sum of two or more
-    minimal ideals, and the component of e in one of them would be an
-    idempotent translate g*e, which forces g*e == e.  Such an ideal, and any
-    other that is not a field, is scanned word by word by
-    gray_scan_codewords.  A sieve or Gray walk over MAX_SCAN_ENTRIES entries
-    raises BudgetExceededError, and a row count other than the dimension of
-    the ideal raises ValueError before any scan.
+    When N == 1 the translates of e are all the nonzero words.  Any other
+    ideal that _orbit_multiplier cannot certify as a field (a sum of minimal
+    ideals, the zero ideal, an ideal of an even group) is not a minimal ideal
+    and raises NotMinimalIdealError.  A sieve over MAX_SCAN_ENTRIES entries
+    raises BudgetExceededError before that certificate, and a row count other
+    than the dimension of the ideal raises ValueError before any scan.
     """
     k = len(rows)
     ideal = _checked_ideal(e)
     if k != len(ideal.basis):
         raise ValueError(f"scan_codewords takes {len(ideal.basis)} basis rows, got {k}")
     quotient, total = ideal.quotient, (1 << k) - 1
-    faithful = None
-    if quotient is not None:
-        orbit = quotient.order
-        if total == orbit:
-            w = e.weight
-            return w, e.bits, {w: orbit}
-        if total // orbit > MAX_SCAN_ENTRIES:
-            raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
-        faithful = _carried_scan(quotient)
-        if faithful is None and (field := _orbit_multiplier(quotient, k)) is not None:
-            faithful = _orbit_walk(quotient, k, *field)
-            if len(_faithful_scans) < MAX_CACHED_CODES:
-                _faithful_scans.setdefault(orbit, (quotient.word, *faithful))
+    orbit = quotient.order
+    if total == orbit:
+        w = e.weight
+        return w, e.bits, {w: orbit}
+    if total // orbit > MAX_SCAN_ENTRIES:
+        raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
+    faithful = _carried_scan(quotient)
     if faithful is None:
-        if total > MAX_SCAN_ENTRIES:
-            raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total)
-        return gray_scan_codewords(rows, ncols=e.group.order)
+        faithful = _orbit_walk(quotient, k, *_orbit_multiplier(quotient, k))
+        if len(_faithful_scans) < MAX_CACHED_CODES:
+            _faithful_scans.setdefault(orbit, (quotient.word, *faithful))
     best, word, hist = faithful
     scale = e.group.order // quotient.order
     return scale * best, quotient.lift(word), {scale * w: n for w, n in hist.items()}
@@ -603,20 +569,17 @@ def minimum_weight(
 ) -> WeightResult:
     """Exact minimum weight by enumeration, or bounds when it does not fit the
     budget or the scan limit (MAX_SCAN_ENTRIES), with a note naming which.
-
-    The fallback lower bound is 2 for augmentation-zero idempotents (all
-    codewords then have even weight) and any supplied theory bound; the upper
-    bound is the lightest among e itself and the probe codewords.
+    Within both, an ideal that is not minimal raises NotMinimalIdealError.
     """
     basis = ideal_basis(e)
     k = len(basis)
     if (1 << k) > budget:
-        notes = [f"enumeration refused: 2**{k} exceeds budget {budget}"]
+        note = f"enumeration refused: 2**{k} exceeds budget {budget}"
     else:
         try:
             best, word, _ = _checked_ideal(e).scan
         except BudgetExceededError as exc:
-            notes = [f"enumeration refused: {exc}"]
+            note = f"enumeration refused: {exc}"
         else:
             return WeightResult(
                 lower=best,
@@ -625,6 +588,17 @@ def minimum_weight(
                 witness=AlgebraElement(e.group, word),
                 notes=(f"enumerated all 2**{k} - 1 nonzero codewords",),
             )
+    return _weight_bounds(e, note, theory_lower, probes)
+
+
+def _weight_bounds(
+    e: AlgebraElement, note: str, theory_lower: int | None, probes: Iterable[AlgebraElement]
+) -> WeightResult:
+    """Bounds on the minimum weight of a code that was not enumerated, `note`
+    saying why.  The lower bound is 2 for augmentation-zero idempotents (all
+    codewords then have even weight) and any supplied theory bound; the upper
+    bound is the lightest among e itself and the probe codewords."""
+    notes = [note]
     lower = 1
     if e.augmentation() == 0:
         lower = 2
@@ -648,7 +622,8 @@ def minimum_weight(
 
 def weight_distribution(e: AlgebraElement, *, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Full weight histogram of the nonzero codewords; raises
-    BudgetExceededError beyond the budget or the scan limit."""
+    BudgetExceededError beyond the budget or the scan limit, and within both
+    NotMinimalIdealError for an ideal that is not minimal."""
     basis = ideal_basis(e)
     k = len(basis)
     if (1 << k) > budget:
@@ -732,7 +707,7 @@ def explicit_bases(family: IdempotentFamily) -> dict[str, dict[str, list[Algebra
             # hat differences and seed-word translates are not translates of e
             if any(x * e != x for x in basis):
                 raise FalsificationError("basis element is not fixed by the idempotent")
-            if len(check_basis([x.bits for x in basis], e)) != len(basis):
+            if check_basis([x.bits for x in basis], e) != len(basis):
                 raise FalsificationError("basis elements are linearly dependent")
             if len(basis) != family.predicted_dims[label]:
                 raise FalsificationError(
@@ -860,7 +835,8 @@ class CodeReport:
     theory: TheoryWeight
     theory_match: bool | None
     distribution: dict[int, int] | None = None
-    distribution_refused: int | None = None  # required budget when refused
+    # when refused: the required budget, or why no budget would do
+    distribution_refused: int | str | None = None
 
     @property
     def dimension_matches(self) -> bool:
@@ -899,6 +875,9 @@ def analyze_code(
     `want_weights` or `want_distribution` nothing is enumerated and
     `min_weight` is None.  `theory_map` and `probes` are the family's
     theoretical_expectations and _theory_probes, built here when not given.
+    A member that is not a minimal ideal (only reachable when the family was
+    built under overridden hypotheses) gets weight bounds and a refused
+    distribution, each naming the reason.
     """
     e = family.elements[label]
     basis = ideal_basis(e)
@@ -915,13 +894,15 @@ def analyze_code(
             distribution = weight_distribution(e, budget=budget)
         except BudgetExceededError as exc:
             refused = exc.required_budget
+        except NotMinimalIdealError as exc:
+            refused = str(exc)
     if want_weights or want_distribution:
-        result = minimum_weight(
-            e,
-            budget=budget,
-            theory_lower=theory.lower if theory.kind == "bounds" else None,
-            probes=[probes[label]] if label in probes else [],
-        )
+        theory_lower = theory.lower if theory.kind == "bounds" else None
+        probe_words = [probes[label]] if label in probes else []
+        try:
+            result = minimum_weight(e, budget=budget, theory_lower=theory_lower, probes=probe_words)
+        except NotMinimalIdealError as exc:
+            result = _weight_bounds(e, f"enumeration refused: {exc}", theory_lower, probe_words)
 
     match: bool | None = None
     if result is not None and result.exact:
@@ -988,6 +969,8 @@ class GeneratorMatrix:
 
 
 def generator_matrix(e: AlgebraElement) -> GeneratorMatrix:
+    """The rows of ideal_basis(e); an element whose G/H is not cyclic is not
+    a minimal ideal and raises NotMinimalIdealError."""
     basis = ideal_basis(e)
     return GeneratorMatrix(rows=tuple(x.bits for x in basis), ncols=e.group.order)
 
@@ -1156,6 +1139,7 @@ __all__ = [
     "MIN_BUDGET",
     "BudgetExceededError",
     "FalsificationError",
+    "NotMinimalIdealError",
     "WeightResult",
     "TheoryWeight",
     "CodeReport",
@@ -1165,7 +1149,6 @@ __all__ = [
     "check_basis",
     "verify_primitivity",
     "scan_codewords",
-    "gray_scan_codewords",
     "minimum_weight",
     "weight_distribution",
     "clear_caches",

@@ -1,4 +1,4 @@
-"""GF(2) bitset helpers: bit iteration, rank, Gray-code scan order, and GF(2)[x].
+"""GF(2) bitset helpers: bit iteration, rank, and GF(2)[x].
 
 Rows and vectors are plain Python ints used as bitsets; XOR is addition.  A
 polynomial over GF(2) is an int too: bit i is the coefficient of x**i.
@@ -44,20 +44,6 @@ def independent_row_indices(rows: Sequence[int]) -> list[int]:
 def gf2_rank(rows: Sequence[int]) -> int:
     """Rank over GF(2) of the span of the given bitset rows."""
     return len(independent_row_indices(rows))
-
-
-def gray_flip_sequence(k: int) -> bytes:
-    """Flip order of a k-bit Gray walk: entry i-1 is the row index toggled at step i.
-
-    The walk starts at the zero word; after step i the live word is the XOR of
-    the rows selected by the bits of the Gray code i ^ (i >> 1).  Length is 2**k - 1.
-    """
-    if k < 0 or k > 255:
-        raise ValueError(f"unsupported Gray dimension {k}")
-    seq = b""
-    for j in range(k):
-        seq = seq + bytes([j]) + seq
-    return seq
 
 
 def poly_mod(a: int, f: int) -> int:
@@ -111,7 +97,6 @@ __all__ = [
     "bit_indices",
     "gf2_rank",
     "independent_row_indices",
-    "gray_flip_sequence",
     "poly_mod",
     "poly_mulmod",
     "poly_gcd",

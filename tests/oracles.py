@@ -83,6 +83,32 @@ def naive_weight_distribution(rows) -> dict[int, int]:
     return hist
 
 
+def gray_flip_sequence(k: int) -> bytes:
+    """Flip order of a k-bit Gray walk: entry i-1 is the row index toggled at step i.
+
+    The walk starts at the zero word; after step i the live word is the XOR of
+    the rows selected by the bits of the Gray code i ^ (i >> 1).  Length is 2**k - 1.
+    """
+    seq = b""
+    for j in range(k):
+        seq = seq + bytes([j]) + seq
+    return seq
+
+
+def gray_scan_codewords(rows: Sequence[int], *, ncols: int) -> tuple[int, int, dict[int, int]]:
+    """Every nonzero word of the span of `rows`, in Gray-code order: (min weight,
+    the first word attaining it, weight histogram).  Any span, minimal or not."""
+    best, best_word, word = ncols + 1, 0, 0
+    hist: dict[int, int] = {}
+    for f in gray_flip_sequence(len(rows)):
+        word ^= rows[f]
+        w = word.bit_count()
+        hist[w] = hist.get(w, 0) + 1
+        if w < best:
+            best, best_word = w, word
+    return best, best_word, dict(sorted(hist.items()))
+
+
 def poly_powmod(a: int, exp: int, f: int) -> int:
     """a ** exp mod f over GF(2), by square-and-multiply with poly_mulmod."""
     a = poly_mod(a, f)
@@ -159,6 +185,13 @@ def all_subgroups(group: AbelianGroup) -> list[Subgroup]:
                 by_ranks[bigger.element_ranks] = bigger
                 frontier.append(bigger)
     return sorted(by_ranks.values(), key=lambda s: (s.order, s.element_ranks))
+
+
+def stabilizer(e: AlgebraElement) -> Subgroup:
+    """H = {g : g*e == e}, found by translating e by every element."""
+    group = e.group
+    fixed = [g for g in group.elements() if group.translate_bits(e.bits, g) == e.bits]
+    return Subgroup.from_generators(group, fixed)
 
 
 def quotient_is_cyclic(group: AbelianGroup, sub: Subgroup) -> bool:

@@ -309,6 +309,49 @@ class TestRun:
                 assert theory["source"], label
 
 
+class TestMembersThatAreNotMinimal:
+    """Under overridden hypotheses 3x5x13 builds 14 members for 20 squaring
+    orbits: e8 to e13 (dimension 24, ord_195(2) = 12) are sums of two
+    minimal ideals, which no enumeration certifies as a field."""
+
+    SUMS = ("e8", "e9", "e10", "e11", "e12", "e13")
+
+    def _run(self, *analyses):
+        return run(RunConfig(group_spec="3x5x13", analyses=analyses, override=True))
+
+    def test_weights_are_bounded_with_the_reason(self):
+        code, report, text = self._run("weights")
+        assert code == EXIT_OK
+        for label, entry in report["weights"].items():
+            found = entry["min_weight"]
+            if label not in self.SUMS:
+                assert found["exact"], label
+                continue
+            assert entry["dimension"] == 24 and not found["exact"], label
+            assert "not a minimal ideal" in found["notes"][0], label
+            # 48, the minimum an exhaustive Gray walk over all 2**24 - 1 words finds
+            assert found["lower"] <= 48 <= found["upper"], label
+        assert "e8       in [2, 72] (bounded)" in text
+
+    def test_distributions_are_refused_with_the_reason(self):
+        code, report, text = self._run("distribution")
+        assert code == EXIT_BUDGET
+        for label, dist in report["distributions"].items():
+            if label in self.SUMS:
+                assert dist["refused"] and dist["required_budget"] is None, label
+                assert "not a minimal ideal" in dist["reason"], label
+            else:
+                assert "refused" not in dist, label
+        assert "e13      refused, F2[G]e is not a field, so it is not a minimal ideal" in text
+
+    def test_verify_reports_the_orbit_count_mismatch(self):
+        code, report, _ = self._run("dims", "weights", "verify")
+        assert code == EXIT_FALSIFIED
+        assert not report["dimensions"]["count_matches"]
+        failed = [c["name"] for c in report["verify"]["checks"] if not c["passed"]]
+        assert failed == ["member count equals squaring-orbit count"]
+
+
 class TestMain:
     def test_json_output_is_deterministic_across_threads(self, capsys, monkeypatch):
         scans = []

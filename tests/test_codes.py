@@ -12,6 +12,7 @@ from abelcodes.cli import RunConfig, run
 from abelcodes.codes import (
     BudgetExceededError,
     FalsificationError,
+    NotMinimalIdealError,
     analyze_family,
     code_seed_word,
     family_verification,
@@ -20,7 +21,6 @@ from abelcodes.codes import (
     ideal_dimension,
     minimum_weight,
     explicit_bases,
-    gray_scan_codewords,
     scan_codewords,
     split_swap_map_matches,
     table_witness_words,
@@ -29,7 +29,7 @@ from abelcodes.codes import (
     weight_distribution,
 )
 from abelcodes.gf2 import gf2_rank, independent_row_indices
-from abelcodes.group_algebra import AlgebraElement, Subgroup, gather_bits
+from abelcodes.group_algebra import AbelianGroup, AlgebraElement, gather_bits
 from abelcodes.idempotents import (
     family_pq,
     family_prime_power,
@@ -41,10 +41,13 @@ from oracles import (
     berlekamp_massey,
     doubling_orbit_sizes,
     first_translates,
+    gray_flip_sequence,
+    gray_scan_codewords,
     naive_weight_distribution,
     per_bit_power,
     poly_powmod,
     quotient_is_cyclic,
+    stabilizer,
 )
 
 
@@ -182,12 +185,6 @@ class TestMinimumWeight:
         assert report.min_weight.lower == 4
         assert report.min_weight.upper == 24
 
-    def test_sum_of_split_pair_has_minimum_four(self, fam15):
-        e = fam15.elements["e3"] + fam15.elements["e4"]
-        assert e * e == e
-        result = minimum_weight(e, budget=1 << 10)
-        assert result.value == 4
-
 
 class TestWeightDistribution:
     def test_c15_e3(self, fam15):
@@ -229,18 +226,28 @@ class TestWeightDistribution:
             with pytest.raises(ValueError, match="takes 10 basis rows"):
                 scan_codewords(wrong, e=e)
 
-    def test_an_oversize_gray_walk_is_refused(self, fam15, monkeypatch):
-        # e3 + e4 is not a field: its sieve would need 255 // 15 entries, its Gray walk 255
+    @pytest.mark.parametrize("limit", [10, 100])
+    def test_a_sum_is_refused_by_the_sieve_limit_or_as_not_minimal(
+        self, fam15, limit, monkeypatch
+    ):
+        # e3 + e4 is not a field: its sieve would need 255 // 15 = 17 entries, and
+        # the sieve limit is checked before the field certificate
         e = fam15.elements["e3"] + fam15.elements["e4"]
         codes.clear_caches()
         rows = [x.bits for x in ideal_basis(e)]
-        monkeypatch.setattr(codes, "MAX_SCAN_ENTRIES", 100)
-        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
-        with pytest.raises(BudgetExceededError, match="needs 255 entries"):
-            scan_codewords(rows, e=e)
-        assert gray_calls == []
-        result = minimum_weight(e, budget=1 << 10)
-        assert not result.exact and "scan limit 100" in result.notes[0]
+        monkeypatch.setattr(codes, "MAX_SCAN_ENTRIES", limit)
+        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
+        if limit < 17:
+            with pytest.raises(BudgetExceededError, match="needs 17 entries"):
+                scan_codewords(rows, e=e)
+            result = minimum_weight(e, budget=1 << 10)
+            assert not result.exact and f"scan limit {limit}" in result.notes[0]
+            assert certificates == []
+        else:
+            with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+                scan_codewords(rows, e=e)
+            with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+                minimum_weight(e, budget=1 << 10)
 
     def test_csv_export(self, fam33):
         from abelcodes.codes import distribution_csv
@@ -288,8 +295,6 @@ class TestWeightDistribution:
         seen: set[int] = set()
         rebuilt: dict[int, int] = {}
         word = 0
-        from abelcodes.gf2 import gray_flip_sequence
-
         for flip in gray_flip_sequence(len(rows)):
             word ^= rows[flip]
             if word in seen:
@@ -300,6 +305,32 @@ class TestWeightDistribution:
             assert all(o.bit_count() == w for o in orbit)
             rebuilt[w] = rebuilt.get(w, 0) + len(orbit)
         assert rebuilt == hist == full
+
+
+class TestNotAMinimalIdeal:
+    """Only minimal ideals are enumerated; every other ideal is refused by name."""
+
+    def test_the_zero_element_has_no_minimum_weight(self):
+        zero = AlgebraElement.zero(AbelianGroup([15]))
+        assert ideal_basis(zero) == []
+        for enumerate_ in (minimum_weight, weight_distribution):
+            with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+                enumerate_(zero, budget=1 << 10)
+
+    def test_the_unit_of_an_even_group_is_refused(self):
+        one = AlgebraElement.one(AbelianGroup([2]))
+        assert ideal_dimension(one) == 2
+        with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+            minimum_weight(one, budget=1 << 10)
+
+    def test_an_over_budget_sum_gets_bounds_without_a_rabin_test(self, monkeypatch):
+        fam = family_pq(11, 13)
+        e = fam.elements["e3"] + fam.elements["e4"]
+        codes.clear_caches()
+        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
+        result = minimum_weight(e, budget=1 << 20)
+        assert (result.lower, result.upper, result.exact) == (2, 120, False)
+        assert certificates == []
 
 
 ORACLE_FAMILIES = {
@@ -341,14 +372,15 @@ class TestOrbitWalk:
     @pytest.mark.parametrize("spec", sorted(ORACLE_FAMILIES))
     def test_codes_up_to_dimension_20_match_the_gray_scan(self, spec, monkeypatch):
         fam = ORACLE_FAMILIES[spec]()
-        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
+        paths = _scan_paths(monkeypatch)
         labels = [lab for lab in fam.labels if fam.predicted_dims[lab] <= 20]
         assert len(labels) >= 5
+        codes.clear_caches()
         for label in labels:
             e = fam.elements[label]
             rows = [x.bits for x in ideal_basis(e)]
-            best, word, hist = scan_codewords(rows, e=e)
-            assert gray_calls == [], label  # every minimal code is certified a field
+            best, word, hist = codes.scan_codewords(rows, e=e)
+            _assert_certified(paths[-1], label)
             gray_best, _, gray_hist = gray_scan_codewords(rows, ncols=fam.group.order)
             assert (best, hist) == (gray_best, gray_hist), label
             witness = AlgebraElement(fam.group, word)
@@ -391,15 +423,40 @@ class TestOrbitWalk:
         assert "scan" not in vars(codes._checked_ideal(e))
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam33"])
-    def test_split_pair_sum_goes_through_the_gray_fallback(self, fixture, request, monkeypatch):
+    def test_split_pair_sum_is_refused_as_not_minimal(self, fixture, request, monkeypatch):
         fam = request.getfixturevalue(fixture)
         e = fam.elements["e3"] + fam.elements["e4"]  # not a minimal ideal, so not a field
+        assert e * e == e
         codes.clear_caches()
-        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
-        result = minimum_weight(e, budget=1 << 20)
-        assert len(gray_calls) == 1
-        assert result.exact and result.value == 4 and result.witness.weight == 4
-        assert result.witness * e == result.witness
+        walks = _count_calls(monkeypatch, codes, "_orbit_walk")
+        rows = [x.bits for x in ideal_basis(e)]
+        with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+            scan_codewords(rows, e=e)
+        for enumerate_ in (minimum_weight, weight_distribution):
+            with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+                enumerate_(e, budget=1 << 20)
+        assert walks == [] and "scan" not in vars(codes._checked_ideal(e))
+        # the oracle still walks the sum: its lightest word has weight 4
+        best, word, _ = gray_scan_codewords(rows, ncols=fam.group.order)
+        witness = AlgebraElement(fam.group, word)
+        assert best == witness.weight == 4 and witness * e == witness
+
+    def test_a_sum_that_passes_the_order_test_is_refused_by_the_rabin_test(
+        self, fam45, monkeypatch
+    ):
+        # I20 + I01 + I10 on 45 has n' = 45 and k = 6 + 4 + 2 = 12 = ord_45(2), like a
+        # field would, but its h is the product of the three members' check polynomials
+        e = fam45.elements["I20"] + fam45.elements["I01"] + fam45.elements["I10"]
+        codes.clear_caches()
+        quotient = codes._checked_ideal(e).quotient
+        assert (quotient.order, quotient.dimension) == (45, 12)
+        assert multiplicative_order(2, 45) == 12
+        assert verify_primitivity(e)["idempotents_found"] == 8
+        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
+        for enumerate_ in (minimum_weight, weight_distribution):
+            with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+                enumerate_(e, budget=1 << 20)
+        assert [args for args, _ in certificates] == [(quotient.check,)] * 2
 
     def test_cold_runs_give_the_same_witness(self):
         fam = family_three_primes(3, 5, 11)
@@ -542,16 +599,10 @@ def _assert_gamma_basis(e, tag):
     for t, row in enumerate(rows):
         assert row == group.translate_bits(e.bits, group.scale(quotient.gamma, t)), (tag, t)
         assert row == gather_bits(_rotation(quotient.word, t, n), n, cosets), (tag, t)
-    assert codes.check_basis(rows, e) == list(range(k)), tag
+    assert codes.check_basis(rows, e) == k, tag
     translates, _ = first_translates(e)
     oracle = [translates[i] for i in independent_row_indices(translates)]
     assert len(oracle) == k == gf2_rank(rows + oracle), tag
-
-
-def _stabilizer(e):
-    group = e.group
-    fixed = [g for g in group.elements() if group.translate_bits(e.bits, g) == e.bits]
-    return Subgroup.from_generators(group, fixed)
 
 
 class TestQuotientRecord:
@@ -563,7 +614,7 @@ class TestQuotientRecord:
             e = fam.elements[label]
             quotient = codes._cyclic_quotient(e)
             rows, _ = first_translates(e)
-            assert quotient.order == len(rows) == group.order // _stabilizer(e).order, label
+            assert quotient.order == len(rows) == group.order // stabilizer(e).order, label
             assert quotient.lift(quotient.word) == e.bits, label
             # gamma has order n' modulo H, and g_i = c_i * gamma modulo H
             cosets = quotient.coset_indices()
@@ -579,20 +630,26 @@ class TestQuotientRecord:
         outcomes = []
         for i, j in itertools.combinations(range(len(fam.labels)), 2):
             e = fam.elements[fam.labels[i]] + fam.elements[fam.labels[j]]
-            quotient = codes._cyclic_quotient(e)
-            stabilizer = _stabilizer(e)
-            assert (quotient is not None) == quotient_is_cyclic(fam.group, stabilizer), (i, j)
-            if quotient is not None:
-                assert quotient.order == fam.group.order // stabilizer.order, (i, j)
-                assert quotient.lift(quotient.word) == e.bits, (i, j)
+            h = stabilizer(e)
             codes.clear_caches()
-            if quotient is None:
-                rows, _ = first_translates(e)
-                oracle = [rows[r] for r in independent_row_indices(rows)]
-                assert [x.bits for x in ideal_basis(e)] == oracle, (i, j)
-            else:
-                _assert_gamma_basis(e, (i, j))
-            outcomes.append(quotient is None)
+            refused = not quotient_is_cyclic(fam.group, h)
+            outcomes.append(refused)
+            if refused:
+                for build in (
+                    codes._cyclic_quotient,
+                    ideal_basis,
+                    ideal_dimension,
+                    generator_matrix,
+                    verify_primitivity,
+                ):
+                    with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+                        build(e)
+                continue
+            quotient = codes._cyclic_quotient(e)
+            assert quotient.order == fam.group.order // h.order, (i, j)
+            assert quotient.lift(quotient.word) == e.bits, (i, j)
+            _assert_gamma_basis(e, (i, j))
+            assert verify_primitivity(e)["idempotents_found"] == 4, (i, j)
         assert (outcomes.count(True), outcomes.count(False)) == (54, 37)
 
     @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES))
@@ -708,13 +765,13 @@ class TestCarriedScans:
 class TestNoGrayWalkOnTheCli:
     @pytest.mark.parametrize("spec", ["15", "33", "45", "3x5x11", "9x25", "27x25"])
     def test_every_cli_code_is_walked_as_a_field(self, spec, monkeypatch):
-        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
-        scans = _count_calls(monkeypatch, codes, "scan_codewords")
+        paths = _scan_paths(monkeypatch)
         code, report, _ = run(
             RunConfig(group_spec=spec, analyses=("weights", "distribution"), budget=1 << 20)
         )
-        assert code in (0, 3) and scans
-        assert gray_calls == []
+        assert code in (0, 3) and "walk" in [path for path, _ in paths]
+        for scanned in paths:
+            _assert_certified(scanned, spec)
 
 
 class TestTheory:
@@ -829,6 +886,34 @@ def _count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _scan_paths(monkeypatch):
+    """Record, for each codes.scan_codewords call that returns, how its code
+    was proven: "walk" when _orbit_multiplier certified it a field, "carried"
+    when _carried_scan carried a kept walk onto it, "translates" when neither
+    ran; and whether its translates are all its nonzero words (N == 1)."""
+    paths = []
+    fields = _count_calls(monkeypatch, codes, "_orbit_multiplier")
+    carried = _returns(monkeypatch, codes, "_carried_scan")
+    scan = codes.scan_codewords
+
+    def recorded(rows, *, e):
+        fields.clear()
+        carried.clear()
+        out = scan(rows, e=e)
+        path = "walk" if fields else "carried" if any(carried) else "translates"
+        paths.append((path, (1 << len(rows)) - 1 == codes._checked_ideal(e).quotient.order))
+        return out
+
+    monkeypatch.setattr(codes, "scan_codewords", recorded)
+    return paths
+
+
+def _assert_certified(scanned, tag):
+    """A scan with N > 1 went through a field certificate; one with N == 1 did not."""
+    path, all_translates = scanned
+    assert path == "translates" if all_translates else path in ("walk", "carried"), tag
 
 
 def _returns(monkeypatch, module, name):
@@ -968,28 +1053,21 @@ class TestOneAnalysisPass:
         assert sum(hist.values()) == (1 << 20) - 1
 
     @pytest.mark.parametrize(
-        "fixture, members, path",
-        [
-            ("fam15", ("e0",), "translates"),
-            ("fam33", ("e3",), "orbit walk"),
-            ("fam15", ("e3", "e4"), "gray"),
-        ],
-        ids=["translates", "orbit_walk", "gray"],
+        "fixture, label, path",
+        [("fam15", "e0", "translates"), ("fam33", "e3", "orbit walk")],
+        ids=["translates", "orbit_walk"],
     )
     def test_every_scan_path_returns_the_full_histogram(
-        self, fixture, members, path, request, monkeypatch
+        self, fixture, label, path, request, monkeypatch
     ):
         fam = request.getfixturevalue(fixture)
-        e = AlgebraElement.zero(fam.group)
-        for label in members:
-            e = e + fam.elements[label]
+        e = fam.elements[label]
         codes.clear_caches()
         searches = _count_calls(monkeypatch, codes, "_orbit_multiplier")
-        gray_calls = _count_calls(monkeypatch, codes, "gray_scan_codewords")
         rows = [x.bits for x in ideal_basis(e)]
         best, word, hist = scan_codewords(rows, e=e)
         # the multiplier search runs unless the translates are the whole code
-        taken = "gray" if gray_calls else "orbit walk" if searches else "translates"
+        taken = "orbit walk" if searches else "translates"
         assert taken == path
         assert sum(hist.values()) == (1 << len(rows)) - 1
         assert best == min(hist) == word.bit_count()

@@ -71,10 +71,12 @@ def test_every_private_helper_is_used_outside_its_definition():
 
 
 def test_clear_caches_leaves_no_module_cache_holding_entries():
-    fam = family_pq(3, 5)
-    e = fam.elements["e3"] + fam.elements["e4"]  # not a field: a Gray scan
-    assert codes.minimum_weight(e, budget=1 << 10).value == 4
     codes.clear_caches()
+    e = family_pq(3, 11).elements["e3"]  # a member walked as a field: N = 1023 / 33
+    assert codes.minimum_weight(e, budget=1 << 10).value == 12
+    assert codes._faithful_scans
+    codes.clear_caches()
+    assert not codes._faithful_scans
     held = [
         f"{module.__name__}.{name}"
         for module in MODULES

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from abelcodes import idempotents
-from abelcodes.codes import verify_primitivity
+from abelcodes.codes import NotMinimalIdealError, verify_primitivity
 from abelcodes.cyclotomic import class_count, cyclotomic_classes
-from abelcodes.gf2 import gray_flip_sequence, independent_row_indices
+from abelcodes.gf2 import independent_row_indices
 from abelcodes.group_algebra import (
     AbelianGroup,
     AlgebraElement,
@@ -32,7 +32,10 @@ from oracles import (
     cyclic_quotient_covers,
     embedded_sides,
     every_character_kernel,
+    gray_flip_sequence,
     per_bit_square,
+    quotient_is_cyclic,
+    stabilizer,
 )
 
 GOLDEN_15 = [1, 2, 3, 4, 6, 8, 9, 12]
@@ -727,13 +730,22 @@ class TestPrimitivityAgainstTheGrayWalk:
         ]
         stride = -(-len(sums) // 24)  # at most 24 sums per family, spread over the list
         assert sums
+        counted = 0
         for labels in sums[::stride]:
             e = AlgebraElement.zero(fam.group)
             for lab in labels:
                 e = e + fam.elements[lab]
+            reference = _gray_idempotent_count(e)
+            assert reference == 2 ** len(labels), labels
+            # a sum whose G/H is not cyclic has no basis along gamma, and is refused
+            if not quotient_is_cyclic(fam.group, stabilizer(e)):
+                with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+                    verify_primitivity(e)
+                continue
             report = verify_primitivity(e)
-            assert report["idempotents_found"] == _gray_idempotent_count(e) == 2 ** len(labels)
-            assert report["primitive"] is False
+            assert report["idempotents_found"] == reference and report["primitive"] is False
+            counted += 1
+        assert counted
 
 
 class TestOneBuilder:
