@@ -15,10 +15,12 @@ Error-Correcting Codes, ch. 7).  Each ideal has one cached record: that
 quotient, its basis, and, once a weight is asked for, its one enumeration
 (minimum weight, a witness word and the weight histogram).  The basis is the
 k translates of e by t * gamma, t < k, the lifts of the first k cyclic shifts
-of e-bar, and check_basis certifies all of them at full width; dimension and
-primitivity read it.  An element whose G/H is not cyclic is not a minimal
-ideal, and a NotMinimalIdealError (a ValueError) refuses it; a sum of minimal
-ideals with a cyclic G/H keeps its basis, dimension and idempotent count.
+of e-bar.  check_basis certifies them independent at full width, so the
+dimension is at least k, and h * e-bar == 0 mod x**n' + 1 puts every later
+shift in their span, so it is at most k; dimension and primitivity read the
+basis.  An element whose G/H is not cyclic is not a minimal ideal, and a
+NotMinimalIdealError (a ValueError) refuses it; a sum of minimal ideals with a
+cyclic G/H keeps its basis, dimension and idempotent count.
 
 A minimal code is a field (ibid., ch. 8), enumerated on its quotient, on
 n'-bit words, by the walk over the doubling-orbit leaders of K*/T that
@@ -38,7 +40,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .cyclotomic import verify_class_structure
-from .gf2 import gf2_rank, independent_row_indices, poly_gcd, poly_is_irreducible
+from .gf2 import gf2_rank, independent_row_indices, poly_gcd, poly_is_irreducible, poly_mulmod
 from .group_algebra import (
     AbelianGroup,
     AlgebraElement,
@@ -229,12 +231,16 @@ class _Ideal:
 
 @lru_cache(maxsize=MAX_CACHED_CODES)
 def _checked_ideal(e: AlgebraElement) -> _Ideal:
-    """The record of F2[G]e.  The basis is the translates of e by
-    t * gamma, t < k = deg h: they lift x**t * e-bar, and the first k shifts
-    of a cyclic code with check polynomial h are a basis of it (_Quotient).
-    check_basis must find all k of them independent."""
+    """The record of F2[G]e, whose dimension is certified to be k = deg h.
+    The basis is the translates of e by t * gamma, t < k: they lift
+    x**t * e-bar (_Quotient).  check_basis must find all k of them
+    independent, so dim >= k.  And h * e-bar must vanish mod x**n' + 1: h is
+    monic of degree k, so x**k * e-bar, and by induction every later shift,
+    lies in the span of the first k, so dim <= k."""
     group, quotient = e.group, _cyclic_quotient(e)
     k = quotient.dimension
+    if poly_mulmod(quotient.word, quotient.check, 1 << quotient.order | 1):
+        raise FalsificationError(f"the check polynomial of degree {k} does not annihilate e-bar")
     rows = [e.bits]
     while len(rows) < k:
         rows.append(group.translate_bits(rows[-1], quotient.gamma))
@@ -889,20 +895,27 @@ def analyze_code(
     result = None
     distribution = None
     refused = None
+    not_minimal = None  # the scan's refusal, asked for at most once
     if want_distribution:
         try:
             distribution = weight_distribution(e, budget=budget)
         except BudgetExceededError as exc:
             refused = exc.required_budget
         except NotMinimalIdealError as exc:
-            refused = str(exc)
+            refused = not_minimal = str(exc)
     if want_weights or want_distribution:
         theory_lower = theory.lower if theory.kind == "bounds" else None
         probe_words = [probes[label]] if label in probes else []
-        try:
-            result = minimum_weight(e, budget=budget, theory_lower=theory_lower, probes=probe_words)
-        except NotMinimalIdealError as exc:
-            result = _weight_bounds(e, f"enumeration refused: {exc}", theory_lower, probe_words)
+        if not_minimal is None:
+            try:
+                result = minimum_weight(
+                    e, budget=budget, theory_lower=theory_lower, probes=probe_words
+                )
+            except NotMinimalIdealError as exc:
+                not_minimal = str(exc)
+        if not_minimal is not None:
+            note = f"enumeration refused: {not_minimal}"
+            result = _weight_bounds(e, note, theory_lower, probe_words)
 
     match: bool | None = None
     if result is not None and result.exact:
@@ -1061,40 +1074,34 @@ def family_verification(
     and every weight statement the theory makes that fits the budget.
     Conjectured values are recorded but never falsify.  Bases and
     enumerations that an earlier analysis of the family already made are
-    reused, not repeated.  A FalsificationError raised while analyzing the
-    codes becomes a failed check, and the checks that need no code report
-    still run.
+    reused, not repeated.  The codes are analyzed first, and their certified
+    dimensions let verify_axioms prove orthogonality without products.  A
+    FalsificationError raised while analyzing the codes becomes a failed
+    check, the axioms then multiply every pair, and the checks that need no
+    code report still run.
     """
-    checks: list[dict] = list(family.verify_axioms())
     try:
         reports = analyze_family(family, budget=budget)
     except FalsificationError as exc:
         reports = {}
-        checks.append(_check("every code of the family is analyzed", False, str(exc)))
+        analyzed = [_check("every code of the family is analyzed", False, str(exc))]
     else:
-        checks.extend(_report_checks(family, reports))
+        analyzed = _report_checks(family, reports)
+    dimensions = {lab: rep.dimension for lab, rep in reports.items()} or None
+    checks = family.verify_axioms(dimensions) + analyzed
 
     if family.shape == "pq" and family.params.get("case") is not None:
         structure = verify_class_structure(PrimePair(family.params["p"], family.params["q"]))
-        checks.append(
-            _check(
-                "squaring orbits match their residue description",
-                structure.ok,
-                "; ".join(structure.mismatches) or f"case {structure.case}",
-            )
-        )
+        name = "squaring orbits match their residue description"
+        detail = "; ".join(structure.mismatches) or f"case {structure.case}"
+        checks.append(_check(name, structure.ok, detail))
         name = "short split codeword has weight p + q"
         try:
             checks.append(_check(name, True, f"weight {code_seed_word(family, 'e3').weight}"))
         except FalsificationError as exc:
             checks.append(_check(name, False, str(exc)))
-        checks.append(
-            _check(
-                "mixed-class power map carries e3 onto e4",
-                split_swap_map_matches(family),
-                "support sets compared",
-            )
-        )
+        name = "mixed-class power map carries e3 onto e4"
+        checks.append(_check(name, split_swap_map_matches(family), "support sets compared"))
         if reports and reports["e3"].min_weight.exact and reports["e4"].min_weight.exact:
             w3, w4 = reports["e3"].min_weight.value, reports["e4"].min_weight.value
             checks.append(
@@ -1113,19 +1120,9 @@ def family_verification(
         for i in range(3):
             sub = Subgroup.from_generators(family.group, [family.group.generator(i)])
             hats = hats * (one + sub.hat())
-        four = (
-            family.elements["e10"]
-            + family.elements["e11"]
-            + family.elements["e12"]
-            + family.elements["e13"]
-        )
-        checks.append(
-            _check(
-                "deep split idempotents sum to the triple-complement unity",
-                four == hats,
-                "bitset comparison",
-            )
-        )
+        four = sum((family.elements[f"e{i}"] for i in (11, 12, 13)), family.elements["e10"])
+        name = "deep split idempotents sum to the triple-complement unity"
+        checks.append(_check(name, four == hats, "bitset comparison"))
 
     return {
         "passed": all(c["passed"] for c in checks),

@@ -18,9 +18,11 @@ and that the predicted dimensions sum to |G|.  It does not check the family
 axioms: each member squares to itself, distinct members annihilate each
 other, the members sum to 1, and their number equals the number of squaring
 orbits of G.  IdempotentFamily.verify_axioms checks those, and --verify runs
-it.  Each ideal's basis certificate (codes.check_basis) also proves that
-ideal's generator idempotent, on every run that builds a basis, and
-codes.verify_primitivity counts the ideal's idempotents on that basis.
+it with the certified dimensions of the ideals, which prove orthogonality
+without a product when the other checks pass.  Each ideal's basis
+certificate (codes._checked_ideal) also proves that ideal's generator
+idempotent, on every run that builds a basis, and codes.verify_primitivity
+counts the ideal's idempotents on that basis.
 """
 
 from __future__ import annotations
@@ -310,34 +312,30 @@ class IdempotentFamily:
         """class_count of the group, computed once per family."""
         return class_count(self.group)
 
-    def verify_axioms(self) -> list[dict]:
+    def verify_axioms(self, dimensions: dict[str, int] | None = None) -> list[dict]:
         """Idempotency, pairwise orthogonality, partition of unity, orbit count.
 
-        Orthogonality takes n - 1 products, not n(n - 1)/2.  Once every member
-        is idempotent, the loop tests e_k * s_{k-1} == 0 for k = 2..n, where
-        s_{k-1} = e_1 + ... + e_{k-1}.  By induction this proves every pair
-        orthogonal: if e_1..e_{k-1} are pairwise orthogonal idempotents, then
-        e_j * s_{k-1} = e_j for j < k, so e_k * e_j = e_k * (e_j * s_{k-1}) =
-        e_j * (e_k * s_{k-1}) = 0.  The last partial sum is the total that the
-        partition of unity compares with 1.  If a member is not idempotent or
-        a partial-sum product is nonzero, every pair is multiplied, so the
-        detail names each failing pair.
+        `dimensions` maps each label to the exact dimension of its ideal
+        F2[G]e (codes.family_verification passes the certified ones); never
+        the predicted ones, which are the theory under test.  When every member
+        squares to itself, the members sum to 1 and those dimensions sum to
+        |G|, orthogonality needs no product: x = sum of x * e_i for every x,
+        so F2[G] is the sum of the ideals, and the dimension count makes the
+        sum direct, so e_i * e_j lies in F2[G]e_i & F2[G]e_j = 0.  Otherwise
+        every pair is multiplied, so the detail names each failing pair.
         """
         members = [self.elements[lab] for lab in self.labels]
         bad = [lab for lab, x in zip(self.labels, members) if x.frobenius() != x]
-        orthogonal = not bad
-        total = AlgebraElement.zero(self.group)
-        for x in members:
-            if orthogonal and total.bits:  # x * 0 == 0 needs no product
-                orthogonal = not (x * total).bits
-            total = total + x
-        bad_pairs = []
-        if not orthogonal:
-            for i, la in enumerate(self.labels):
-                for lb in self.labels[i + 1 :]:
-                    if (self.elements[la] * self.elements[lb]).bits:
-                        bad_pairs.append((la, lb))
+        total = reduce(operator.add, members)
         ok_sum = total == AlgebraElement.one(self.group)
+        proved = (
+            not bad
+            and ok_sum
+            and dimensions is not None
+            and sum(dimensions[lab] for lab in self.labels) == self.group.order
+        )
+        pairs = itertools.combinations(zip(self.labels, members), 2)
+        bad_pairs = [] if proved else [(la, lb) for (la, x), (lb, y) in pairs if (x * y).bits]
         n_classes = self.squaring_orbit_count
         return [
             _check(

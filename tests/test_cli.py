@@ -344,6 +344,26 @@ class TestMembersThatAreNotMinimal:
                 assert "refused" not in dist, label
         assert "e13      refused, F2[G]e is not a field, so it is not a minimal ideal" in text
 
+    def test_each_sum_is_refused_by_one_field_search(self, monkeypatch):
+        # the refused distribution gives the weight bounds; no second search
+        refused = []
+        original = codes._orbit_multiplier
+
+        def counted(quotient, k):
+            try:
+                return original(quotient, k)
+            except codes.NotMinimalIdealError:
+                refused.append(quotient.word)
+                raise
+
+        monkeypatch.setattr(codes, "_orbit_multiplier", counted)
+        code, report, _ = self._run("weights", "distribution")
+        assert code == EXIT_BUDGET
+        assert len(refused) == len(self.SUMS)
+        for label in self.SUMS:
+            assert "not a minimal ideal" in report["weights"][label]["min_weight"]["notes"][0]
+            assert "not a minimal ideal" in report["distributions"][label]["reason"]
+
     def test_verify_reports_the_orbit_count_mismatch(self):
         code, report, _ = self._run("dims", "weights", "verify")
         assert code == EXIT_FALSIFIED

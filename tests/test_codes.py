@@ -115,6 +115,18 @@ class TestIdealCertificate:
         with pytest.raises(FalsificationError, match="linearly dependent"):
             explicit_bases(fam15)
 
+    @pytest.mark.parametrize("label", ["e0", "e1", "e2", "e3", "e4"])
+    def test_a_check_polynomial_below_the_dimension_is_refused(self, fam15, label, monkeypatch):
+        # the modulus as gcd(e-bar, x**n' + 1) gives h = 1 and k = 0: the rank
+        # proves only dim >= 0, and h * e-bar == e-bar != 0 refuses the record
+        monkeypatch.setattr(codes, "poly_gcd", lambda modulus, word: modulus)
+        codes.clear_caches()
+        try:
+            with pytest.raises(FalsificationError, match="does not annihilate e-bar"):
+                ideal_dimension(fam15.elements[label])
+        finally:
+            codes.clear_caches()
+
     @pytest.mark.parametrize("fixture", ["fam15", "fam45", "fam675"])
     def test_each_basis_certificate_takes_one_squaring(self, fixture, request, monkeypatch):
         fam = request.getfixturevalue(fixture)
@@ -808,14 +820,6 @@ class TestTheory:
     def test_swap_map(self, fam15, fam33):
         assert split_swap_map_matches(fam15)
         assert split_swap_map_matches(fam33)
-
-
-ADMISSIBLE_PAIRS_BELOW_60 = [
-    (p, q)
-    for p in range(3, 60)
-    for q in range(p + 1, 60)
-    if is_odd_prime(p) and is_odd_prime(q) and not hypothesis_failures(p, q)
-]
 
 
 class TestSwapMap:

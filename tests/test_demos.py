@@ -23,3 +23,6 @@ def test_demo_runs_to_completion(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    # a demo marks a failed check in its output and still exits 0
+    for word in ("FAIL", "MISMATCH", "FALSIFIED"):
+        assert word not in done.stdout, done.stdout

@@ -6,9 +6,17 @@ from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelcodes import idempotents
-from abelcodes.codes import NotMinimalIdealError, verify_primitivity
+from abelcodes.codes import (
+    MIN_BUDGET,
+    NotMinimalIdealError,
+    family_verification,
+    ideal_dimension,
+    verify_primitivity,
+)
 from abelcodes.cyclotomic import class_count, cyclotomic_classes
 from abelcodes.gf2 import independent_row_indices
 from abelcodes.group_algebra import (
@@ -25,7 +33,13 @@ from abelcodes.idempotents import (
     p_group_idempotents,
     uv_block,
 )
-from abelcodes.number_theory import ConsistencyError, HypothesisError, factorize
+from abelcodes.number_theory import (
+    ConsistencyError,
+    HypothesisError,
+    factorize,
+    hypothesis_failures,
+    is_odd_prime,
+)
 from oracles import (
     all_translates,
     chain_sides,
@@ -592,6 +606,33 @@ def _copy_of_another(fam, k, j):
     return fam.elements[fam.labels[j]]
 
 
+def _certified_dimensions(fam):
+    return {lab: ideal_dimension(fam.elements[lab]) for lab in fam.labels}
+
+
+def _axioms_with_products(fam, dimensions, monkeypatch):
+    """verify_axioms(dimensions) and the number of products it took."""
+    products = []
+    original = AlgebraElement.__mul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return original(x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraElement, "__mul__", counted)
+        checks = fam.verify_axioms(dimensions)
+    return checks, len(products)
+
+
+ADMISSIBLE_PAIRS_BELOW_60 = [
+    (p, q)
+    for p in range(3, 60)
+    for q in range(p + 1, 60)
+    if is_odd_prime(p) and is_odd_prime(q) and not hypothesis_failures(p, q)
+]
+
+
 class TestAxiomsAgainstThePairwiseReference:
     @pytest.mark.parametrize("name", list(AXIOM_FAMILIES))
     def test_checks_match_the_reference(self, name):
@@ -608,18 +649,53 @@ class TestAxiomsAgainstThePairwiseReference:
             assert e.frobenius() == per_bit_square(e) == e, lab
 
     @pytest.mark.parametrize("name", list(AXIOM_FAMILIES))
-    def test_a_passing_family_takes_at_most_n_minus_1_products(self, name, monkeypatch):
+    def test_the_certified_dimensions_prove_orthogonality_without_products(
+        self, name, monkeypatch
+    ):
         fam = _axiom_family(name)
-        products = []
-        original = AlgebraElement.__mul__
+        checks, products = _axioms_with_products(fam, _certified_dimensions(fam), monkeypatch)
+        assert products == 0
+        assert checks == _pairwise_axioms(fam)
 
-        def counted(x, y):
-            products.append((x, y))
-            return original(x, y)
+    @pytest.mark.parametrize("name", ["15", "3x5x11", "27x25", "(3x3)x11"])
+    def test_members_that_do_not_sum_to_1_are_multiplied_pairwise(self, name, monkeypatch):
+        # for 15, e3 replaced by e4: the last two members are the halves of one
+        # split, so the dimensions still sum to |G|, but e4 now appears twice
+        fam = _axiom_family(name)
+        a, b = fam.labels[-2:]
+        bad = replace(fam, elements={**fam.elements, a: fam.elements[b]})
+        dimensions = _certified_dimensions(bad)
+        assert sum(dimensions.values()) == fam.group.order
+        checks, products = _axioms_with_products(bad, dimensions, monkeypatch)
+        assert checks == _pairwise_axioms(bad)
+        assert str((a, b)) in checks[1]["detail"] and not checks[2]["passed"]
+        assert products == len(fam) * (len(fam) - 1) // 2
 
-        monkeypatch.setattr(AlgebraElement, "__mul__", counted)
-        assert all(c["passed"] for c in fam.verify_axioms())
-        assert len(products) <= len(fam) - 1
+    @pytest.mark.parametrize("name", ["15", "3x5x11", "27x25", "(3x3)x11"])
+    def test_dimensions_over_the_order_are_multiplied_pairwise(self, name, monkeypatch):
+        # the repetition member added to two others: every member is still
+        # idempotent and they still sum to 1, but the dimensions sum to |G| + 2
+        fam = _axiom_family(name)
+        hat, a, b = fam.labels[0], fam.labels[1], fam.labels[-1]
+        e = fam.elements
+        bad = replace(fam, elements={**e, a: e[a] + e[hat], b: e[b] + e[hat]})
+        dimensions = _certified_dimensions(bad)
+        assert sum(dimensions.values()) == fam.group.order + 2
+        checks, _ = _axioms_with_products(bad, dimensions, monkeypatch)
+        assert checks == _pairwise_axioms(bad)
+        assert checks[0]["passed"] and checks[2]["passed"] and not checks[1]["passed"]
+
+    @pytest.mark.parametrize("name", ["15", "3x5x11", "27x25", "(3x3)x11"])
+    def test_members_that_are_not_idempotent_are_multiplied_pairwise(self, name, monkeypatch):
+        # a monomial added to two members keeps the sum 1; they have no record,
+        # so the dimensions passed are those of the family they came from
+        fam = _axiom_family(name)
+        g = AlgebraElement.monomial(fam.group, fam.group.generator(0))
+        a, b = fam.labels[1], fam.labels[-1]
+        bad = replace(fam, elements={**fam.elements, a: fam.elements[a] + g, b: fam.elements[b] + g})
+        checks, _ = _axioms_with_products(bad, _certified_dimensions(fam), monkeypatch)
+        assert checks == _pairwise_axioms(bad)
+        assert checks[2]["passed"] and not checks[0]["passed"] and not checks[1]["passed"]
 
     @pytest.mark.parametrize("corrupt", [_sum_of_two, _non_idempotent, _copy_of_another])
     @pytest.mark.parametrize("name", ["15", "3x5x11", "27x25", "(3x3)x11"])
@@ -631,6 +707,13 @@ class TestAxiomsAgainstThePairwiseReference:
             checks = bad.verify_axioms()
             assert checks == _pairwise_axioms(bad), (k, j)
             assert not all(c["passed"] for c in checks), (k, j)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(ADMISSIBLE_PAIRS_BELOW_60))
+    def test_family_verification_checks_the_axioms_like_the_reference(self, pair):
+        fam = family_pq(*pair)
+        checks = family_verification(fam, budget=MIN_BUDGET)["checks"]
+        assert checks[:4] == _pairwise_axioms(fam)
 
 
 class TestPrimitivity:
