@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import codes
 from .codes import DEFAULT_BUDGET, MIN_BUDGET, FalsificationError
@@ -53,8 +53,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class GroupShape:
+class GroupShape(NamedTuple):
     """A parsed group specification: its factors (p, m), one per C_{p^m}, in
     spec order (ascending for a single integer), and the text it came from."""
 
@@ -145,8 +144,7 @@ def parse_group_spec(spec: str) -> GroupShape:
     return GroupShape(tuple(factors), spec)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     group_spec: str
     analyses: tuple[str, ...]
     budget: int = DEFAULT_BUDGET

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cyclotomic import verify_class_structure
 from .gf2 import gf2_rank, independent_row_indices, poly_gcd, poly_is_irreducible, poly_mulmod
@@ -112,8 +111,7 @@ def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
     return list(_checked_ideal(e).basis)
 
 
-@dataclass(frozen=True)
-class _Quotient:
+class _Quotient(NamedTuple):
     """G/H = <gamma> for H the stabilizer of e, and e read on it.
 
     gamma generates G/H; coefficients[i] is the c with g_i = c * gamma
@@ -206,14 +204,14 @@ def _poly_quotient(a: int, b: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
 class _Ideal:
     """The checked basis of F2[G]e, the quotient record and, once read, the
     one scan of the code."""
 
-    e: AlgebraElement
-    basis: tuple[AlgebraElement, ...]
-    quotient: _Quotient
+    def __init__(
+        self, e: AlgebraElement, basis: tuple[AlgebraElement, ...], quotient: _Quotient
+    ) -> None:
+        self.e, self.basis, self.quotient = e, basis, quotient
 
     @cached_property
     def scan(self) -> tuple[int, int, dict[int, int]]:
@@ -542,8 +540,7 @@ def clear_caches() -> None:
     _faithful_scans.clear()
 
 
-@dataclass(frozen=True)
-class WeightResult:
+class WeightResult(NamedTuple):
     """Minimum weight of a code, exact or bracketed."""
 
     lower: int
@@ -762,8 +759,7 @@ def table_witness_words(family: IdempotentFamily) -> dict[str, AlgebraElement]:
     return out
 
 
-@dataclass(frozen=True)
-class TheoryWeight:
+class TheoryWeight(NamedTuple):
     """What the theory says about a code's minimum weight, with provenance."""
 
     kind: str  # "exact" | "bounds" | "conjecture" | "none"
@@ -830,8 +826,7 @@ def theoretical_expectations(family: IdempotentFamily) -> dict[str, TheoryWeight
     return out
 
 
-@dataclass
-class CodeReport:
+class CodeReport(NamedTuple):
     """Everything computed for one idempotent's code."""
 
     label: str
@@ -960,8 +955,7 @@ def analyze_family(
     }
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
+class GeneratorMatrix(NamedTuple):
     """A k x |G| binary generator matrix in rank column order."""
 
     rows: tuple[int, ...]

@@ -7,14 +7,13 @@ for a family of primitive idempotents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .group_algebra import AbelianGroup, AlgebraElement, GroupElement
 from .number_theory import PrimePair, residue_partition, validate_hypotheses
 
 
-@dataclass(frozen=True)
-class CyclotomicClass:
+class CyclotomicClass(NamedTuple):
     """One orbit under squaring; the representative is the smallest rank member."""
 
     representative: GroupElement
@@ -81,8 +80,7 @@ def classes_json(group: AbelianGroup) -> list[dict]:
     ]
 
 
-@dataclass(frozen=True)
-class ClassStructureReport:
+class ClassStructureReport(NamedTuple):
     """Comparison of the computed orbits of C_p x C_q with their residue description."""
 
     pair: PrimePair
@@ -99,7 +97,7 @@ def verify_class_structure(pair: PrimePair | tuple[int, int]) -> ClassStructureR
     residue/nonresidue class, whose orbit contains g**(p+q) when both primes
     are 3 mod 4 and g**-1 when p is 1 mod 4.
     """
-    if isinstance(pair, tuple):
+    if not isinstance(pair, PrimePair):
         pair = validate_hypotheses(*pair)
     p, q = pair.p, pair.q
     if pair.m != 1 or pair.n != 1:

@@ -33,9 +33,8 @@ the XOR of the translates of one operand over the support of the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .gf2 import bit_indices
 
@@ -186,16 +185,38 @@ class AbelianGroup:
         return values
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    """An element of F2[G], stored as a coefficient bitset in rank order."""
+    """An element of F2[G], stored as a coefficient bitset in rank order.
 
-    group: AbelianGroup
-    bits: int
+    Immutable and hashable; equal to an AlgebraElement with the same group
+    and bits, and to nothing else."""
 
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.group.order:
+    __slots__ = ("group", "bits")
+
+    def __init__(self, group: AbelianGroup, bits: int) -> None:
+        if bits < 0 or bits >> group.order:
             raise ValueError("coefficient bitset out of range for the group")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("AlgebraElement is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.bits) == (other.group, other.bits)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.bits))
+
+    def __repr__(self) -> str:
+        return f"AlgebraElement(group={self.group!r}, bits={self.bits!r})"
+
+    def __reduce__(self) -> tuple:
+        return AlgebraElement, (self.group, self.bits)
 
     @classmethod
     def zero(cls, group: AbelianGroup) -> "AlgebraElement":
@@ -313,8 +334,7 @@ def gather_bits(bits: int, width: int, sources: Sequence[int]) -> int:
     return int("".join(map(view.__getitem__, sources))[::-1], 2)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """A subgroup given by generators, held as the bitset of its elements (its hat)."""
 
     group: AbelianGroup

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from typing import NamedTuple, Sequence
 
@@ -51,8 +50,7 @@ from .number_theory import (
 )
 
 
-@dataclass(frozen=True)
-class UVBlock:
+class UVBlock(NamedTuple):
     """A cube root of a component unity, built from quadratic-residue exponents.
 
     `element` is the printed form: the subgroup hat times the sum of base
@@ -125,8 +123,7 @@ def split_pair(
     return f1, f2
 
 
-@dataclass(frozen=True)
-class _Side:
+class _Side(NamedTuple):
     """A side idempotent hat(H) + hat(H*) of one p-factor of G, built in G.
 
     H = ker chi and H* = ker chi**p (`cover`) for a character chi of the
@@ -280,26 +277,30 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": passed, "detail": detail}
 
 
-@dataclass
 class IdempotentFamily:
-    """A complete labeled set of primitive idempotents for one group shape."""
+    """A complete labeled set of primitive idempotents for one group shape.
 
-    group: AbelianGroup
-    shape: str
-    labels: tuple[str, ...]
-    elements: dict[str, AlgebraElement]
-    predicted_dims: dict[str, int]
-    params: dict[str, object] = field(default_factory=dict)
-    # prime-power families: the subgroup level (i, j) of each label, I0 at (0, 0)
-    levels: dict[str, tuple[int, int]] = field(default_factory=dict)
+    `levels` is set for prime-power families: the subgroup level (i, j) of
+    each label, I0 at (0, 0)."""
 
-    def __post_init__(self) -> None:
-        if set(self.labels) != set(self.elements) or set(self.labels) != set(
-            self.predicted_dims
-        ):
+    def __init__(
+        self,
+        group: AbelianGroup,
+        shape: str,
+        labels: tuple[str, ...],
+        elements: dict[str, AlgebraElement],
+        predicted_dims: dict[str, int],
+        params: dict[str, object] | None = None,
+        levels: dict[str, tuple[int, int]] | None = None,
+    ) -> None:
+        if set(labels) != set(elements) or set(labels) != set(predicted_dims):
             raise ValueError("labels, elements and predicted dimensions disagree")
-        if sum(self.predicted_dims.values()) != self.group.order:
+        if sum(predicted_dims.values()) != group.order:
             raise ConsistencyError("predicted dimensions do not sum to the group order")
+        self.group, self.shape, self.labels = group, shape, labels
+        self.elements, self.predicted_dims = elements, predicted_dims
+        self.params = {} if params is None else params
+        self.levels = {} if levels is None else levels
 
     def __iter__(self):
         return iter(self.labels)
@@ -530,8 +531,7 @@ def family_three_primes(
     )
 
 
-@dataclass(frozen=True)
-class PGroupIdempotent:
+class PGroupIdempotent(NamedTuple):
     """One primitive idempotent of F2[A] for an abelian p-group A."""
 
     label: str

@@ -14,7 +14,7 @@ that q is the one congruent to 3 mod 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class HypothesisError(ValueError):
@@ -119,8 +119,7 @@ def hypothesis_failures(p: int, q: int) -> list[str]:
     return failures
 
 
-@dataclass(frozen=True)
-class PrimePair:
+class PrimePair(NamedTuple):
     """A pair of odd primes with exponents, labeled as the constructions expect.
 
     When built with normalization, q is the prime congruent to 3 mod 4.  A pair
@@ -176,8 +175,7 @@ def validate_hypotheses(
     )
 
 
-@dataclass(frozen=True)
-class ResiduePartition:
+class ResiduePartition(NamedTuple):
     """The partition of Z_p into {0}, {1} and the four residue-status classes of x and x-1."""
 
     p: int

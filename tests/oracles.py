@@ -1,6 +1,7 @@
-"""Independent reference implementations that the tests compare the library with.
+"""Independent reference implementations that the tests compare the library with,
+and the helpers the tests use to rebuild library records.
 
-No code path of the package calls these; they are slow on purpose.
+No code path of the package calls these; the references are slow on purpose.
 """
 
 import itertools
@@ -10,6 +11,17 @@ from typing import Sequence
 
 from abelcodes.gf2 import bit_indices, poly_mod, poly_mulmod
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup
+from abelcodes.idempotents import IdempotentFamily
+
+
+def replace_elements(
+    fam: IdempotentFamily, elements: dict[str, AlgebraElement]
+) -> IdempotentFamily:
+    """fam with these members, rebuilt through IdempotentFamily so that its
+    label and dimension checks run again."""
+    return IdempotentFamily(
+        fam.group, fam.shape, fam.labels, elements, fam.predicted_dims, fam.params, fam.levels
+    )
 
 
 def all_translates(e: AlgebraElement) -> list[int]:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -47,6 +46,7 @@ from oracles import (
     per_bit_power,
     poly_powmod,
     quotient_is_cyclic,
+    replace_elements,
     stabilizer,
 )
 
@@ -837,7 +837,7 @@ class TestSwapMap:
         fam = family_pq(*pair)
         moved = fam.elements["e4"].translated((1, 0))
         assert moved != fam.elements["e4"]
-        swapped = dataclasses.replace(fam, elements={**fam.elements, "e4": moved})
+        swapped = replace_elements(fam, {**fam.elements, "e4": moved})
         assert not split_swap_map_matches(swapped)
 
 

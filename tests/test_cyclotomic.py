@@ -10,6 +10,7 @@ from abelcodes.cyclotomic import (
     verify_class_structure,
 )
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement
+from abelcodes.number_theory import PrimePair, validate_hypotheses
 
 
 class TestClasses:
@@ -93,3 +94,12 @@ class TestClassStructure:
         report = verify_class_structure((3, 5))
         assert report.ok
         assert report.case == "p_1_mod_4"
+
+    @pytest.mark.parametrize("p, q", [(3, 5), (3, 11), (11, 13)])
+    def test_a_prime_pair_and_its_tuple_give_one_report(self, p, q):
+        # a PrimePair is taken as labeled, so it is built in the normalized order
+        pair = validate_hypotheses(p, q)
+        expected = verify_class_structure((p, q))
+        assert expected.ok and expected.pair == pair
+        assert verify_class_structure(pair) == expected
+        assert verify_class_structure(PrimePair(pair.p, pair.q)) == expected

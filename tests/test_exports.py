@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,21 @@ def test_clear_caches_leaves_no_module_cache_holding_entries():
         if hasattr(value, "cache_info") and value.cache_info().currsize
     ]
     assert held == []
+
+
+@pytest.mark.parametrize("module", ["abelcodes", "abelcodes.cli"])
+def test_a_cold_import_loads_neither_dataclasses_nor_inspect(module):
+    # together they cost a cold `analyze` run about 25 ms of set-up; -S keeps
+    # site hooks out, so only the package's own imports count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    probe = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_no_source_mentions_dataclass():
+    assert [path.name for path in SRC.glob("*.py") if "dataclass" in path.read_text()] == []

@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abelcodes import codes
 from abelcodes.group_algebra import (
     AbelianGroup,
     AlgebraElement,
@@ -13,6 +16,7 @@ from abelcodes.group_algebra import (
     cyclic_exponent,
     from_cyclic_exponents,
 )
+from abelcodes.idempotents import family_pq
 from oracles import all_subgroups, per_bit_square, searched_subgroup_ranks
 
 C15 = AbelianGroup([15])
@@ -315,6 +319,48 @@ class TestSerialization:
     def test_roundtrip(self, group, data):
         x = random_element(group, data)
         assert AlgebraElement.from_hex(group, x.to_hex()) == x
+
+
+class TestElementIsAValue:
+    """An element is an immutable value of its group and bits, not a tuple."""
+
+    @pytest.mark.parametrize("bits", [-1, 1 << 15])
+    def test_a_bitset_out_of_range_is_refused(self, bits):
+        with pytest.raises(ValueError, match="out of range"):
+            AlgebraElement(C3x5, bits)
+
+    def test_the_full_bitset_is_accepted(self):
+        assert AlgebraElement(C3x5, (1 << 15) - 1) == AlgebraElement.all_ones(C3x5)
+
+    @pytest.mark.parametrize("op", [lambda e: 3 * e, len, iter], ids=["3*e", "len", "iter"])
+    def test_tuple_operations_are_refused(self, op):
+        with pytest.raises(TypeError):
+            op(AlgebraElement(C3x5, 0b101))
+
+    def test_an_element_is_not_equal_to_its_fields(self):
+        e = AlgebraElement(C3x5, 0b101)
+        assert e != (e.group, e.bits) and not e == (e.group, e.bits)
+
+    def test_an_element_cannot_be_changed(self):
+        e = AlgebraElement(C3x5, 0b101)
+        with pytest.raises(AttributeError):
+            e.bits = 0
+        with pytest.raises(AttributeError):
+            del e.group
+        assert e.bits == 0b101
+
+    def test_a_copy_and_a_pickle_are_equal(self):
+        e = AlgebraElement(C3x5, 0b101)
+        assert copy.copy(e) == e and pickle.loads(pickle.dumps(e)) == e
+
+    def test_equal_elements_hash_alike_and_share_one_ideal_record(self):
+        e = family_pq(3, 5).elements["e3"]
+        twin = AlgebraElement(AbelianGroup(e.group.factor_orders), e.bits)
+        assert twin is not e and twin == e and hash(twin) == hash(e)
+        codes.clear_caches()
+        assert codes._checked_ideal(twin) is codes._checked_ideal(e)
+        assert codes._checked_ideal.cache_info().currsize == 1
+        codes.clear_caches()
 
 
 TABLE_GROUPS = [[15], [3, 5], [9, 25], [3, 5, 11], [3, 3, 11], [27, 9, 5], [6]]
