@@ -22,10 +22,11 @@ basis.  An element whose G/H is not cyclic is not a minimal ideal, and a
 NotMinimalIdealError (a ValueError) refuses it; a sum of minimal ideals with a
 cyclic G/H keeps its basis, dimension and idempotent count.
 
-A minimal code is a field (ibid., ch. 8), enumerated on its quotient, on
-n'-bit words, by the walk over the doubling-orbit leaders of K*/T that
-scan_codewords describes, one walk per n', carried to the other codes of
-that length by multipliers x -> x**u.  An ideal that is not a field is not a
+A minimal code is a field (ibid., ch. 8), scanned on its quotient, on
+n'-bit words, one scan per n', carried to the other codes of that length by
+multipliers x -> x**u.  scan_codewords describes the two exact scans: a
+high-rate code takes the MacWilliams identity over the words of its small
+dual code, and any other the walk over the doubling-orbit leaders of K*/T.  An ideal that is not a field is not a
 minimal ideal, and its scan is refused with a NotMinimalIdealError.  Only a
 family built under overridden hypotheses has such members; analyze_code
 reports weight bounds and a refused distribution for them.
@@ -206,12 +207,14 @@ def _poly_quotient(a: int, b: int) -> int:
 
 class _Ideal:
     """The checked basis of F2[G]e, the quotient record and, once read, the
-    one scan of the code."""
+    one scan of the code, with dual_dimension, the m of scan_codewords when
+    the scan came from the 2**m words of the dual code and 0 otherwise."""
 
     def __init__(
         self, e: AlgebraElement, basis: tuple[AlgebraElement, ...], quotient: _Quotient
     ) -> None:
         self.e, self.basis, self.quotient = e, basis, quotient
+        self.dual_dimension = 0
 
     @cached_property
     def scan(self) -> tuple[int, int, dict[int, int]]:
@@ -288,37 +291,46 @@ def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> d
     }
 
 
-def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int]]:
-    """Certify the ideal as a field K = F2[x]/f and find z in K that generates
-    K*/T; return (f, z, [beta**0, ..., beta**(k - 1)]) with the powers of
-    beta as n'-bit words of the quotient code.  An ideal that is not a field
-    is not a minimal ideal and raises NotMinimalIdealError.
+def _certify_field(quotient: _Quotient, k: int) -> None:
+    """Certify the ideal, of dimension k, as the field K = F2[x]/h; an ideal
+    that is not a field is not a minimal ideal and raises
+    NotMinimalIdealError.
 
     x -> x * e-bar maps F2[x]/h onto the quotient code of e, so the ideal is
-    a field exactly when h is irreducible (Rabin test), and then f = h and
-    beta**i is e-bar rotated by i.  T, the n' rotations of e-bar, is the
-    unique subgroup of order n' of the cyclic group K*, so z generates
-    K*/T, cyclic of order N = (2**k - 1)/n', exactly when
-    z**((2**k - 1)/r) != 1 mod f for every prime r dividing N.  Small
-    polynomials z = x, x + 1, x**2, ... are tested in turn, each power by
-    square-and-multiply on split tables of y -> y**2 (one per f) and
-    y -> z*y (one per candidate).
-
-    The Rabin test runs only when |G| is odd, n' > 1 divides 2**k - 1 and
-    k == ord_n'(2), as for every field ideal scan_codewords passes here (it
-    is F2[T]; the repetition code, n' == 1, takes the N == 1 shortcut).
-    K*/T is cyclic, so the search for z always ends.
+    a field exactly when h is irreducible (Rabin test).  The Rabin test runs
+    only when |G| is odd, n' > 1 divides 2**k - 1 and k == ord_n'(2), as for
+    every field ideal scan_codewords passes here (it is F2[T], T the n'
+    rotations of e-bar; the repetition code, n' == 1, takes the N == 1
+    shortcut).
     """
-    orbit, f = quotient.order, quotient.check
-    total = (1 << k) - 1
+    orbit = quotient.order
     if (
         not quotient.group.is_odd
         or orbit < 2
-        or total % orbit
+        or ((1 << k) - 1) % orbit
         or multiplicative_order(2, orbit) != k
-        or not poly_is_irreducible(f)
+        or not poly_is_irreducible(quotient.check)
     ):
         raise NotMinimalIdealError("F2[G]e is not a field, so it is not a minimal ideal")
+
+
+def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int]]:
+    """Certify the ideal as a field K = F2[x]/f (_certify_field) and find z
+    in K that generates K*/T; return (f, z, [beta**0, ..., beta**(k - 1)])
+    with the powers of beta as n'-bit words of the quotient code.
+
+    f = h and beta**i is e-bar rotated by i.  T, the n' rotations of e-bar,
+    is the unique subgroup of order n' of the cyclic group K*, so z
+    generates K*/T, cyclic of order N = (2**k - 1)/n', exactly when
+    z**((2**k - 1)/r) != 1 mod f for every prime r dividing N.  Small
+    polynomials z = x, x + 1, x**2, ... are tested in turn, each power by
+    square-and-multiply on split tables of y -> y**2 (one per f) and
+    y -> z*y (one per candidate).  K*/T is cyclic, so the search for z
+    always ends.
+    """
+    _certify_field(quotient, k)
+    orbit, f = quotient.order, quotient.check
+    total = (1 << k) - 1
     exponents = [total // r for r in factorize(total // orbit)]
     width = -(-k // 3)
     square = _split_tables(_shift_images(1, f, 2 * k)[::2], width)
@@ -410,11 +422,12 @@ def _unit_coset_leaders(n: int) -> tuple[int, ...]:
 
 
 # One faithful scan per quotient order n': (e-bar, min weight, a minimum word,
-# histogram), all on n'-bit words; emptied by clear_caches.
-_faithful_scans: dict[int, tuple[int, int, int, dict[int, int]]] = {}
+# histogram, m), all on n'-bit words, m the dimension of the dual code when
+# the scan came from its 2**m words and 0 for a walk; emptied by clear_caches.
+_faithful_scans: dict[int, tuple[int, int, int, dict[int, int], int]] = {}
 
 
-def _carried_scan(quotient: _Quotient) -> tuple[int, int, dict[int, int]] | None:
+def _carried_scan(quotient: _Quotient) -> tuple[int, int, dict[int, int], int] | None:
     """The faithful scan kept for n', carried to this code by a multiplier.
 
     mu_u, bit t -> bit u*t mod n', is a weight-preserving automorphism of
@@ -428,12 +441,12 @@ def _carried_scan(quotient: _Quotient) -> tuple[int, int, dict[int, int]] | None
     kept = _faithful_scans.get(quotient.order)
     if kept is None:
         return None
-    word, best, best_word, hist = kept
+    word, best, best_word, hist, dual = kept
     n = quotient.order
     for u in _unit_coset_leaders(n):
         sources = [u * t % n for t in range(n)]  # the sources of mu_(u**-1)
         if gather_bits(word, n, sources) == quotient.word:
-            return best, gather_bits(best_word, n, sources), hist
+            return best, gather_bits(best_word, n, sources), hist, dual
     return None
 
 
@@ -477,17 +490,81 @@ def _orbit_walk(
     return best, best_word, {w: n for w, n in enumerate(hist) if n}
 
 
+def _macwilliams(n: int, dual: Sequence[int], k: int) -> dict[int, int]:
+    """The weight histogram of the nonzero words of a binary [n, k] code,
+    from dual[i], the number of words of weight i of its [n, n - k] dual.
+
+    By the MacWilliams identity (MacWilliams & Sloane, ch. 5) the code has
+    A_j = 2**-(n - k) * sum_i dual[i] * K_j(i) words of weight j, with the
+    Krawtchouk value K_j(i) = sum_s (-1)**s C(i, s) C(n - i, j - s), the
+    coefficient of y**j in (1 - y)**i * (1 + y)**(n - i).  The sums are
+    exact integers; unless each is a non-negative multiple of 2**(n - k),
+    A_0 = 1 and the A_j add up to 2**k, they are not a weight distribution
+    and RuntimeError refuses them.
+    """
+    m = n - k
+    sums = [0] * (n + 1)
+    for i, count in enumerate(dual):
+        if count:
+            minus = [(-1) ** s * math.comb(i, s) for s in range(i + 1)]
+            plus = [count * math.comb(n - i, t) for t in range(n - i + 1)]
+            for s, a in enumerate(minus):
+                for j, b in enumerate(plus, s):
+                    sums[j] += a * b
+    if any(c < 0 or c % (1 << m) for c in sums) or sums[0] != 1 << m or sum(sums) != 1 << n:
+        raise RuntimeError("the MacWilliams transform did not give a weight distribution")
+    return {j: c >> m for j, c in enumerate(sums) if j and c}
+
+
+def _dual_scan(quotient: _Quotient, k: int) -> tuple[int, int, dict[int, int]] | None:
+    """Minimum weight, a minimum word and the histogram of the quotient code,
+    on n'-bit words, from its dual code; None when the generator polynomial
+    is not a minimum word.
+
+    The ideal is certified a field (_certify_field) as for the walk.  The
+    quotient code is the cyclic code generated by g = (x**n' + 1)/h, and its
+    dual is generated by x**k h(1/x), the reciprocal of h (MacWilliams &
+    Sloane, ch. 7): the span of its m = n' - k shifts, 2**m words, whose
+    weight counts _macwilliams turns into the code's.  g is a codeword, so
+    wt(g) >= d, and it is the minimum word kept when wt(g) == d.
+    """
+    _certify_field(quotient, k)
+    n, h = quotient.order, quotient.check
+    reciprocal = int(format(h, "b")[::-1], 2)
+    words = [0]
+    for i in range(n - k):
+        row = reciprocal << i
+        words += [w ^ row for w in words]
+    dual = [0] * (n + 1)
+    for w in words:
+        dual[w.bit_count()] += 1
+    hist = _macwilliams(n, dual, k)
+    best = min(hist)
+    g = _poly_quotient(1 << n | 1, h)
+    if g.bit_count() != best:
+        return None
+    return best, g, hist
+
+
 def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int, dict[int, int]]:
     """Minimum weight, the first word attaining it, and the weight histogram
     of the nonzero words of the ideal F2[G]e, whose basis rows are `rows`.
 
     The ideal is the |H|-fold coset lift of the cyclic code of e-bar on G/H
     (_Quotient), so its weights are |H| times those of that code, and the
-    scan runs on n'-bit words.  The n' rotations of e-bar form a group T of
-    units, and every weight is constant on the cosets xT.  When
-    _orbit_multiplier certifies the code as the field K = F2[x]/h with z
-    generating K*/T, the words z**j, 0 <= j < N = (2**k - 1)/n', meet each
-    coset once.  For odd |G| squaring is the coordinate permutation
+    scan runs on n'-bit words.  Each code with N = (2**k - 1)/n' > 1 is
+    certified a field by _certify_field and takes the cheaper of two exact
+    scans.  With m = n' - k, the dual side runs when 2**m <= N // k, so it
+    never counts more words than the walk has leaders: _dual_scan counts the
+    2**m words of the dual code and turns their weights into the code's by
+    the MacWilliams identity, with the generator polynomial
+    g = (x**n' + 1)/h as its minimum word.  It is taken only when wt(g) is
+    the minimum; otherwise, and for every other code, the walk runs.
+
+    The walk: the n' rotations of e-bar form a group T of units, and every
+    weight is constant on the cosets xT.  With the field K = F2[x]/h and z
+    generating K*/T (_orbit_multiplier), the words z**j, 0 <= j < N, meet
+    each coset once.  For odd |G| squaring is the coordinate permutation
     t -> 2t, and (z**j)**2 lies in z**(2j mod N) T, so weights are constant
     on the doubling orbits {j * 2**s mod N} as well.  The walk visits only
     the least exponent of each doubling orbit, in ascending order: it holds
@@ -501,16 +578,18 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
     Each table has 2**ceil(k/3) entries (at most 2**10 for k <= 30), and
     there are at most log2(N) + 1 table sets.
 
-    One walk is kept per n' (_carried_scan): a later code of the same n'
-    that a multiplier maps it onto takes its histogram and minimum word.
-    The minimum word is lifted to G, one coset of H per set bit.
+    One scan, dual or walked, is kept per n' (_carried_scan): a later code
+    of the same n' that a multiplier maps it onto takes its histogram and
+    minimum word.  The minimum word is lifted to G, one coset of H per set
+    bit.
 
     When N == 1 the translates of e are all the nonzero words.  Any other
-    ideal that _orbit_multiplier cannot certify as a field (a sum of minimal
+    ideal that _certify_field cannot certify as a field (a sum of minimal
     ideals, the zero ideal, an ideal of an even group) is not a minimal ideal
-    and raises NotMinimalIdealError.  A sieve over MAX_SCAN_ENTRIES entries
-    raises BudgetExceededError before that certificate, and a row count other
-    than the dimension of the ideal raises ValueError before any scan.
+    and raises NotMinimalIdealError, on either side.  An N over
+    MAX_SCAN_ENTRIES raises BudgetExceededError before that certificate, and
+    a row count other than the dimension of the ideal raises ValueError
+    before any scan.
     """
     k = len(rows)
     ideal = _checked_ideal(e)
@@ -525,10 +604,16 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
         raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
     faithful = _carried_scan(quotient)
     if faithful is None:
-        faithful = _orbit_walk(quotient, k, *_orbit_multiplier(quotient, k))
+        m = orbit - k
+        # 2**m <= N // k, with k == 0 (the zero ideal) left to the certificate
+        scanned = _dual_scan(quotient, k) if k << m <= total // orbit else None
+        if scanned is None:
+            m, scanned = 0, _orbit_walk(quotient, k, *_orbit_multiplier(quotient, k))
+        faithful = (*scanned, m)
         if len(_faithful_scans) < MAX_CACHED_CODES:
             _faithful_scans.setdefault(orbit, (quotient.word, *faithful))
-    best, word, hist = faithful
+    best, word, hist, m = faithful
+    ideal.dual_dimension = m
     scale = e.group.order // quotient.order
     return scale * best, quotient.lift(word), {scale * w: n for w, n in hist.items()}
 
@@ -579,17 +664,26 @@ def minimum_weight(
     if (1 << k) > budget:
         note = f"enumeration refused: 2**{k} exceeds budget {budget}"
     else:
+        ideal = _checked_ideal(e)
         try:
-            best, word, _ = _checked_ideal(e).scan
+            best, word, _ = ideal.scan
         except BudgetExceededError as exc:
             note = f"enumeration refused: {exc}"
         else:
+            m = ideal.dual_dimension
+            if m:
+                note = (
+                    f"MacWilliams identity over all 2**{m} words of the dual of the "
+                    f"length-{ideal.quotient.order} quotient code"
+                )
+            else:
+                note = f"enumerated all 2**{k} - 1 nonzero codewords"
             return WeightResult(
                 lower=best,
                 upper=best,
                 exact=True,
                 witness=AlgebraElement(e.group, word),
-                notes=(f"enumerated all 2**{k} - 1 nonzero codewords",),
+                notes=(note,),
             )
     return _weight_bounds(e, note, theory_lower, probes)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -27,7 +28,7 @@ from abelcodes.codes import (
     verify_primitivity,
     weight_distribution,
 )
-from abelcodes.gf2 import gf2_rank, independent_row_indices
+from abelcodes.gf2 import gf2_rank, independent_row_indices, poly_mulmod
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement, gather_bits
 from abelcodes.idempotents import (
     family_pq,
@@ -774,6 +775,179 @@ class TestCarriedScans:
         assert list(leaders) == sorted(min(c) for c in cosets)
 
 
+def _takes_the_dual_side(n, k):
+    """The rule of scan_codewords for a code of length n and dimension k:
+    N = (2**k - 1)/n > 1 fits the scan limit and 2**m <= N // k, m = n - k."""
+    total = (1 << k) - 1
+    return total > n and total // n <= codes.MAX_SCAN_ENTRIES and 1 << (n - k) <= total // n // k
+
+
+# every label of RANK_FAMILIES (which holds ORACLE_FAMILIES) that the rule
+# sends to the dual side: n' = 11 (k = 10), 25 (k = 20) and 27 (k = 18)
+DUAL_LABELS = [
+    ("(27x9)x5", f"e_H{i}_hat") for i in range(1, 10)
+] + [
+    ("(3x3)x11", "e_hat_H1"),
+    ("27x25", "I02"),
+    ("27x25", "I30"),
+    ("33", "e1"),
+    ("3x5x11", "e1"),
+    ("9x25", "I02"),
+]
+
+# the pairs with a faithful code of length p or q on the dual side
+DUAL_PAIRS_BELOW_60 = [
+    pair
+    for pair in ADMISSIBLE_PAIRS_BELOW_60
+    if any(_takes_the_dual_side(r, multiplicative_order(2, r)) for r in pair)
+]
+
+
+@lru_cache(maxsize=None)
+def _quotient_gray_scan(word, n, k):
+    """gray_scan_codewords over the first k rotations of the n-bit word."""
+    return gray_scan_codewords([_rotation(word, t, n) for t in range(k)], ncols=n)
+
+
+def _assert_generator_witness(quotient, scanned, tag):
+    """The dual side's word is g = (x**n' + 1)/h: h * g == 0 and wt(g) == d."""
+    best, word, _ = scanned
+    n = quotient.order
+    assert poly_mulmod(quotient.check, word, 1 << n | 1) == 0, tag
+    assert word.bit_count() == best, tag
+
+
+class TestDualScan:
+    def test_the_dual_labels_are_every_label_the_rule_picks(self):
+        picked = []
+        for spec, build in RANK_FAMILIES.items():
+            for label, e in build().elements.items():
+                quotient = codes._checked_ideal(e).quotient
+                if _takes_the_dual_side(quotient.order, quotient.dimension):
+                    picked.append((spec, label))
+        assert sorted(picked) == sorted(DUAL_LABELS)
+
+    @pytest.mark.parametrize("spec, label", DUAL_LABELS)
+    def test_each_dual_label_matches_the_walk_and_the_gray_scan(self, spec, label):
+        fam = RANK_FAMILIES[spec]()
+        e = fam.elements[label]
+        codes.clear_caches()
+        quotient = codes._checked_ideal(e).quotient
+        n, k = quotient.order, quotient.dimension
+        dual = codes._dual_scan(quotient, k)
+        walk = codes._orbit_walk(quotient, k, *codes._orbit_multiplier(quotient, k))
+        best, word, hist = dual
+        assert (best, hist) == (walk[0], walk[2]), label
+        gray_best, _, gray_hist = _quotient_gray_scan(quotient.word, n, k)
+        assert (best, hist) == (gray_best, gray_hist), label
+        _assert_generator_witness(quotient, dual, label)
+        # the ideal's scan takes the dual side and lifts g to a word of weight |H| * d
+        codes.clear_caches()
+        scanned = scan_codewords([x.bits for x in ideal_basis(e)], e=e)
+        scale = fam.group.order // n
+        assert scanned[0] == scale * best and scanned[2] == {scale * w: c for w, c in hist.items()}
+        witness = AlgebraElement(fam.group, scanned[1])
+        assert witness == AlgebraElement(fam.group, quotient.lift(word)), label
+        assert witness.weight == scanned[0] and witness * e == witness, label
+        assert codes._checked_ideal(e).dual_dimension == n - k, label
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(DUAL_PAIRS_BELOW_60))
+    def test_pq_codes_match_the_walk(self, pair):
+        # every pq code on the dual side has n' = p prime with ord_p(2) = p - 1: it
+        # is the even-weight code; the walk is run up to k = 20 (n' = 29 has N = 9,256,395)
+        fam = family_pq(*pair)
+        picked = 0
+        for label in fam.labels:
+            quotient = codes._checked_ideal(fam.elements[label]).quotient
+            n, k = quotient.order, quotient.dimension
+            if not _takes_the_dual_side(n, k):
+                continue
+            picked += 1
+            dual = codes._dual_scan(quotient, k)
+            assert dual[2] == {w: math.comb(n, w) for w in range(2, n + 1, 2)}, (pair, label)
+            _assert_generator_witness(quotient, dual, (pair, label))
+            if k <= 20:
+                walk = codes._orbit_walk(quotient, k, *codes._orbit_multiplier(quotient, k))
+                assert (dual[0], dual[2]) == (walk[0], walk[2]), (pair, label)
+        assert picked
+
+    def test_the_transform_maps_the_simplex_code_to_the_hamming_code_and_back(self):
+        # [7, 3, 4] simplex: seven words of weight 4; its dual is the [7, 4, 3] Hamming code
+        assert codes._macwilliams(7, [1, 0, 0, 0, 7, 0, 0, 0], 4) == {3: 7, 4: 7, 7: 1}
+        assert codes._macwilliams(7, [1, 0, 0, 7, 7, 0, 0, 1], 3) == {4: 7}
+
+    @pytest.mark.parametrize(
+        "n, dual, k",
+        [
+            (3, [1, 3, 0, 0], 1),  # four words, three of weight 1: not a linear code
+            (7, [1, 0, 0, 0, 7, 0, 0, 0], 3),  # the simplex code read as 2**4 dual words
+            (7, [1, 0, 0, 0, 7, 0, 0, 0], 5),  # and as 2**2
+        ],
+    )
+    def test_counts_that_are_not_a_dual_code_are_refused(self, n, dual, k):
+        with pytest.raises(RuntimeError, match="MacWilliams transform"):
+            codes._macwilliams(n, dual, k)
+
+    def test_a_generator_heavier_than_the_minimum_falls_back_to_the_walk(self, monkeypatch):
+        # g * (x**3 + x + 1) = x**4 + x**3 + x**2 + 1 is a codeword of weight 4 > d = 2
+        e = family_pq(3, 11).elements["e1"]
+        codes.clear_caches()
+        quotient = codes._checked_ideal(e).quotient  # built before the patch
+        original = codes._poly_quotient
+        monkeypatch.setattr(
+            codes, "_poly_quotient", lambda a, b: poly_mulmod(original(a, b), 0b1011, a)
+        )
+        duals = _returns(monkeypatch, codes, "_dual_scan")
+        walks = _count_calls(monkeypatch, codes, "_orbit_walk")
+        result = minimum_weight(e, budget=1 << 20)
+        assert (quotient.order, duals, len(walks)) == (11, [None], 1)
+        assert result.exact and result.value == result.witness.weight == 6
+        assert result.notes == ("enumerated all 2**10 - 1 nonzero codewords",)
+
+    def test_a_dual_minimum_names_the_macwilliams_identity(self):
+        fam = family_prime_power(3, 2, 5, 2)
+        codes.clear_caches()
+        dual = minimum_weight(fam.elements["I02"], budget=1 << 20)
+        walked = minimum_weight(fam.elements["I12*"], budget=1 << 20)
+        assert dual.exact and dual.value == 18
+        assert dual.notes == (
+            "MacWilliams identity over all 2**5 words of the dual of the length-25 quotient code",
+        )
+        assert walked.exact and walked.notes == ("enumerated all 2**20 - 1 nonzero codewords",)
+        assert dual.to_json()["exact"] is True
+
+    def test_a_carried_dual_scan_keeps_its_note(self, monkeypatch):
+        fam = RANK_FAMILIES["(27x9)x5"]()
+        labels = [lab for spec, lab in DUAL_LABELS if spec == "(27x9)x5"]
+        codes.clear_caches()
+        duals = _count_calls(monkeypatch, codes, "_dual_scan")
+        notes = {minimum_weight(fam.elements[lab], budget=1 << 20).notes for lab in labels}
+        assert len(duals) == 1
+        assert notes == {
+            ("MacWilliams identity over all 2**9 words of the dual of the length-27 quotient code",)
+        }
+
+    def test_a_sum_is_refused_on_the_dual_side_with_the_walk_message(self, monkeypatch):
+        # e1 + e0 on 33 has n' = 11 and k = 11, so the rule picks the dual side, and
+        # its certificate refuses the sum before any dual word is counted
+        fam = family_pq(3, 11)
+        e = fam.elements["e1"] + fam.elements["e0"]
+        codes.clear_caches()
+        quotient = codes._checked_ideal(e).quotient
+        assert (quotient.order, quotient.dimension) == (11, 11)
+        transforms = _count_calls(monkeypatch, codes, "_macwilliams")
+        walks = _count_calls(monkeypatch, codes, "_orbit_walk")
+        rows = [x.bits for x in ideal_basis(e)]
+        message = r"^F2\[G\]e is not a field, so it is not a minimal ideal$"
+        with pytest.raises(NotMinimalIdealError, match=message):
+            scan_codewords(rows, e=e)
+        split = fam.elements["e3"] + fam.elements["e4"]  # n' = 33, k = 20: the walk side
+        with pytest.raises(NotMinimalIdealError, match=message):
+            scan_codewords([x.bits for x in ideal_basis(split)], e=split)
+        assert transforms == [] and walks == []
+
+
 class TestNoGrayWalkOnTheCli:
     @pytest.mark.parametrize("spec", ["15", "33", "45", "3x5x11", "9x25", "27x25"])
     def test_every_cli_code_is_walked_as_a_field(self, spec, monkeypatch):
@@ -782,6 +956,7 @@ class TestNoGrayWalkOnTheCli:
             RunConfig(group_spec=spec, analyses=("weights", "distribution"), budget=1 << 20)
         )
         assert code in (0, 3) and "walk" in [path for path, _ in paths]
+        assert ("dual" in [path for path, _ in paths]) == (spec in ("33", "3x5x11", "9x25", "27x25"))
         for scanned in paths:
             _assert_certified(scanned, spec)
 
@@ -894,19 +1069,26 @@ def _count_calls(monkeypatch, module, name):
 
 def _scan_paths(monkeypatch):
     """Record, for each codes.scan_codewords call that returns, how its code
-    was proven: "walk" when _orbit_multiplier certified it a field, "carried"
-    when _carried_scan carried a kept walk onto it, "translates" when neither
-    ran; and whether its translates are all its nonzero words (N == 1)."""
+    was proven: "dual" when _certify_field certified it a field and
+    _dual_scan scanned it, "walk" when _certify_field certified it and the
+    walk scanned it, "carried" when _carried_scan carried a kept scan onto
+    it, "translates" when none of them ran; and whether its translates are
+    all its nonzero words (N == 1)."""
     paths = []
-    fields = _count_calls(monkeypatch, codes, "_orbit_multiplier")
+    fields = _count_calls(monkeypatch, codes, "_certify_field")
+    duals = _returns(monkeypatch, codes, "_dual_scan")
     carried = _returns(monkeypatch, codes, "_carried_scan")
     scan = codes.scan_codewords
 
     def recorded(rows, *, e):
         fields.clear()
+        duals.clear()
         carried.clear()
         out = scan(rows, e=e)
-        path = "walk" if fields else "carried" if any(carried) else "translates"
+        if fields:
+            path = "dual" if any(duals) else "walk"
+        else:
+            path = "carried" if any(carried) else "translates"
         paths.append((path, (1 << len(rows)) - 1 == codes._checked_ideal(e).quotient.order))
         return out
 
@@ -917,7 +1099,7 @@ def _scan_paths(monkeypatch):
 def _assert_certified(scanned, tag):
     """A scan with N > 1 went through a field certificate; one with N == 1 did not."""
     path, all_translates = scanned
-    assert path == "translates" if all_translates else path in ("walk", "carried"), tag
+    assert path == "translates" if all_translates else path in ("walk", "dual", "carried"), tag
 
 
 def _returns(monkeypatch, module, name):
