@@ -2,9 +2,9 @@
 
 A code here is the minimal ideal generated by a primitive idempotent e: the
 span over F2 of the translates g*e.  Minimum weights and weight distributions
-are exact whenever 2**dim fits the enumeration budget and the doubling-orbit
-sieve fits MAX_SCAN_ENTRIES; otherwise honest bounds are reported, with the
-provenance of each bound recorded.
+are exact whenever 2**dim fits the enumeration budget and the N cosets the
+scan folds fit MAX_SCAN_ENTRIES; otherwise honest bounds are reported, with
+the provenance of each bound recorded.
 
 Each ideal F2[G]e is read on its quotient G/H, H the stabilizer of e
 (_cyclic_quotient): G/H = <gamma> is cyclic of order n', e is the
@@ -26,7 +26,9 @@ A minimal code is a field (ibid., ch. 8), scanned on its quotient, on
 n'-bit words, one scan per n', carried to the other codes of that length by
 multipliers x -> x**u.  scan_codewords describes the two exact scans: a
 high-rate code takes the MacWilliams identity over the words of its small
-dual code, and any other the walk over the doubling-orbit leaders of K*/T.  An ideal that is not a field is not a
+dual code, and any other the bit-sliced fold over the N = (2**k - 1)/n'
+cosets of K*/T, with O(n') big-int operations per block of cosets and no
+Python loop over the N of them.  An ideal that is not a field is not a
 minimal ideal, and its scan is refused with a NotMinimalIdealError.  Only a
 family built under overridden hypotheses has such members; analyze_code
 reports weight bounds and a refused distribution for them.
@@ -35,12 +37,18 @@ reports weight bounds and a refused distribution for them.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cyclotomic import verify_class_structure
-from .gf2 import gf2_rank, independent_row_indices, poly_gcd, poly_is_irreducible, poly_mulmod
+from .gf2 import (
+    bit_indices,
+    gf2_rank,
+    independent_row_indices,
+    poly_gcd,
+    poly_is_irreducible,
+    poly_mulmod,
+)
 from .group_algebra import (
     AbelianGroup,
     AlgebraElement,
@@ -55,17 +63,22 @@ from .number_theory import PrimePair, crt_inverses, factorize, multiplicative_or
 DEFAULT_BUDGET = 1 << 24
 MIN_BUDGET = 1 << 10
 MAX_CACHED_CODES = 256  # bound for library callers; cli.run empties the cache per run
-# The most entries one scan may allocate: the doubling-orbit sieve's
-# N = (2**k - 1)/n'.  A sieve of 2**24 - 1 exponents took
-# 2.6 s and raised the peak RSS from 18 to 41 MB (CPython 3.11.7, 2-vCPU Xeon
-# VM); at the default budget no scan reaches the limit.
+# The most cosets one scan may fold: N = (2**k - 1)/n', the bits of the
+# fold's counter planes over all its blocks.  The fold's time grows with n' * N,
+# and its memory is bounded by _FOLD_BLOCK, not by N: a fold of
+# N = 13,944,699 (n' = 77, k = 30) took 0.3 s, with the peak RSS at the
+# 17.4 MB of the import (CPython 3.11.7, 2-vCPU Xeon VM).  At the default
+# budget no scan reaches the limit.
 MAX_SCAN_ENTRIES = 1 << 24
+# The cosets one block of the fold covers: its windows and its
+# ceil(log2(n' + 1)) planes then hold at most 2**18 + n' * (k - 1) bits each.
+_FOLD_BLOCK = 1 << 18
 
 
 class BudgetExceededError(RuntimeError):
     """An enumeration was refused because 2**dim exceeds the budget, or, with
-    `entries`, because its doubling-orbit sieve would allocate more than the
-    budget MAX_SCAN_ENTRIES."""
+    `entries`, because its fold would span more than MAX_SCAN_ENTRIES cosets of
+    K*/T, the limit then reported as the budget."""
 
     def __init__(self, dimension: int, budget: int, *, entries: int = 0):
         if entries:
@@ -314,10 +327,11 @@ def _certify_field(quotient: _Quotient, k: int) -> None:
         raise NotMinimalIdealError("F2[G]e is not a field, so it is not a minimal ideal")
 
 
-def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int]]:
+def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int], list[int]]:
     """Certify the ideal as a field K = F2[x]/f (_certify_field) and find z
-    in K that generates K*/T; return (f, z, [beta**0, ..., beta**(k - 1)])
-    with the powers of beta as n'-bit words of the quotient code.
+    in K of degree k that generates K*/T; return (f, z, powers, coordinates)
+    with powers = [beta**0, ..., beta**(k - 1)] as n'-bit words of the
+    quotient code and coordinates = _power_coordinates(z, f, k).
 
     f = h and beta**i is e-bar rotated by i.  T, the n' rotations of e-bar,
     is the unique subgroup of order n' of the cyclic group K*, so z
@@ -325,8 +339,10 @@ def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int]]
     z**((2**k - 1)/r) != 1 mod f for every prime r dividing N.  Small
     polynomials z = x, x + 1, x**2, ... are tested in turn, each power by
     square-and-multiply on split tables of y -> y**2 (one per f) and
-    y -> z*y (one per candidate).  K*/T is cyclic, so the search for z
-    always ends.
+    y -> z*y (one per candidate).  A z in a proper subfield of K can still
+    generate K*/T when n' > 2**(k/2) (x**2 + x + 1 for a length-85 code of
+    dimension 8), but its powers span no basis of K, so the search moves on.
+    A primitive element of K passes both tests, so the search always ends.
     """
     _certify_field(quotient, k)
     orbit, f = quotient.order, quotient.check
@@ -337,9 +353,39 @@ def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int]]
     for z in range(2, 1 << k):
         times = _split_tables(_shift_images(z, f, k), width)
         if all(_table_power(times, square, m, width) != 1 for m in exponents):
-            break
+            coordinates = _power_coordinates(z, f, k)
+            if coordinates is not None:
+                break
     word, mask = quotient.word, (1 << orbit) - 1
-    return f, z, [(word << i | word >> (orbit - i)) & mask for i in range(k)]
+    powers = [(word << i | word >> (orbit - i)) & mask for i in range(k)]
+    return f, z, powers, coordinates
+
+
+def _power_coordinates(z: int, f: int, k: int) -> list[int] | None:
+    """Entry t is x**t in K = F2[x]/f written in the basis z**0, ..., z**(k - 1),
+    bit b the coefficient of z**b; None when those powers are no basis, that
+    is when z lies in a proper subfield of K.
+
+    One Gauss-Jordan elimination: each power z**i, with its z-coordinates
+    1 << i beside it, is reduced by the pivots so far, and its own pivot is
+    cleared from theirs, so k independent powers end as the k rows x**t.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    y = 1
+    for i in range(k):
+        row, coords = y, 1 << i
+        for t, (pivot, known) in pivots.items():
+            if row >> t & 1:
+                row, coords = row ^ pivot, coords ^ known
+        if not row:
+            return None
+        top = row.bit_length() - 1
+        for t, (pivot, known) in pivots.items():
+            if pivot >> top & 1:
+                pivots[t] = (pivot ^ row, known ^ coords)
+        pivots[top] = (row, coords)
+        y = poly_mulmod(y, z, f)
+    return [pivots[t][1] for t in range(k)]
 
 
 def _shift_images(z: int, f: int, count: int) -> list[int]:
@@ -383,47 +429,28 @@ def _table_power(times: list[list[int]], square: list[list[int]], exp: int, widt
     return y
 
 
-def _doubling_orbit_leaders(n: int) -> tuple[array, bytes]:
-    """The least member j of each orbit {j * 2**s mod n}, ascending, and the
-    orbit's size, closed by the sentinel (n, 0).
-
-    n is odd, so doubling permutes the residues mod n.  The scan asks only for
-    n dividing 2**k - 1, where every orbit size divides k and fits a byte.
-    """
-    leaders, sizes = array("l"), bytearray()
-    seen = bytearray(n)
-    j = 0
-    while j >= 0:
-        i, size = j, 0
-        while True:
-            seen[i] = 1
-            size += 1
-            i += i
-            if i >= n:
-                i -= n
-            if i == j:
-                break
-        leaders.append(j)
-        sizes.append(size)
-        j = seen.find(0, j + 1)
-    leaders.append(n)
-    sizes.append(0)
-    return leaders, bytes(sizes)
-
-
 def _unit_coset_leaders(n: int) -> tuple[int, ...]:
-    """The least member of each coset u<2> of the units mod n, ascending: the
-    cosets are the doubling orbits of the units, so these are the unit
-    leaders of _doubling_orbit_leaders(n).  There are phi(n)/ord_n(2) of
-    them; _carried_scan asks only for an n' with a kept walk, where
-    ord_n'(2) = k and every orbit size fits a byte."""
-    leaders, _ = _doubling_orbit_leaders(n)
-    return tuple(u for u in leaders[:-1] if math.gcd(u, n) == 1)
+    """The least member of each coset u<2> of the units mod n, ascending.
+
+    n is odd, so doubling permutes the units mod n, and its orbits are the
+    cosets; each unit not yet met starts one, marked by doubling until it
+    closes.  There are phi(n)/ord_n(2) of them, from one pass over the n
+    residues."""
+    seen = bytearray(n)
+    leaders = []
+    for u in range(1, n):
+        if seen[u] or math.gcd(u, n) != 1:
+            continue
+        leaders.append(u)
+        while not seen[u]:
+            seen[u] = 1
+            u = 2 * u % n
+    return tuple(leaders)
 
 
 # One faithful scan per quotient order n': (e-bar, min weight, a minimum word,
 # histogram, m), all on n'-bit words, m the dimension of the dual code when
-# the scan came from its 2**m words and 0 for a walk; emptied by clear_caches.
+# the scan came from its 2**m words and 0 for a fold; emptied by clear_caches.
 _faithful_scans: dict[int, tuple[int, int, int, dict[int, int], int]] = {}
 
 
@@ -450,44 +477,102 @@ def _carried_scan(quotient: _Quotient) -> tuple[int, int, dict[int, int], int] |
     return None
 
 
-def _orbit_walk(
-    quotient: _Quotient, k: int, f: int, z: int, powers: list[int]
+def _add_window(planes: list[int], window: int) -> None:
+    """Add the 0/1 slice `window` to the bit-sliced counter `planes`, plane i
+    holding bit i of every count, with a ripple carry."""
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ window
+        window &= plane
+        if not window:
+            return
+
+
+def _count_masks(planes: list[int], full: int, top: int) -> Iterator[tuple[int, int]]:
+    """(w, the mask of the positions below full.bit_length() whose count is
+    w) for each w from 1 to top that occurs, ascending.
+
+    Each w takes one AND chain over the planes from the highest, a plane
+    where bit i of w is set and its complement where it is clear; a chain
+    that empties at plane i skips every w with the same bits from i up.
+    """
+    w = 1
+    while w <= top:
+        chain = full
+        for i in reversed(range(len(planes))):
+            chain = chain & planes[i] if w >> i & 1 else chain ^ (chain & planes[i])
+            if not chain:
+                w = ((w >> i) + 1) << i
+                break
+        else:
+            yield w, chain
+            w += 1
+
+
+def _coset_fold(
+    quotient: _Quotient, k: int, f: int, z: int, powers: list[int], coordinates: list[int]
 ) -> tuple[int, int, dict[int, int]]:
     """Minimum weight, a minimum word and the histogram of the quotient code,
-    on n'-bit words, by the leader walk that scan_codewords describes."""
-    orbit = quotient.order
+    on n'-bit words, by the bit-sliced fold that scan_codewords describes."""
+    n = quotient.order
+    cosets = ((1 << k) - 1) // n
     width = -(-k // 3)
+    times = _split_tables(_shift_images(z, f, k), width)
+    square = _split_tables(_shift_images(1, f, 2 * k)[::2], width)
+    t0, t1, t2 = times
     mask, high = (1 << width) - 1, 2 * width
-    w0, w1, w2 = _split_tables(powers, width)
-    images = _shift_images(z, f, k)  # z**(2**b) * x**i for the last table set b
-    jumps = [_split_tables(images, width)]
-    best, best_word = orbit + 1, 0
-    hist = [0] * (orbit + 1)
-    x, at = 1, 0
-    for lead, size in zip(*_doubling_orbit_leaders(((1 << k) - 1) // orbit)):
-        gap, at = lead - at, lead
-        while gap >> len(jumps):
-            t0, t1, t2 = jumps[-1]
-            images = [t0[y & mask] ^ t1[y >> width & mask] ^ t2[y >> high] for y in images]
-            jumps.append(_split_tables(images, width))
-        b = 0
-        while gap:
-            if gap & 1:
-                t0, t1, t2 = jumps[b]
-                x = t0[x & mask] ^ t1[x >> width & mask] ^ t2[x >> high]
-            gap >>= 1
-            b += 1
-        if size:
-            word = w0[x & mask] ^ w1[x >> width & mask] ^ w2[x >> high]
-            w = word.bit_count()
-            hist[w] += orbit * size
+    # bit 0 of the word of y is the parity of y & probe
+    probe = sum((word & 1) << i for i, word in enumerate(powers))
+    shifts = list(bit_indices(coordinates[1]))  # x = sum of z**b over these b
+    margin = n * shifts[-1]  # the bits the n' windows shift out
+    # the passes of the sequence: from `have` terms, z**have = sum of z**b over `taps`
+    plan, have = [], k
+    while have < min(cosets, _FOLD_BLOCK) + margin:
+        taps = 0
+        for t in bit_indices(_table_power(times, square, have, width)):
+            taps ^= coordinates[t]
+        plan.append((have, list(bit_indices(taps))))
+        have += have - k + 1
+    counts: dict[int, int] = {}
+    best, witness = n + 1, 0
+    for start in range(0, cosets, _FOLD_BLOCK):
+        size = min(_FOLD_BLOCK, cosets - start)
+        # window 0: bit j is bit 0 of the word of z**(start + j)
+        window, y = 0, _table_power(times, square, start, width)
+        for i in range(k):
+            window |= ((y & probe).bit_count() & 1) << i
+            y = t0[y & mask] ^ t1[y >> width & mask] ^ t2[y >> high]
+        for have, taps in plan:
+            if have >= size + margin:
+                break
+            ahead = window >> taps[0]
+            for b in taps[1:]:
+                ahead ^= window >> b
+            window |= (ahead & ((1 << (have - k + 1)) - 1)) << have
+        full = (1 << size) - 1
+        first = window & full
+        planes = [0] * n.bit_length()
+        for _ in range(n):
+            _add_window(planes, window & full)
+            shifted = window >> shifts[0]
+            for b in shifts[1:]:
+                shifted ^= window >> b
+            window = shifted
+        if window & full != first:
+            raise RuntimeError("the coset fold did not close: window n' is not window 0")
+        for w, chain in _count_masks(planes, full, n):
             if w < best:
-                best, best_word = w, word
-    last = w0[x & mask] ^ w1[x >> width & mask] ^ w2[x >> high]
-    text = format(quotient.word, f"0{orbit}b")
-    if format(last, f"0{orbit}b") not in text + text:
-        raise RuntimeError("the orbit walk did not close on a translate of e")
-    return best, best_word, {w: n for w, n in enumerate(hist) if n}
+                best, witness = w, start + (chain & -chain).bit_length() - 1
+            counts[w] = counts.get(w, 0) + chain.bit_count()
+    if sum(counts.values()) != cosets:
+        raise RuntimeError("the coset fold did not give every coset a weight from 1 to n'")
+    if sum(w * c for w, c in counts.items()) != 1 << (k - 1):
+        raise RuntimeError("the coset fold's weights do not add up to 2**(k - 1)")
+    word = 0
+    for i in bit_indices(_table_power(times, square, witness, width)):
+        word ^= powers[i]
+    if word.bit_count() != best:
+        raise RuntimeError("the coset fold's witness does not have the minimum weight")
+    return best, word, {w: n * counts[w] for w in sorted(counts)}
 
 
 def _macwilliams(n: int, dual: Sequence[int], k: int) -> dict[int, int]:
@@ -521,7 +606,7 @@ def _dual_scan(quotient: _Quotient, k: int) -> tuple[int, int, dict[int, int]] |
     on n'-bit words, from its dual code; None when the generator polynomial
     is not a minimum word.
 
-    The ideal is certified a field (_certify_field) as for the walk.  The
+    The ideal is certified a field (_certify_field) as for the fold.  The
     quotient code is the cyclic code generated by g = (x**n' + 1)/h, and its
     dual is generated by x**k h(1/x), the reciprocal of h (MacWilliams &
     Sloane, ch. 7): the span of its m = n' - k shifts, 2**m words, whose
@@ -554,31 +639,43 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
     (_Quotient), so its weights are |H| times those of that code, and the
     scan runs on n'-bit words.  Each code with N = (2**k - 1)/n' > 1 is
     certified a field by _certify_field and takes the cheaper of two exact
-    scans.  With m = n' - k, the dual side runs when 2**m <= N // k, so it
-    never counts more words than the walk has leaders: _dual_scan counts the
-    2**m words of the dual code and turns their weights into the code's by
-    the MacWilliams identity, with the generator polynomial
+    scans.  With m = n' - k, the dual side runs when 2**m <= N // k, at most
+    one dual word for every k cosets the fold would count: _dual_scan counts
+    the 2**m words of the dual code and turns their weights into the code's
+    by the MacWilliams identity, with the generator polynomial
     g = (x**n' + 1)/h as its minimum word.  It is taken only when wt(g) is
-    the minimum; otherwise, and for every other code, the walk runs.
+    the minimum; otherwise, and for every other code, the fold runs.
 
-    The walk: the n' rotations of e-bar form a group T of units, and every
-    weight is constant on the cosets xT.  With the field K = F2[x]/h and z
-    generating K*/T (_orbit_multiplier), the words z**j, 0 <= j < N, meet
-    each coset once.  For odd |G| squaring is the coordinate permutation
-    t -> 2t, and (z**j)**2 lies in z**(2j mod N) T, so weights are constant
-    on the doubling orbits {j * 2**s mod N} as well.  The walk visits only
-    the least exponent of each doubling orbit, in ascending order: it holds
-    z**j as a k-bit integer and reaches the next leader j' by multiplying by
-    z**(2**b) for each set bit b of j' - j (three table lookups each).  The
-    table set of z**(2**b) is built when a gap first needs it, from that of
-    z**(2**(b - 1)) applied to its own k images.  Each leader is mapped to
-    its word through tables built from the rotations of e-bar by 0, ..., k - 1,
-    and its weight counts n' times the orbit size.  A last jump reaches z**N,
-    and the walk is closed by checking that z**N maps to a rotation of e-bar.
-    Each table has 2**ceil(k/3) entries (at most 2**10 for k <= 30), and
-    there are at most log2(N) + 1 table sets.
+    The fold: the n' rotations of e-bar form a group T of units, and every
+    weight is constant on the cosets yT.  With the field K = F2[x]/h and z
+    of degree k generating K*/T (_orbit_multiplier), the words z**j,
+    0 <= j < N, meet each coset once, so the histogram is n' times that of
+    wt(z**j) over j < N.  Those N weights are computed bit-sliced.  Window c
+    is the int V_c whose bit j is bit 0 of the word of x**c * z**j, which is
+    bit -c mod n' of the word of z**j; so wt(z**j) is the number of windows
+    c < n' with bit j set.  V_0 is the linear recurring sequence j -> bit 0
+    of the word of z**j, extended by doubling: with z**D = sum of d_b z**b,
+    s_(j + D) = sum of d_b s_(j + b), the coordinates from one elimination
+    over z**0, ..., z**(k - 1) (_power_coordinates).  V_(c + 1) is the XOR
+    of V_c >> b over the b with x = sum of z**b, two shifts when z = x + 1;
+    each window loses as many bits at its top as its largest shift b < k,
+    so V_0 carries n' * b bits of margin.  A ripple-carry counter of
+    n'.bit_length() planes adds the n' windows, and the count of weight w is
+    the popcount of the AND of the planes (or their complements) that spell
+    w, one AND chain per weight, cut short at the first empty prefix
+    (_count_masks).  The exponents are folded in blocks of _FOLD_BLOCK, each
+    block's V_0 started from z**start, so the memory does not grow with N.
+    The witness is the word of z**j for the least j of minimum weight;
+    squaring permutes the cosets, so that j is the least of its doubling
+    orbit.
 
-    One scan, dual or walked, is kept per n' (_carried_scan): a later code
+    Four certificates close the fold, each a RuntimeError: window n' equals
+    window 0 in every block (x**n' = 1 in K); every exponent gets a weight
+    from 1 to n'; the weights add up to 2**(k - 1), as each coordinate of a
+    nonzero cyclic code is 1 on half of its words; and the witness,
+    recomputed through _table_power, has the minimum weight.
+
+    One scan, dual or folded, is kept per n' (_carried_scan): a later code
     of the same n' that a multiplier maps it onto takes its histogram and
     minimum word.  The minimum word is lifted to G, one coset of H per set
     bit.
@@ -608,7 +705,7 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
         # 2**m <= N // k, with k == 0 (the zero ideal) left to the certificate
         scanned = _dual_scan(quotient, k) if k << m <= total // orbit else None
         if scanned is None:
-            m, scanned = 0, _orbit_walk(quotient, k, *_orbit_multiplier(quotient, k))
+            m, scanned = 0, _coset_fold(quotient, k, *_orbit_multiplier(quotient, k))
         faithful = (*scanned, m)
         if len(_faithful_scans) < MAX_CACHED_CODES:
             _faithful_scans.setdefault(orbit, (quotient.word, *faithful))

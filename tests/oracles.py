@@ -6,9 +6,10 @@ No code path of the package calls these; the references are slow on purpose.
 
 import itertools
 import math
-
+from array import array
 from typing import Sequence
 
+from abelcodes import codes
 from abelcodes.gf2 import bit_indices, poly_mod, poly_mulmod
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup
 from abelcodes.idempotents import IdempotentFamily
@@ -150,6 +151,83 @@ def doubling_orbit_sizes(n: int) -> bytes:
             i = 2 * i % n
         sizes[j] = size
     return bytes(sizes)
+
+
+def doubling_orbit_leaders(n: int) -> tuple[array, bytes]:
+    """The least member j of each orbit {j * 2**s mod n}, ascending, and the
+    orbit's size, closed by the sentinel (n, 0).
+
+    n is odd, so doubling permutes the residues mod n.  The walk asks only for
+    n dividing 2**k - 1, where every orbit size divides k and fits a byte.
+    """
+    leaders, sizes = array("l"), bytearray()
+    seen = bytearray(n)
+    j = 0
+    while j >= 0:
+        i, size = j, 0
+        while True:
+            seen[i] = 1
+            size += 1
+            i += i
+            if i >= n:
+                i -= n
+            if i == j:
+                break
+        leaders.append(j)
+        sizes.append(size)
+        j = seen.find(0, j + 1)
+    leaders.append(n)
+    sizes.append(0)
+    return leaders, bytes(sizes)
+
+
+def orbit_walk(
+    quotient, k: int, f: int, z: int, powers: list[int]
+) -> tuple[int, int, dict[int, int]]:
+    """Minimum weight, a minimum word and the histogram of the quotient code of
+    a field ideal, on n'-bit words, by the leader walk over K*/T.
+
+    z generates K*/T (codes._orbit_multiplier), so the words z**j, j < N =
+    (2**k - 1)/n', meet each coset of the rotations T once; squaring permutes
+    the cosets, so weights are constant on the doubling orbits of the
+    exponents.  The walk visits the least exponent of each orbit, ascending,
+    reaching the next leader j' from j by multiplying by z**(2**b) for each
+    set bit b of j' - j, and counts the leader's weight n' times the orbit
+    size.  A last jump reaches z**N, which must map to a rotation of e-bar.
+    """
+    orbit = quotient.order
+    width = -(-k // 3)
+    mask, high = (1 << width) - 1, 2 * width
+    w0, w1, w2 = codes._split_tables(powers, width)
+    images = codes._shift_images(z, f, k)  # z**(2**b) * x**i for the last table set b
+    jumps = [codes._split_tables(images, width)]
+    best, best_word = orbit + 1, 0
+    hist = [0] * (orbit + 1)
+    x, at = 1, 0
+    for lead, size in zip(*doubling_orbit_leaders(((1 << k) - 1) // orbit)):
+        gap, at = lead - at, lead
+        while gap >> len(jumps):
+            t0, t1, t2 = jumps[-1]
+            images = [t0[y & mask] ^ t1[y >> width & mask] ^ t2[y >> high] for y in images]
+            jumps.append(codes._split_tables(images, width))
+        b = 0
+        while gap:
+            if gap & 1:
+                t0, t1, t2 = jumps[b]
+                x = t0[x & mask] ^ t1[x >> width & mask] ^ t2[x >> high]
+            gap >>= 1
+            b += 1
+        if size:
+            word = w0[x & mask] ^ w1[x >> width & mask] ^ w2[x >> high]
+            w = word.bit_count()
+            hist[w] += orbit * size
+            if w < best:
+                best, best_word = w, word
+    last = w0[x & mask] ^ w1[x >> width & mask] ^ w2[x >> high]
+    text = format(quotient.word, f"0{orbit}b")
+    if format(last, f"0{orbit}b") not in text + text:
+        raise RuntimeError("the orbit walk did not close on a translate of e")
+    return best, best_word, {w: n for w, n in enumerate(hist) if n}
 
 
 def stepping_order(a: int, n: int) -> int:

@@ -39,11 +39,13 @@ from abelcodes.idempotents import (
 from abelcodes.number_theory import hypothesis_failures, is_odd_prime, multiplicative_order
 from oracles import (
     berlekamp_massey,
+    doubling_orbit_leaders,
     doubling_orbit_sizes,
     first_translates,
     gray_flip_sequence,
     gray_scan_codewords,
     naive_weight_distribution,
+    orbit_walk,
     per_bit_power,
     poly_powmod,
     quotient_is_cyclic,
@@ -217,7 +219,7 @@ class TestWeightDistribution:
             weight_distribution(fam.elements["e3"], budget=1 << 10)
         assert exc.value.required_budget == 1 << 60
 
-    def test_an_oversize_sieve_is_refused_before_the_field_search(self, monkeypatch):
+    def test_an_oversize_scan_is_refused_before_the_field_search(self, monkeypatch):
         e = family_prime_power(3, 2, 5, 2).elements["I22*"]
         rows = [x.bits for x in ideal_basis(e)]
         searches = _count_calls(monkeypatch, codes, "_orbit_multiplier")
@@ -226,7 +228,7 @@ class TestWeightDistribution:
         assert searches == [] and exc.value.required_budget == 1 << 60
 
     def test_a_row_count_other_than_the_dimension_is_refused_cold_and_warm(self, fam33):
-        # unchecked, a cold scan of 3 rows walks their 7 words and a warm one returns
+        # unchecked, a cold scan of 3 rows folds their 7 words and a warm one returns
         # the 1023 of the carried full scan
         e = fam33.elements["e3"]
         codes.clear_caches()
@@ -240,11 +242,11 @@ class TestWeightDistribution:
                 scan_codewords(wrong, e=e)
 
     @pytest.mark.parametrize("limit", [10, 100])
-    def test_a_sum_is_refused_by_the_sieve_limit_or_as_not_minimal(
+    def test_a_sum_is_refused_by_the_scan_limit_or_as_not_minimal(
         self, fam15, limit, monkeypatch
     ):
-        # e3 + e4 is not a field: its sieve would need 255 // 15 = 17 entries, and
-        # the sieve limit is checked before the field certificate
+        # e3 + e4 is not a field: its fold would span 255 // 15 = 17 cosets, and
+        # the scan limit is checked before the field certificate
         e = fam15.elements["e3"] + fam15.elements["e4"]
         codes.clear_caches()
         rows = [x.bits for x in ideal_basis(e)]
@@ -287,7 +289,7 @@ class TestWeightDistribution:
                 _, _, gray = gray_scan_codewords(rows, ncols=fam.group.order)
                 assert gray == naive
 
-    def test_orbit_walk_matches_gray_scan(self, fam33):
+    def test_fold_matches_gray_scan(self, fam33):
         e = fam33.elements["e3"]
         rows = [x.bits for x in ideal_basis(e)]
         best, word, hist = scan_codewords(rows, e=e)
@@ -421,34 +423,20 @@ class TestOrbitWalk:
         assert minimum_weight(e, budget=1 << 20).value == 48
         assert [args for args, _ in certificates] == [(codes._checked_ideal(e).quotient.check,)]
 
-    def test_a_walk_that_misses_the_translates_is_refused(self, monkeypatch):
-        e = family_three_primes(3, 5, 11).elements["e10"]
-        codes.clear_caches()
-        original = codes._orbit_multiplier
-
-        def broken(*args):
-            f, z, powers = original(*args)
-            return f, z, [powers[0], *powers[2:], powers[1]]  # not the powers of one beta
-
-        monkeypatch.setattr(codes, "_orbit_multiplier", broken)
-        with pytest.raises(RuntimeError, match="did not close"):
-            weight_distribution(e, budget=1 << 20)
-        assert "scan" not in vars(codes._checked_ideal(e))
-
     @pytest.mark.parametrize("fixture", ["fam15", "fam33"])
     def test_split_pair_sum_is_refused_as_not_minimal(self, fixture, request, monkeypatch):
         fam = request.getfixturevalue(fixture)
         e = fam.elements["e3"] + fam.elements["e4"]  # not a minimal ideal, so not a field
         assert e * e == e
         codes.clear_caches()
-        walks = _count_calls(monkeypatch, codes, "_orbit_walk")
+        folds = _count_calls(monkeypatch, codes, "_coset_fold")
         rows = [x.bits for x in ideal_basis(e)]
         with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
             scan_codewords(rows, e=e)
         for enumerate_ in (minimum_weight, weight_distribution):
             with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
                 enumerate_(e, budget=1 << 20)
-        assert walks == [] and "scan" not in vars(codes._checked_ideal(e))
+        assert folds == [] and "scan" not in vars(codes._checked_ideal(e))
         # the oracle still walks the sum: its lightest word has weight 4
         best, word, _ = gray_scan_codewords(rows, ncols=fam.group.order)
         witness = AlgebraElement(fam.group, word)
@@ -481,8 +469,9 @@ class TestOrbitWalk:
         assert witnesses[0].weight == 48
 
 
-# N = (2**k - 1)/d for every d | 2**k - 1, k <= 18: the orders the scan sieves,
-# where every orbit size divides k; then the orders of the k = 20 workload codes
+# N = (2**k - 1)/d for every d | 2**k - 1, k <= 18: the orders the oracle walk
+# sieves, where every orbit size divides k; then the orders of the k = 20
+# workload codes
 SIEVE_ORDERS = sorted(
     {((1 << k) - 1) // d for k in range(1, 19) for d in range(1, 1 << k) if ((1 << k) - 1) % d == 0}
 ) + [6355, 13981, 19065, 41943]
@@ -511,56 +500,18 @@ POWMOD_GENERATORS = {
 class TestLeaderWalk:
     @pytest.mark.parametrize("n", SIEVE_ORDERS)
     def test_leaders_and_sizes_match_the_per_exponent_table(self, n):
-        codes.clear_caches()
-        leaders, sizes = codes._doubling_orbit_leaders(n)
+        leaders, sizes = doubling_orbit_leaders(n)
         table = doubling_orbit_sizes(n)
         assert list(leaders) == [j for j, size in enumerate(table) if size] + [n]
         assert list(sizes) == [size for size in table if size] + [0]
         assert sum(sizes) == n
-
-    def test_a_walk_that_skips_a_leader_caches_no_scan(self, monkeypatch):
-        e = family_three_primes(3, 5, 11).elements["e10"]
-        codes.clear_caches()
-        original = codes._doubling_orbit_leaders
-
-        def one_short(n):
-            leaders, sizes = original(n)
-            drop = len(leaders) // 2
-            return leaders[:drop] + leaders[drop + 1 :], sizes[:drop] + sizes[drop + 1 :]
-
-        monkeypatch.setattr(codes, "_doubling_orbit_leaders", one_short)
-        with pytest.raises(RuntimeError, match="internal consistency checks"):
-            weight_distribution(e, budget=1 << 20)
-        assert "scan" not in vars(codes._checked_ideal(e))
-
-    @pytest.mark.parametrize("power", [2, 4, 64, 2048])
-    def test_a_wrong_jump_table_does_not_close(self, power, monkeypatch):
-        # the table set of y -> z**power * y gets a wrong image of y = 1
-        e = family_three_primes(3, 5, 11).elements["e10"]
-        codes.clear_caches()
-        f, z, _ = codes._orbit_multiplier(codes._checked_ideal(e).quotient, 20)
-        jump = codes._shift_images(poly_powmod(z, power, f), f, 20)
-        original = codes._split_tables
-        corrupted = []
-
-        def split_tables(images, width):
-            if list(images) != jump:
-                return original(images, width)
-            corrupted.append(images)
-            return original([images[0] ^ 1, *images[1:]], width)
-
-        monkeypatch.setattr(codes, "_split_tables", split_tables)
-        with pytest.raises(RuntimeError, match="did not close"):
-            weight_distribution(e, budget=1 << 20)
-        assert len(corrupted) == 1
-        assert "scan" not in vars(codes._checked_ideal(e))
 
     @pytest.mark.parametrize("spec, label", sorted(POWMOD_GENERATORS))
     def test_table_powers_match_poly_powmod(self, spec, label):
         fam = ORACLE_FAMILIES[spec]()
         e, k = fam.elements[label], fam.predicted_dims[label]
         quotient = codes._checked_ideal(e).quotient
-        f, z, _ = codes._orbit_multiplier(quotient, k)
+        f, z, *_ = codes._orbit_multiplier(quotient, k)
         assert (f, z) == POWMOD_GENERATORS[spec, label]
         assert f == quotient.check
         width = -(-k // 3)
@@ -716,46 +667,46 @@ class TestQuotientRecord:
             assert berlekamp_massey(seq) == quotient.check, label
 
 
-def _walks_and_scans(fam, labels):
-    walks = []
-    original = codes._orbit_walk
+def _folds_and_scans(fam, labels):
+    folds = []
+    original = codes._coset_fold
 
     def counted(quotient, *args):
-        walks.append(quotient.order)
+        folds.append(quotient.order)
         return original(quotient, *args)
 
     codes.clear_caches()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codes, "_orbit_walk", counted)
+        patch.setattr(codes, "_coset_fold", counted)
         scans = {}
         for label in labels:
             e = fam.elements[label]
             scans[label] = scan_codewords([x.bits for x in ideal_basis(e)], e=e)
-    return walks, scans
+    return folds, scans
 
 
 class TestCarriedScans:
     @pytest.mark.parametrize("spec", sorted(ORACLE_FAMILIES))
-    def test_each_carried_scan_matches_the_code_own_walk(self, spec):
+    def test_each_carried_scan_matches_the_code_own_fold(self, spec):
         fam = ORACLE_FAMILIES[spec]()
         labels = [lab for lab in fam.labels if fam.predicted_dims[lab] <= 20]
-        walks, shared = _walks_and_scans(fam, labels)
+        folds, shared = _folds_and_scans(fam, labels)
         for label in labels:
             e = fam.elements[label]
-            _, alone = _walks_and_scans(fam, [label])
+            _, alone = _folds_and_scans(fam, [label])
             best, word, hist = shared[label]
             assert (best, hist) == (alone[label][0], alone[label][2]), label
             witness = AlgebraElement(fam.group, word)
             assert witness.weight == best and witness * e == witness, label
-        # one walk per quotient order n'
-        assert sorted(walks) == sorted(set(walks))
+        # one fold per quotient order n'
+        assert sorted(folds) == sorted(set(folds))
 
-    def test_the_dimension_20_codes_of_165_take_two_walks(self):
+    def test_the_dimension_20_codes_of_165_take_two_folds(self):
         fam = ORACLE_FAMILIES["3x5x11"]()
         labels = [lab for lab in fam.labels if fam.predicted_dims[lab] == 20]
-        walks, scans = _walks_and_scans(fam, labels)
+        folds, scans = _folds_and_scans(fam, labels)
         assert labels == ["e8", "e9", "e10", "e11", "e12", "e13"]
-        assert walks == [55, 165]
+        assert folds == [55, 165]
         for label in labels:
             e = fam.elements[label]
             best, word, hist = scans[label]
@@ -773,6 +724,16 @@ class TestCarriedScans:
         assert len(set(cosets)) == len(leaders) == len(units) // multiplicative_order(2, n)
         assert frozenset().union(*cosets) == units
         assert list(leaders) == sorted(min(c) for c in cosets)
+
+    @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES))
+    def test_unit_leaders_are_the_unit_leaders_of_the_oracle_sieve(self, spec):
+        orders = set()
+        for e in RANK_FAMILIES[spec]().elements.values():
+            orders.add(codes._checked_ideal(e).quotient.order)
+        for n in sorted(orders - {1}):  # n' = 1 is the repetition code, never carried
+            leaders, _ = doubling_orbit_leaders(n)
+            units = [u for u in leaders[:-1] if math.gcd(u, n) == 1]
+            assert list(codes._unit_coset_leaders(n)) == units, n
 
 
 def _takes_the_dual_side(n, k):
@@ -809,6 +770,36 @@ def _quotient_gray_scan(word, n, k):
     return gray_scan_codewords([_rotation(word, t, n) for t in range(k)], ncols=n)
 
 
+def _fold(quotient, k):
+    """The package's fold of the quotient code of a field ideal, on n'-bit words."""
+    return codes._coset_fold(quotient, k, *codes._orbit_multiplier(quotient, k))
+
+
+def _walk(quotient, k):
+    """The oracle leader walk of the same code, from the same z."""
+    f, z, powers, _ = codes._orbit_multiplier(quotient, k)
+    return orbit_walk(quotient, k, f, z, powers)
+
+
+def _takes_the_fold(n, k):
+    """The codes scan_codewords folds: N > 1 within the scan limit, off the dual side."""
+    total = (1 << k) - 1
+    return total > n and total // n <= codes.MAX_SCAN_ENTRIES and not _takes_the_dual_side(n, k)
+
+
+def _field_idempotent(orders, h):
+    """The idempotent of the minimal cyclic code of length n = prod(orders),
+    the orders coprime, with check polynomial h: 1 mod h and 0 mod
+    g = (x**n + 1)/h, with coefficient t on (t mod n_i)_i of C_n1 x C_n2 ..."""
+    group, n = AbelianGroup(orders), math.prod(orders)
+    modulus = 1 << n | 1
+    g = codes._poly_quotient(modulus, h)
+    inverse = poly_powmod(g, (1 << (h.bit_length() - 1)) - 2, h)
+    word = poly_mulmod(g, inverse, modulus)
+    ranks = [group.rank(tuple(t % m for m in orders)) for t in range(n)]
+    return AlgebraElement(group, sum(1 << r for t, r in enumerate(ranks) if word >> t & 1))
+
+
 def _assert_generator_witness(quotient, scanned, tag):
     """The dual side's word is g = (x**n' + 1)/h: h * g == 0 and wt(g) == d."""
     best, word, _ = scanned
@@ -835,9 +826,10 @@ class TestDualScan:
         quotient = codes._checked_ideal(e).quotient
         n, k = quotient.order, quotient.dimension
         dual = codes._dual_scan(quotient, k)
-        walk = codes._orbit_walk(quotient, k, *codes._orbit_multiplier(quotient, k))
+        walk = _walk(quotient, k)
         best, word, hist = dual
         assert (best, hist) == (walk[0], walk[2]), label
+        assert _fold(quotient, k) == walk, label
         gray_best, _, gray_hist = _quotient_gray_scan(quotient.word, n, k)
         assert (best, hist) == (gray_best, gray_hist), label
         _assert_generator_witness(quotient, dual, label)
@@ -853,9 +845,10 @@ class TestDualScan:
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from(DUAL_PAIRS_BELOW_60))
-    def test_pq_codes_match_the_walk(self, pair):
+    def test_pq_codes_match_the_fold_and_the_walk(self, pair):
         # every pq code on the dual side has n' = p prime with ord_p(2) = p - 1: it
-        # is the even-weight code; the walk is run up to k = 20 (n' = 29 has N = 9,256,395)
+        # is the even-weight code; the fold runs at every k (n' = 29 has
+        # N = 9,256,395), the oracle walk up to k = 20
         fam = family_pq(*pair)
         picked = 0
         for label in fam.labels:
@@ -867,9 +860,10 @@ class TestDualScan:
             dual = codes._dual_scan(quotient, k)
             assert dual[2] == {w: math.comb(n, w) for w in range(2, n + 1, 2)}, (pair, label)
             _assert_generator_witness(quotient, dual, (pair, label))
+            fold = _fold(quotient, k)
+            assert (dual[0], dual[2]) == (fold[0], fold[2]), (pair, label)
             if k <= 20:
-                walk = codes._orbit_walk(quotient, k, *codes._orbit_multiplier(quotient, k))
-                assert (dual[0], dual[2]) == (walk[0], walk[2]), (pair, label)
+                assert _walk(quotient, k) == fold, (pair, label)
         assert picked
 
     def test_the_transform_maps_the_simplex_code_to_the_hamming_code_and_back(self):
@@ -889,7 +883,7 @@ class TestDualScan:
         with pytest.raises(RuntimeError, match="MacWilliams transform"):
             codes._macwilliams(n, dual, k)
 
-    def test_a_generator_heavier_than_the_minimum_falls_back_to_the_walk(self, monkeypatch):
+    def test_a_generator_heavier_than_the_minimum_falls_back_to_the_fold(self, monkeypatch):
         # g * (x**3 + x + 1) = x**4 + x**3 + x**2 + 1 is a codeword of weight 4 > d = 2
         e = family_pq(3, 11).elements["e1"]
         codes.clear_caches()
@@ -899,9 +893,9 @@ class TestDualScan:
             codes, "_poly_quotient", lambda a, b: poly_mulmod(original(a, b), 0b1011, a)
         )
         duals = _returns(monkeypatch, codes, "_dual_scan")
-        walks = _count_calls(monkeypatch, codes, "_orbit_walk")
+        folds = _count_calls(monkeypatch, codes, "_coset_fold")
         result = minimum_weight(e, budget=1 << 20)
-        assert (quotient.order, duals, len(walks)) == (11, [None], 1)
+        assert (quotient.order, duals, len(folds)) == (11, [None], 1)
         assert result.exact and result.value == result.witness.weight == 6
         assert result.notes == ("enumerated all 2**10 - 1 nonzero codewords",)
 
@@ -909,12 +903,12 @@ class TestDualScan:
         fam = family_prime_power(3, 2, 5, 2)
         codes.clear_caches()
         dual = minimum_weight(fam.elements["I02"], budget=1 << 20)
-        walked = minimum_weight(fam.elements["I12*"], budget=1 << 20)
+        folded = minimum_weight(fam.elements["I12*"], budget=1 << 20)
         assert dual.exact and dual.value == 18
         assert dual.notes == (
             "MacWilliams identity over all 2**5 words of the dual of the length-25 quotient code",
         )
-        assert walked.exact and walked.notes == ("enumerated all 2**20 - 1 nonzero codewords",)
+        assert folded.exact and folded.notes == ("enumerated all 2**20 - 1 nonzero codewords",)
         assert dual.to_json()["exact"] is True
 
     def test_a_carried_dual_scan_keeps_its_note(self, monkeypatch):
@@ -928,7 +922,7 @@ class TestDualScan:
             ("MacWilliams identity over all 2**9 words of the dual of the length-27 quotient code",)
         }
 
-    def test_a_sum_is_refused_on_the_dual_side_with_the_walk_message(self, monkeypatch):
+    def test_a_sum_is_refused_on_the_dual_side_with_the_fold_message(self, monkeypatch):
         # e1 + e0 on 33 has n' = 11 and k = 11, so the rule picks the dual side, and
         # its certificate refuses the sum before any dual word is counted
         fam = family_pq(3, 11)
@@ -937,25 +931,182 @@ class TestDualScan:
         quotient = codes._checked_ideal(e).quotient
         assert (quotient.order, quotient.dimension) == (11, 11)
         transforms = _count_calls(monkeypatch, codes, "_macwilliams")
-        walks = _count_calls(monkeypatch, codes, "_orbit_walk")
+        folds = _count_calls(monkeypatch, codes, "_coset_fold")
         rows = [x.bits for x in ideal_basis(e)]
         message = r"^F2\[G\]e is not a field, so it is not a minimal ideal$"
         with pytest.raises(NotMinimalIdealError, match=message):
             scan_codewords(rows, e=e)
-        split = fam.elements["e3"] + fam.elements["e4"]  # n' = 33, k = 20: the walk side
+        split = fam.elements["e3"] + fam.elements["e4"]  # n' = 33, k = 20: the fold side
         with pytest.raises(NotMinimalIdealError, match=message):
             scan_codewords([x.bits for x in ideal_basis(split)], e=split)
-        assert transforms == [] and walks == []
+        assert transforms == [] and folds == []
+
+
+class TestCosetFold:
+    @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES))
+    def test_every_folded_label_matches_the_oracle_walk(self, spec):
+        # the same minimum, word and histogram; the Gray scan too up to k = 12
+        # (the k = 20 codes meet it in TestOrbitWalk through scan_codewords)
+        fam = RANK_FAMILIES[spec]()
+        codes.clear_caches()
+        folded = 0
+        for label, e in fam.elements.items():
+            quotient = codes._checked_ideal(e).quotient
+            n, k = quotient.order, quotient.dimension
+            if not _takes_the_fold(n, k):
+                continue
+            fold = _fold(quotient, k)
+            assert fold == _walk(quotient, k), label
+            if k <= 12:
+                gray_best, _, gray_hist = _quotient_gray_scan(quotient.word, n, k)
+                assert (fold[0], fold[2]) == (gray_best, gray_hist), label
+            folded += 1
+        assert folded
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(ADMISSIBLE_PAIRS_BELOW_60))
+    def test_pq_codes_match_the_oracle_walk(self, pair):
+        fam = family_pq(*pair)
+        for label, e in fam.elements.items():
+            quotient = codes._checked_ideal(e).quotient
+            n, k = quotient.order, quotient.dimension
+            if _takes_the_fold(n, k) and k <= 20:
+                fold = _fold(quotient, k)
+                assert fold == _walk(quotient, k), (pair, label)
+                if k <= 12:
+                    gray_best, _, gray_hist = _quotient_gray_scan(quotient.word, n, k)
+                    assert (fold[0], fold[2]) == (gray_best, gray_hist), (pair, label)
+
+    @pytest.mark.parametrize(
+        "block, specs", [(1, ["33"]), (7, ["33", "3x5x11"]), (97, ["33", "3x5x11"]), (4096, ["3x5x11"])]
+    )
+    def test_every_block_size_gives_the_same_fold(self, block, specs, monkeypatch):
+        # e3 of 33 has N = 31 and e8 of 3x5x11 has N = 19065; one block is the default
+        for spec in specs:
+            label = {"33": "e3", "3x5x11": "e8"}[spec]
+            fam = ORACLE_FAMILIES[spec]()
+            quotient = codes._checked_ideal(fam.elements[label]).quotient
+            k = quotient.dimension
+            whole = _fold(quotient, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(codes, "_FOLD_BLOCK", block)
+                assert _fold(quotient, k) == whole, label
+
+    def test_a_wrong_tap_set_does_not_close(self, monkeypatch):
+        # x = z + 1 read as x = z: window n' is window 0 shifted by n'
+        e = family_three_primes(3, 5, 11).elements["e10"]
+        codes.clear_caches()
+        original = codes._orbit_multiplier
+
+        def one_tap_short(*args):
+            f, z, powers, coordinates = original(*args)
+            taps = coordinates[1]
+            assert taps == 0b11
+            return f, z, powers, [coordinates[0], taps & (taps - 1), *coordinates[2:]]
+
+        monkeypatch.setattr(codes, "_orbit_multiplier", one_tap_short)
+        with pytest.raises(RuntimeError, match="did not close"):
+            weight_distribution(e, budget=1 << 20)
+        assert "scan" not in vars(codes._checked_ideal(e))
+
+    @pytest.mark.parametrize("power", [51, 275, 1043, 4115])
+    def test_a_wrong_doubling_pass_does_not_close(self, power, monkeypatch):
+        # e10 (k = 20, N = 6355, x = z + 1, so 165 bits of margin) takes 13 passes,
+        # from 20, 21, 23, ... terms to 4115; z**power gets a wrong z**0
+        # coordinate, which adds the first power - 19 >= k terms, never all 0,
+        # to the next ones
+        e = family_three_primes(3, 5, 11).elements["e10"]
+        codes.clear_caches()
+        original = codes._table_power
+        corrupted = []
+
+        def table_power(times, square, exp, width):
+            y = original(times, square, exp, width)
+            if exp != power:
+                return y
+            corrupted.append(exp)
+            return y ^ 1
+
+        monkeypatch.setattr(codes, "_table_power", table_power)
+        with pytest.raises(RuntimeError, match="did not close"):
+            weight_distribution(e, budget=1 << 20)
+        assert corrupted == [power]
+        assert "scan" not in vars(codes._checked_ideal(e))
+
+    def test_a_dropped_window_caches_no_scan(self, monkeypatch):
+        e = family_three_primes(3, 5, 11).elements["e10"]
+        codes.clear_caches()
+        original = codes._add_window
+        calls = []
+
+        def one_short(planes, window):
+            calls.append(None)
+            if len(calls) != 4:
+                original(planes, window)
+
+        monkeypatch.setattr(codes, "_add_window", one_short)
+        with pytest.raises(RuntimeError, match="coset fold") as refused:
+            weight_distribution(e, budget=1 << 20)
+        assert "did not close" not in str(refused.value) and len(calls) == 165
+        assert "scan" not in vars(codes._checked_ideal(e))
+
+    def test_a_witness_from_the_wrong_powers_is_refused(self, monkeypatch):
+        # the probe of beta**0 and beta**1 swapped is bit 0 of a * y for some a in K:
+        # the weights of the cosets a * z**j T are still right, the word is not
+        e = family_three_primes(3, 5, 11).elements["e10"]
+        codes.clear_caches()
+        original = codes._orbit_multiplier
+
+        def swapped(*args):
+            f, z, powers, coordinates = original(*args)
+            return f, z, [powers[1], powers[0], *powers[2:]], coordinates
+
+        monkeypatch.setattr(codes, "_orbit_multiplier", swapped)
+        with pytest.raises(RuntimeError, match="witness does not have the minimum weight"):
+            weight_distribution(e, budget=1 << 20)
+        assert "scan" not in vars(codes._checked_ideal(e))
+
+    def test_a_generator_in_a_proper_subfield_is_passed_over(self):
+        # the length-85 code with h = x**8 + x**6 + x**5 + x**4 + x**3 + x + 1 has
+        # N = 3; z = x**2 + x + 1 lies in F_16 but still generates K*/T
+        h, n, k = 0b101111011, 85, 8
+        e = _field_idempotent([5, 17], h)
+        assert e * e == e
+        codes.clear_caches()
+        quotient = codes._checked_ideal(e).quotient
+        assert (quotient.order, quotient.dimension, quotient.check) == (n, k, h)
+        assert poly_powmod(0b111, 16, h) == 0b111
+        assert poly_powmod(0b111, 255 // 3, h) != 1
+        assert codes._power_coordinates(0b111, h, k) is None
+        f, z, _, coordinates = codes._orbit_multiplier(quotient, k)
+        assert f == h and z > 0b111 and poly_powmod(z, 16, h) != z
+        for t, coords in enumerate(coordinates):
+            spelled = 0
+            for b in range(k):
+                if coords >> b & 1:
+                    spelled ^= poly_powmod(z, b, h)
+            assert spelled == 1 << t, t
+        rows = [x.bits for x in ideal_basis(e)]
+        best, word, hist = scan_codewords(rows, e=e)
+        assert hist == naive_weight_distribution(rows)
+        assert best == min(hist) == word.bit_count()
+
+    def test_dependent_powers_have_no_coordinates(self):
+        # z = 1 and, in F_64 = F2[x]/(x**6 + x**3 + 1) of the length-9 code, z = x**3
+        # of order 3, in F_4
+        assert codes._power_coordinates(1, 0b1001001, 6) is None
+        assert codes._power_coordinates(0b1000, 0b1001001, 6) is None
+        assert codes._power_coordinates(0b10, 0b1001001, 6) == [1 << t for t in range(6)]
 
 
 class TestNoGrayWalkOnTheCli:
     @pytest.mark.parametrize("spec", ["15", "33", "45", "3x5x11", "9x25", "27x25"])
-    def test_every_cli_code_is_walked_as_a_field(self, spec, monkeypatch):
+    def test_every_cli_code_is_folded_as_a_field(self, spec, monkeypatch):
         paths = _scan_paths(monkeypatch)
         code, report, _ = run(
             RunConfig(group_spec=spec, analyses=("weights", "distribution"), budget=1 << 20)
         )
-        assert code in (0, 3) and "walk" in [path for path, _ in paths]
+        assert code in (0, 3) and "fold" in [path for path, _ in paths]
         assert ("dual" in [path for path, _ in paths]) == (spec in ("33", "3x5x11", "9x25", "27x25"))
         for scanned in paths:
             _assert_certified(scanned, spec)
@@ -1070,8 +1221,8 @@ def _count_calls(monkeypatch, module, name):
 def _scan_paths(monkeypatch):
     """Record, for each codes.scan_codewords call that returns, how its code
     was proven: "dual" when _certify_field certified it a field and
-    _dual_scan scanned it, "walk" when _certify_field certified it and the
-    walk scanned it, "carried" when _carried_scan carried a kept scan onto
+    _dual_scan scanned it, "fold" when _certify_field certified it and the
+    fold scanned it, "carried" when _carried_scan carried a kept scan onto
     it, "translates" when none of them ran; and whether its translates are
     all its nonzero words (N == 1)."""
     paths = []
@@ -1086,7 +1237,7 @@ def _scan_paths(monkeypatch):
         carried.clear()
         out = scan(rows, e=e)
         if fields:
-            path = "dual" if any(duals) else "walk"
+            path = "dual" if any(duals) else "fold"
         else:
             path = "carried" if any(carried) else "translates"
         paths.append((path, (1 << len(rows)) - 1 == codes._checked_ideal(e).quotient.order))
@@ -1099,7 +1250,7 @@ def _scan_paths(monkeypatch):
 def _assert_certified(scanned, tag):
     """A scan with N > 1 went through a field certificate; one with N == 1 did not."""
     path, all_translates = scanned
-    assert path == "translates" if all_translates else path in ("walk", "dual", "carried"), tag
+    assert path == "translates" if all_translates else path in ("fold", "dual", "carried"), tag
 
 
 def _returns(monkeypatch, module, name):
@@ -1240,8 +1391,8 @@ class TestOneAnalysisPass:
 
     @pytest.mark.parametrize(
         "fixture, label, path",
-        [("fam15", "e0", "translates"), ("fam33", "e3", "orbit walk")],
-        ids=["translates", "orbit_walk"],
+        [("fam15", "e0", "translates"), ("fam33", "e3", "fold")],
+        ids=["translates", "fold"],
     )
     def test_every_scan_path_returns_the_full_histogram(
         self, fixture, label, path, request, monkeypatch
@@ -1253,7 +1404,7 @@ class TestOneAnalysisPass:
         rows = [x.bits for x in ideal_basis(e)]
         best, word, hist = scan_codewords(rows, e=e)
         # the multiplier search runs unless the translates are the whole code
-        taken = "orbit walk" if searches else "translates"
+        taken = "fold" if searches else "translates"
         assert taken == path
         assert sum(hist.values()) == (1 << len(rows)) - 1
         assert best == min(hist) == word.bit_count()
