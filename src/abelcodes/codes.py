@@ -17,10 +17,11 @@ quotient, its basis, and, once a weight is asked for, its one enumeration
 k translates of e by t * gamma, t < k, the lifts of the first k cyclic shifts
 of e-bar.  check_basis certifies them independent at full width, so the
 dimension is at least k, and h * e-bar == 0 mod x**n' + 1 puts every later
-shift in their span, so it is at most k; dimension and primitivity read the
-basis.  An element whose G/H is not cyclic is not a minimal ideal, and a
-NotMinimalIdealError (a ValueError) refuses it; a sum of minimal ideals with a
-cyclic G/H keeps its basis, dimension and idempotent count.
+shift in their span, so it is at most k; the dimension reads the basis, and
+primitivity counts idempotents in F2[x]/h, on k-bit rows.  An element whose
+G/H is not cyclic is not a minimal ideal, and a NotMinimalIdealError (a
+ValueError) refuses it; a sum of minimal ideals with a cyclic G/H keeps its
+basis, dimension and idempotent count.
 
 A minimal code is a field (ibid., ch. 8), scanned on its quotient, on
 n'-bit words, one scan per n', carried to the other codes of that length by
@@ -283,22 +284,25 @@ def check_basis(rows: Sequence[int], e: AlgebraElement) -> int:
 def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> dict:
     """Count the idempotents of the ideal F2[G]e; e is primitive when there are two.
 
-    Squaring is F2-linear and maps the ideal into itself, so its idempotents
-    are the kernel of x -> x**2 + x there.  Over the cached basis b of the
-    ideal the kernel has dimension c = dim - rank(b**2 + b), and the ideal
-    holds 2**c idempotents.  They are 0 and e exactly when c == 1.  The cost
-    is one rank at any dimension.  An element whose G/H is not cyclic is not
+    The ideal is ring-isomorphic to K = F2[x]/h, h the check polynomial of
+    its quotient record (|H| is odd, as hat(H)**2 = |H| * hat(H)), and the
+    idempotents of K are the kernel of the F2-linear y -> y**2 + y.  With Q
+    the k x k matrix whose row i is x**(2i) mod h, it has dimension
+    c = k - rank(Q + I) (Berlekamp, Bell Syst. Tech. J. 46, 1967), so the
+    ideal holds 2**c idempotents: 0 and e exactly when c == 1.  The cost is
+    one rank of k rows of k bits.  An element whose G/H is not cyclic is not
     a minimal ideal and raises NotMinimalIdealError.
     """
     if e.frobenius() != e:
         raise ValueError("element is not idempotent")
-    basis = _checked_ideal(e).basis
-    dim = len(basis)
-    fixed = dim - gf2_rank([b.frobenius().bits ^ b.bits for b in basis])
+    quotient = _checked_ideal(e).quotient
+    h, k = quotient.check, quotient.dimension
+    squares = _shift_images(1, h, 2 * k)[::2]
+    fixed = k - gf2_rank([y ^ 1 << i for i, y in enumerate(squares)])
     return {
-        "dimension": dim,
+        "dimension": k,
         "predicted_dimension": predicted_dim,
-        "dimension_matches": predicted_dim is None or dim == predicted_dim,
+        "dimension_matches": predicted_dim is None or k == predicted_dim,
         "idempotents_found": 1 << fixed,
         "primitive": fixed == 1,
     }
@@ -314,7 +318,7 @@ def _certify_field(quotient: _Quotient, k: int) -> None:
     only when |G| is odd, n' > 1 divides 2**k - 1 and k == ord_n'(2), as for
     every field ideal scan_codewords passes here (it is F2[T], T the n'
     rotations of e-bar; the repetition code, n' == 1, takes the N == 1
-    shortcut).
+    shortcut).  scan_codewords calls it once, before either scan.
     """
     orbit = quotient.order
     if (
@@ -327,38 +331,30 @@ def _certify_field(quotient: _Quotient, k: int) -> None:
         raise NotMinimalIdealError("F2[G]e is not a field, so it is not a minimal ideal")
 
 
-def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, int, list[int], list[int]]:
-    """Certify the ideal as a field K = F2[x]/f (_certify_field) and find z
-    in K of degree k that generates K*/T; return (f, z, powers, coordinates)
-    with powers = [beta**0, ..., beta**(k - 1)] as n'-bit words of the
-    quotient code and coordinates = _power_coordinates(z, f, k).
+def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, list[int], list[list[int]]]:
+    """Find z of degree k in the field K = F2[x]/h, certified by the caller,
+    that generates K*/T; return (z, coordinates, square) with coordinates =
+    _power_coordinates(z, h, k) and square the split tables of y -> y**2 in
+    K, the one table set the fold builds.
 
-    f = h and beta**i is e-bar rotated by i.  T, the n' rotations of e-bar,
-    is the unique subgroup of order n' of the cyclic group K*, so z
-    generates K*/T, cyclic of order N = (2**k - 1)/n', exactly when
-    z**((2**k - 1)/r) != 1 mod f for every prime r dividing N.  Small
-    polynomials z = x, x + 1, x**2, ... are tested in turn, each power by
-    square-and-multiply on split tables of y -> y**2 (one per f) and
-    y -> z*y (one per candidate).  A z in a proper subfield of K can still
-    generate K*/T when n' > 2**(k/2) (x**2 + x + 1 for a length-85 code of
-    dimension 8), but its powers span no basis of K, so the search moves on.
-    A primitive element of K passes both tests, so the search always ends.
+    T, the n' rotations of e-bar, is the unique subgroup of order n' of the
+    cyclic group K*, so z generates K*/T, cyclic of order N = (2**k - 1)/n',
+    exactly when z**((2**k - 1)/r) != 1 mod h for every prime r dividing N
+    (_table_power).  Small polynomials z = x + 1, x**2, x**2 + 1, ... are
+    tested in turn; z = x lies in T, so it never passes when N > 1.  A z in
+    a proper subfield of K can still generate K*/T when n' > 2**(k/2)
+    (x**2 + x + 1 for a length-85 code of dimension 8), but its powers span
+    no basis of K, so the search moves on.  A primitive element of K passes
+    both tests, so the search always ends.
     """
-    _certify_field(quotient, k)
-    orbit, f = quotient.order, quotient.check
-    total = (1 << k) - 1
-    exponents = [total // r for r in factorize(total // orbit)]
-    width = -(-k // 3)
-    square = _split_tables(_shift_images(1, f, 2 * k)[::2], width)
-    for z in range(2, 1 << k):
-        times = _split_tables(_shift_images(z, f, k), width)
-        if all(_table_power(times, square, m, width) != 1 for m in exponents):
+    f, total = quotient.check, (1 << k) - 1
+    exponents = [total // r for r in factorize(total // quotient.order)]
+    square = _split_tables(_shift_images(1, f, 2 * k)[::2], -(-k // 3))
+    for z in range(3, 1 << k):
+        if all(_table_power(square, z, f, m) != 1 for m in exponents):
             coordinates = _power_coordinates(z, f, k)
             if coordinates is not None:
-                break
-    word, mask = quotient.word, (1 << orbit) - 1
-    powers = [(word << i | word >> (orbit - i)) & mask for i in range(k)]
-    return f, z, powers, coordinates
+                return z, coordinates, square
 
 
 def _power_coordinates(z: int, f: int, k: int) -> list[int] | None:
@@ -415,17 +411,17 @@ def _split_tables(images: Sequence[int], width: int) -> list[list[int]]:
     return tables
 
 
-def _table_power(times: list[list[int]], square: list[list[int]], exp: int, width: int) -> int:
-    """z**exp in F2[x]/f by square-and-multiply, from the split tables
-    (width `width`) of y -> z*y and y -> y**2."""
-    mask, high = (1 << width) - 1, 2 * width
+def _table_power(square: list[list[int]], z: int, f: int, exp: int) -> int:
+    """z**exp in F2[x]/f by square-and-multiply, each square from the split
+    tables `square` of y -> y**2 and each product by z from poly_mulmod."""
     s0, s1, s2 = square
-    t0, t1, t2 = times
+    width = len(s0).bit_length() - 1
+    mask, high = (1 << width) - 1, 2 * width
     y = 1
     for bit in bin(exp)[2:]:
         y = s0[y & mask] ^ s1[y >> width & mask] ^ s2[y >> high]
         if bit == "1":
-            y = t0[y & mask] ^ t1[y >> width & mask] ^ t2[y >> high]
+            y = poly_mulmod(y, z, f)
     return y
 
 
@@ -509,17 +505,15 @@ def _count_masks(planes: list[int], full: int, top: int) -> Iterator[tuple[int, 
 
 
 def _coset_fold(
-    quotient: _Quotient, k: int, f: int, z: int, powers: list[int], coordinates: list[int]
+    quotient: _Quotient, k: int, z: int, coordinates: list[int], square: list[list[int]]
 ) -> tuple[int, int, dict[int, int]]:
     """Minimum weight, a minimum word and the histogram of the quotient code,
-    on n'-bit words, by the bit-sliced fold that scan_codewords describes."""
-    n = quotient.order
+    on n'-bit words, by the bit-sliced fold that scan_codewords describes,
+    from the (z, coordinates, square) of _orbit_multiplier; the word of y in
+    K is the sum of beta**i, e-bar rotated by i, over the set bits i of y."""
+    n, f, bar = quotient.order, quotient.check, quotient.word
     cosets = ((1 << k) - 1) // n
-    width = -(-k // 3)
-    times = _split_tables(_shift_images(z, f, k), width)
-    square = _split_tables(_shift_images(1, f, 2 * k)[::2], width)
-    t0, t1, t2 = times
-    mask, high = (1 << width) - 1, 2 * width
+    powers = [(bar << i | bar >> (n - i)) & ((1 << n) - 1) for i in range(k)]
     # bit 0 of the word of y is the parity of y & probe
     probe = sum((word & 1) << i for i, word in enumerate(powers))
     shifts = list(bit_indices(coordinates[1]))  # x = sum of z**b over these b
@@ -528,7 +522,7 @@ def _coset_fold(
     plan, have = [], k
     while have < min(cosets, _FOLD_BLOCK) + margin:
         taps = 0
-        for t in bit_indices(_table_power(times, square, have, width)):
+        for t in bit_indices(_table_power(square, z, f, have)):
             taps ^= coordinates[t]
         plan.append((have, list(bit_indices(taps))))
         have += have - k + 1
@@ -537,10 +531,10 @@ def _coset_fold(
     for start in range(0, cosets, _FOLD_BLOCK):
         size = min(_FOLD_BLOCK, cosets - start)
         # window 0: bit j is bit 0 of the word of z**(start + j)
-        window, y = 0, _table_power(times, square, start, width)
+        window, y = 0, _table_power(square, z, f, start)
         for i in range(k):
             window |= ((y & probe).bit_count() & 1) << i
-            y = t0[y & mask] ^ t1[y >> width & mask] ^ t2[y >> high]
+            y = poly_mulmod(y, z, f)
         for have, taps in plan:
             if have >= size + margin:
                 break
@@ -568,7 +562,7 @@ def _coset_fold(
     if sum(w * c for w, c in counts.items()) != 1 << (k - 1):
         raise RuntimeError("the coset fold's weights do not add up to 2**(k - 1)")
     word = 0
-    for i in bit_indices(_table_power(times, square, witness, width)):
+    for i in bit_indices(_table_power(square, z, f, witness)):
         word ^= powers[i]
     if word.bit_count() != best:
         raise RuntimeError("the coset fold's witness does not have the minimum weight")
@@ -606,14 +600,13 @@ def _dual_scan(quotient: _Quotient, k: int) -> tuple[int, int, dict[int, int]] |
     on n'-bit words, from its dual code; None when the generator polynomial
     is not a minimum word.
 
-    The ideal is certified a field (_certify_field) as for the fold.  The
+    scan_codewords has certified the ideal a field (_certify_field).  The
     quotient code is the cyclic code generated by g = (x**n' + 1)/h, and its
     dual is generated by x**k h(1/x), the reciprocal of h (MacWilliams &
     Sloane, ch. 7): the span of its m = n' - k shifts, 2**m words, whose
     weight counts _macwilliams turns into the code's.  g is a codeword, so
     wt(g) >= d, and it is the minimum word kept when wt(g) == d.
     """
-    _certify_field(quotient, k)
     n, h = quotient.order, quotient.check
     reciprocal = int(format(h, "b")[::-1], 2)
     words = [0]
@@ -637,10 +630,10 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
 
     The ideal is the |H|-fold coset lift of the cyclic code of e-bar on G/H
     (_Quotient), so its weights are |H| times those of that code, and the
-    scan runs on n'-bit words.  Each code with N = (2**k - 1)/n' > 1 is
-    certified a field by _certify_field and takes the cheaper of two exact
-    scans.  With m = n' - k, the dual side runs when 2**m <= N // k, at most
-    one dual word for every k cosets the fold would count: _dual_scan counts
+    scan runs on n'-bit words.  Each code with N = (2**k - 1)/n' > 1 and no
+    kept scan is certified a field once, by _certify_field, and takes the
+    cheaper of two exact scans.  With m = n' - k, the dual side runs when
+    2**m <= N // k, at most one dual word for every k cosets the fold would count: _dual_scan counts
     the 2**m words of the dual code and turns their weights into the code's
     by the MacWilliams identity, with the generator polynomial
     g = (x**n' + 1)/h as its minimum word.  It is taken only when wt(g) is
@@ -701,8 +694,9 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
         raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
     faithful = _carried_scan(quotient)
     if faithful is None:
+        _certify_field(quotient, k)
         m = orbit - k
-        # 2**m <= N // k, with k == 0 (the zero ideal) left to the certificate
+        # 2**m <= N // k
         scanned = _dual_scan(quotient, k) if k << m <= total // orbit else None
         if scanned is None:
             m, scanned = 0, _coset_fold(quotient, k, *_orbit_multiplier(quotient, k))
@@ -1069,7 +1063,8 @@ def analyze_code(
     theoretical_expectations and _theory_probes, built here when not given.
     A member that is not a minimal ideal (only reachable when the family was
     built under overridden hypotheses) gets weight bounds and a refused
-    distribution, each naming the reason.
+    distribution, each naming the reason; so does a distribution the scan
+    limit refuses within the budget.
     """
     e = family.elements[label]
     basis = ideal_basis(e)
@@ -1086,7 +1081,7 @@ def analyze_code(
         try:
             distribution = weight_distribution(e, budget=budget)
         except BudgetExceededError as exc:
-            refused = exc.required_budget
+            refused = exc.required_budget if exc.required_budget > budget else str(exc)
         except NotMinimalIdealError as exc:
             refused = not_minimal = str(exc)
     if want_weights or want_distribution:

@@ -22,7 +22,8 @@ it with the certified dimensions of the ideals, which prove orthogonality
 without a product when the other checks pass.  Each ideal's basis
 certificate (codes._checked_ideal) also proves that ideal's generator
 idempotent, on every run that builds a basis, and codes.verify_primitivity
-counts the ideal's idempotents on that basis.
+counts the ideal's idempotents in F2[x]/h, h the check polynomial of the
+same record, on k-bit rows.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from array import array
 from typing import Sequence
 
 from abelcodes import codes
-from abelcodes.gf2 import bit_indices, poly_mod, poly_mulmod
+from abelcodes.gf2 import bit_indices, gf2_rank, poly_mod, poly_mulmod
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup
 from abelcodes.idempotents import IdempotentFamily
 
@@ -37,6 +37,15 @@ def first_translates(e: AlgebraElement) -> tuple[list[int], list[int]]:
     for rank, row in enumerate(all_translates(e)):
         first.setdefault(row, rank)
     return list(first), list(first.values())
+
+
+def full_width_idempotent_count(e: AlgebraElement) -> int:
+    """The number of idempotents of the ideal F2[G]e, 2**c with
+    c = dim - rank(b**2 + b) over the rows b of codes.ideal_basis(e):
+    squaring is F2-linear on the ideal, and its idempotents are the kernel of
+    y -> y**2 + y, here on rows of |G| bits."""
+    basis = codes.ideal_basis(e)
+    return 1 << (len(basis) - gf2_rank([b.frobenius().bits ^ b.bits for b in basis]))
 
 
 def per_bit_power(x: AlgebraElement, k: int) -> AlgebraElement:
@@ -181,21 +190,23 @@ def doubling_orbit_leaders(n: int) -> tuple[array, bytes]:
     return leaders, bytes(sizes)
 
 
-def orbit_walk(
-    quotient, k: int, f: int, z: int, powers: list[int]
-) -> tuple[int, int, dict[int, int]]:
+def orbit_walk(quotient, k: int, z: int) -> tuple[int, int, dict[int, int]]:
     """Minimum weight, a minimum word and the histogram of the quotient code of
     a field ideal, on n'-bit words, by the leader walk over K*/T.
 
+    K = F2[x]/h, h the check polynomial of the record, and the word of y in K
+    is the sum of beta**i, e-bar rotated by i, over the set bits i of y.
     z generates K*/T (codes._orbit_multiplier), so the words z**j, j < N =
     (2**k - 1)/n', meet each coset of the rotations T once; squaring permutes
     the cosets, so weights are constant on the doubling orbits of the
     exponents.  The walk visits the least exponent of each orbit, ascending,
     reaching the next leader j' from j by multiplying by z**(2**b) for each
-    set bit b of j' - j, and counts the leader's weight n' times the orbit
-    size.  A last jump reaches z**N, which must map to a rotation of e-bar.
+    set bit b of j' - j, split tables of y -> z**(2**b) * y, and counts the
+    leader's weight n' times the orbit size.  A last jump reaches z**N, which
+    must map to a rotation of e-bar.
     """
-    orbit = quotient.order
+    orbit, f, bar = quotient.order, quotient.check, quotient.word
+    powers = [(bar << i | bar >> (orbit - i)) & ((1 << orbit) - 1) for i in range(k)]
     width = -(-k // 3)
     mask, high = (1 << width) - 1, 2 * width
     w0, w1, w2 = codes._split_tables(powers, width)

@@ -6,12 +6,14 @@ reference values for the two golden groups.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 from abelcodes.codes import (
     analyze_family,
@@ -283,6 +285,9 @@ def test_criterion_09_property_suites():
 
 def test_criterion_10_cli_determinism():
     with criterion(10, "byte-identical JSON output across thread counts"):
+        env = dict(os.environ)  # the child imports the package from this checkout
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         outputs = []
         for threads in ("1", "2", "8"):
             proc = subprocess.run(
@@ -290,6 +295,7 @@ def test_criterion_10_cli_determinism():
                  "--format", "json", "--threads", threads],
                 capture_output=True,
                 check=True,
+                env=env,
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == outputs[2]

@@ -243,7 +243,10 @@ class TestBudget:
             weight = big["weights"][label]["min_weight"]
             assert not weight["exact"] and "scan limit" in weight["notes"][0]
             assert (weight["lower"], weight["upper"]) == (2, 8)
-            assert big["distributions"][label]["refused"]
+            dist = big["distributions"][label]
+            assert dist["refused"] and dist["required_budget"] is None, label
+            assert dist["reason"] == weight["notes"][0].removeprefix("enumeration refused: ")
+            assert "over the scan limit 16777216" in dist["reason"], label
         others = set(big["weights"]) - over
         assert len(others) == 11
         for label in others:
@@ -345,9 +348,9 @@ class TestMembersThatAreNotMinimal:
         assert "e13      refused, F2[G]e is not a field, so it is not a minimal ideal" in text
 
     def test_each_sum_is_refused_by_one_field_search(self, monkeypatch):
-        # the refused distribution gives the weight bounds; no second search
+        # the refused distribution gives the weight bounds; no second certificate
         refused = []
-        original = codes._orbit_multiplier
+        original = codes._certify_field
 
         def counted(quotient, k):
             try:
@@ -356,7 +359,7 @@ class TestMembersThatAreNotMinimal:
                 refused.append(quotient.word)
                 raise
 
-        monkeypatch.setattr(codes, "_orbit_multiplier", counted)
+        monkeypatch.setattr(codes, "_certify_field", counted)
         code, report, _ = self._run("weights", "distribution")
         assert code == EXIT_BUDGET
         assert len(refused) == len(self.SUMS)

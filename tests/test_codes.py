@@ -28,7 +28,7 @@ from abelcodes.codes import (
     verify_primitivity,
     weight_distribution,
 )
-from abelcodes.gf2 import gf2_rank, independent_row_indices, poly_mulmod
+from abelcodes.gf2 import bit_indices, gf2_rank, independent_row_indices, poly_mulmod
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement, gather_bits
 from abelcodes.idempotents import (
     family_pq,
@@ -42,6 +42,7 @@ from oracles import (
     doubling_orbit_leaders,
     doubling_orbit_sizes,
     first_translates,
+    full_width_idempotent_count,
     gray_flip_sequence,
     gray_scan_codewords,
     naive_weight_distribution,
@@ -416,12 +417,16 @@ class TestOrbitWalk:
 
     @pytest.mark.parametrize("label", ["e8", "e9"])
     def test_one_field_certificate_per_code(self, label, monkeypatch):
-        # one irreducibility test, of the check polynomial h of the quotient record
+        # one irreducibility test, of the check polynomial h of the quotient record,
+        # and one table set, of y -> y**2 in F2[x]/h
         e = family_three_primes(3, 5, 11).elements[label]
         codes.clear_caches()
         certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
+        tables = _count_calls(monkeypatch, codes, "_split_tables")
         assert minimum_weight(e, budget=1 << 20).value == 48
-        assert [args for args, _ in certificates] == [(codes._checked_ideal(e).quotient.check,)]
+        h = codes._checked_ideal(e).quotient.check
+        assert [args for args, _ in certificates] == [(h,)]
+        assert [args for args, _ in tables] == [(codes._shift_images(1, h, 40)[::2], 7)]
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam33"])
     def test_split_pair_sum_is_refused_as_not_minimal(self, fixture, request, monkeypatch):
@@ -511,17 +516,22 @@ class TestLeaderWalk:
         fam = ORACLE_FAMILIES[spec]()
         e, k = fam.elements[label], fam.predicted_dims[label]
         quotient = codes._checked_ideal(e).quotient
-        f, z, *_ = codes._orbit_multiplier(quotient, k)
+        f = quotient.check
+        z, _, square = codes._orbit_multiplier(quotient, k)
         assert (f, z) == POWMOD_GENERATORS[spec, label]
-        assert f == quotient.check
         width = -(-k // 3)
-        square = codes._split_tables(codes._shift_images(1, f, 2 * k)[::2], width)
+        assert square == codes._split_tables(codes._shift_images(1, f, 2 * k)[::2], width)
         rng = random.Random(k)
         for y in [z] + [rng.randrange(1, 1 << k) for _ in range(15)]:
-            times = codes._split_tables(codes._shift_images(y, f, k), width)
             for exp in [0, 1, (1 << k) - 1] + [rng.randrange(1 << (k + 1)) for _ in range(10)]:
-                assert codes._table_power(times, square, exp, width) == poly_powmod(y, exp, f)
+                assert codes._table_power(square, y, f, exp) == poly_powmod(y, exp, f)
 
+
+# the z of _orbit_multiplier by n', on every field code of RANK_FAMILIES,
+# 3x29 and 11x13 that scan_codewords would search
+MULTIPLIERS = {
+    5: 3, 9: 3, 11: 11, 13: 11, 25: 19, 27: 11, 29: 43, 33: 3, 45: 3, 55: 11, 75: 3, 87: 3, 165: 3,
+}
 
 QUOTIENT_FAMILIES = {
     "(3x3)x11": lambda: family_two_factor([3, 3], [11]),
@@ -667,6 +677,60 @@ class TestQuotientRecord:
             assert berlekamp_massey(seq) == quotient.check, label
 
 
+class TestPrimitivityOracle:
+    """verify_primitivity's count on k-bit rows of F2[x]/h against the
+    full-width count on the ideal's basis (full_width_idempotent_count)."""
+
+    @staticmethod
+    def _assert_same_count(e, tag):
+        """Both counts agree, or both refuse an e with no cyclic G/H (False)."""
+        try:
+            report = verify_primitivity(e)
+        except NotMinimalIdealError:
+            with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+                full_width_idempotent_count(e)
+            return False
+        assert report["idempotents_found"] == full_width_idempotent_count(e), tag
+        assert report["dimension"] == ideal_dimension(e), tag
+        return True
+
+    @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES))
+    def test_members_and_sums_match_the_full_width_count(self, spec):
+        fam = RANK_FAMILIES[spec]()
+        codes.clear_caches()
+        for label in fam.labels:
+            e = fam.elements[label]
+            assert verify_primitivity(e)["idempotents_found"] == 2, label
+            assert self._assert_same_count(e, label)
+        counted = 0
+        for r in (2, 3):
+            sums = list(itertools.combinations(fam.labels, r))
+            for labels in sums[:: -(-len(sums) // 40)]:  # at most 40, spread over the list
+                e = sum((fam.elements[lab] for lab in labels[1:]), fam.elements[labels[0]])
+                counted += self._assert_same_count(e, labels)
+        assert counted
+
+    @pytest.mark.parametrize("n, found", [(2, 2), (3, 4), (4, 2)])
+    def test_the_unit_and_zero_of_a_cyclic_group(self, n, found):
+        # F2[C2] and F2[C4] are local rings; F2[C3] = F2 x F4
+        group = AbelianGroup([n])
+        one, zero = AlgebraElement.one(group), AlgebraElement.zero(group)
+        assert verify_primitivity(one)["idempotents_found"] == found
+        assert self._assert_same_count(one, n)
+        report = verify_primitivity(zero)
+        assert (report["dimension"], report["idempotents_found"]) == (0, 1)
+        assert self._assert_same_count(zero, n)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from(ADMISSIBLE_PAIRS_BELOW_60))
+    def test_split_pairs_and_their_sums_on_pq_pairs(self, pair):
+        fam = family_pq(*pair)
+        e3, e4 = fam.elements["e3"], fam.elements["e4"]
+        for label, e in (("e3", e3), ("e4", e4), ("e3 + e4", e3 + e4)):
+            assert self._assert_same_count(e, (pair, label))
+        assert verify_primitivity(e3 + e4)["idempotents_found"] == 4
+
+
 def _folds_and_scans(fam, labels):
     folds = []
     original = codes._coset_fold
@@ -777,8 +841,8 @@ def _fold(quotient, k):
 
 def _walk(quotient, k):
     """The oracle leader walk of the same code, from the same z."""
-    f, z, powers, _ = codes._orbit_multiplier(quotient, k)
-    return orbit_walk(quotient, k, f, z, powers)
+    z, _, _ = codes._orbit_multiplier(quotient, k)
+    return orbit_walk(quotient, k, z)
 
 
 def _takes_the_fold(n, k):
@@ -894,8 +958,11 @@ class TestDualScan:
         )
         duals = _returns(monkeypatch, codes, "_dual_scan")
         folds = _count_calls(monkeypatch, codes, "_coset_fold")
+        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
         result = minimum_weight(e, budget=1 << 20)
         assert (quotient.order, duals, len(folds)) == (11, [None], 1)
+        # one Rabin test covers both sides
+        assert [args for args, _ in certificates] == [(quotient.check,)]
         assert result.exact and result.value == result.witness.weight == 6
         assert result.notes == ("enumerated all 2**10 - 1 nonzero codewords",)
 
@@ -999,10 +1066,10 @@ class TestCosetFold:
         original = codes._orbit_multiplier
 
         def one_tap_short(*args):
-            f, z, powers, coordinates = original(*args)
+            z, coordinates, square = original(*args)
             taps = coordinates[1]
             assert taps == 0b11
-            return f, z, powers, [coordinates[0], taps & (taps - 1), *coordinates[2:]]
+            return z, [coordinates[0], taps & (taps - 1), *coordinates[2:]], square
 
         monkeypatch.setattr(codes, "_orbit_multiplier", one_tap_short)
         with pytest.raises(RuntimeError, match="did not close"):
@@ -1020,8 +1087,8 @@ class TestCosetFold:
         original = codes._table_power
         corrupted = []
 
-        def table_power(times, square, exp, width):
-            y = original(times, square, exp, width)
+        def table_power(square, z, f, exp):
+            y = original(square, z, f, exp)
             if exp != power:
                 return y
             corrupted.append(exp)
@@ -1050,21 +1117,69 @@ class TestCosetFold:
         assert "did not close" not in str(refused.value) and len(calls) == 165
         assert "scan" not in vars(codes._checked_ideal(e))
 
-    def test_a_witness_from_the_wrong_powers_is_refused(self, monkeypatch):
-        # the probe of beta**0 and beta**1 swapped is bit 0 of a * y for some a in K:
-        # the weights of the cosets a * z**j T are still right, the word is not
+    def test_an_uncounted_weight_caches_no_scan(self, monkeypatch):
+        # the cosets of the lightest weight left out: the counts no longer cover N
         e = family_three_primes(3, 5, 11).elements["e10"]
         codes.clear_caches()
-        original = codes._orbit_multiplier
+        original = codes._count_masks
 
-        def swapped(*args):
-            f, z, powers, coordinates = original(*args)
-            return f, z, [powers[1], powers[0], *powers[2:]], coordinates
+        def all_but_the_first(*args):
+            masks = original(*args)
+            next(masks)
+            yield from masks
 
-        monkeypatch.setattr(codes, "_orbit_multiplier", swapped)
-        with pytest.raises(RuntimeError, match="witness does not have the minimum weight"):
+        monkeypatch.setattr(codes, "_count_masks", all_but_the_first)
+        with pytest.raises(RuntimeError, match="did not give every coset a weight"):
             weight_distribution(e, budget=1 << 20)
         assert "scan" not in vars(codes._checked_ideal(e))
+
+    def test_a_witness_from_the_wrong_powers_is_refused(self, monkeypatch):
+        # the fold's last power is z**j, j the witness exponent, recomputed after
+        # every weight is counted; with its z**0 coordinate flipped the witness
+        # gains e-bar: a codeword, but not one of the minimum weight
+        e = family_three_primes(3, 5, 11).elements["e10"]
+        codes.clear_caches()
+        quotient = codes._checked_ideal(e).quotient
+        with monkeypatch.context() as patch:
+            powers = _count_calls(patch, codes, "_table_power")
+            _fold(quotient, quotient.dimension)
+        last = len(powers) - 1
+        original = codes._table_power
+        calls = []
+
+        def table_power(*args):
+            calls.append(args[-1])
+            y = original(*args)
+            return y ^ 1 if len(calls) - 1 == last else y
+
+        monkeypatch.setattr(codes, "_table_power", table_power)
+        with pytest.raises(RuntimeError, match="witness does not have the minimum weight"):
+            weight_distribution(e, budget=1 << 20)
+        assert len(calls) == len(powers) and calls[last] == powers[last][0][-1]
+        assert "scan" not in vars(codes._checked_ideal(e))
+
+    @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES) + ["3x29", "11x13"])
+    def test_the_multiplier_is_pinned_on_every_field_code(self, spec):
+        # z fixes every witness word the fold returns
+        build = RANK_FAMILIES.get(spec) or (lambda: family_pq(*map(int, spec.split("x"))))
+        searched = 0
+        for label, e in build().elements.items():
+            quotient = codes._checked_ideal(e).quotient
+            n, k = quotient.order, quotient.dimension
+            total = (1 << k) - 1
+            if total == n or total // n > codes.MAX_SCAN_ENTRIES:
+                continue
+            codes._certify_field(quotient, k)
+            z, coordinates, _ = codes._orbit_multiplier(quotient, k)
+            assert z == MULTIPLIERS[n], label
+            powers = [poly_powmod(z, b, quotient.check) for b in range(k)]
+            for t, coords in enumerate(coordinates):
+                spelled = 0
+                for b in bit_indices(coords):
+                    spelled ^= powers[b]
+                assert spelled == 1 << t, (label, t)
+            searched += 1
+        assert searched
 
     def test_a_generator_in_a_proper_subfield_is_passed_over(self):
         # the length-85 code with h = x**8 + x**6 + x**5 + x**4 + x**3 + x + 1 has
@@ -1078,8 +1193,8 @@ class TestCosetFold:
         assert poly_powmod(0b111, 16, h) == 0b111
         assert poly_powmod(0b111, 255 // 3, h) != 1
         assert codes._power_coordinates(0b111, h, k) is None
-        f, z, _, coordinates = codes._orbit_multiplier(quotient, k)
-        assert f == h and z > 0b111 and poly_powmod(z, 16, h) != z
+        z, coordinates, _ = codes._orbit_multiplier(quotient, k)
+        assert z > 0b111 and poly_powmod(z, 16, h) != z
         for t, coords in enumerate(coordinates):
             spelled = 0
             for b in range(k):
