@@ -7,17 +7,19 @@ are mixed-radix with the first factor least significant:
 
 reduce, unrank, multiple_ranks, linear_values and cyclic_exponent take
 elements and ranks from callers and raise ValueError on a tuple of the wrong
-length or a rank outside [0, |G|); rank, add, scale and translate_bits take
-only tuples the package built and do not check them.
+length or a rank outside [0, |G|); rank, add, scale, translate_bits and
+square_bits take only tuples and bitsets the package built and do not check
+them.
 
 An algebra element is an int used as a bitset: bit k is the coefficient of the
-rank-k group element.  Addition is XOR and weight is a popcount.  Every map on
+rank-k group element.  Addition is XOR and weight is a popcount.  Translation
+and squaring act on the bitset with block masks (below); every other map on
 G that the package applies acts on ranks through one of three tables, built
 factor by factor like the ranks: power_ranks(k) (g -> g**k),
 multiple_ranks(g, count) (t -> g**t) and linear_values(c, m)
 (e -> sum(c[i] * e[i]) mod m).  gather_bits moves a bitset's coefficients
-through such a table with no loop over the support in Python; for odd |G|
-squaring is one gather.  The support-bit-by-bit reference, for the tests, is
+through such a table with no loop over the support in Python.  The
+support-bit-by-bit reference for the square, for the tests, is
 tests/oracles.per_bit_square.  The export order is bit-exact: serialized
 coefficients are the bitset as little-endian bytes, hex-encoded.
 
@@ -28,12 +30,26 @@ with a nonzero shift costs two masks, two shifts and an OR.  The only state this
 needs is one block-repeat pattern per factor (a 1 at the start of every block),
 built on first use; the masks are formed from it per call.  Multiplication is
 the XOR of the translates of one operand over the support of the other.
+
+Squaring, g -> g**2, doubles every digit modulo its factor order, one factor
+at a time, with the same kind of block masks (square_bits).  The ranks whose
+digit x is below h = ceil(n/2) are spread to digit 2x by moving, for
+j = 2**i < h from the highest down, those whose digit has bit j set up by j
+digits; a moved rank's digit still agrees with its first digit modulo 2j, so
+the masks pick the right ranks and nothing collides (the bit spreading of
+Warren, Hacker's Delight, ch. 7, per mixed-radix digit).  The ranks with
+digit h + y are spread the same way from digit y: for odd n they land on
+digit 2y + 1, between the others, and for even n on digit 2y, where pairs of
+terms cancel.  The masks are built once per group, 1 + ceil(log2 h) words of
+|G| bits per factor.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import reduce
+from itertools import cycle, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .gf2 import bit_indices
@@ -44,7 +60,15 @@ GroupElement = tuple[int, ...]
 class AbelianGroup:
     """Finite abelian group given by the orders of its cyclic factors."""
 
-    __slots__ = ("factor_orders", "order", "_places", "_elements", "_block_patterns", "_powers")
+    __slots__ = (
+        "factor_orders",
+        "order",
+        "_places",
+        "_elements",
+        "_block_patterns",
+        "_square_masks",
+        "_powers",
+    )
 
     def __init__(self, factor_orders: Sequence[int]) -> None:
         orders = tuple(int(x) for x in factor_orders)
@@ -60,6 +84,7 @@ class AbelianGroup:
         self._places = tuple(places)
         self._elements: list[GroupElement] | None = None
         self._block_patterns: tuple[int, ...] | None = None
+        self._square_masks: tuple[tuple, ...] | None = None
         self._powers: dict[int, list[int]] = {}
 
     def __repr__(self) -> str:
@@ -148,6 +173,43 @@ class AbelianGroup:
                 bits = (low << s * place) | ((bits ^ low) >> stay)
         return bits
 
+    def _square_plan(self) -> tuple[tuple, ...]:
+        """Per factor of order n and place P, with h = ceil(n/2): (P, h*P, n odd,
+        the mask of ranks with digit < h, and for j = 2**i < h, highest first,
+        (j*P, the mask of ranks whose digit has bit j set)); built once."""
+        if self._square_masks is None:
+            order, plan = self.order, []
+            for n, place in zip(self.factor_orders, self._places):
+                half, block = (n + 1) // 2, n * place
+
+                def ranks(period: str) -> int:
+                    # bit r is period[r mod len(period)] (little-endian) within each block
+                    text = (period * (block // len(period) + 1))[:block] * (order // block)
+                    return int(text[::-1], 2)
+
+                low = ranks("1" * half * place + "0" * (n - half) * place)
+                steps = []
+                j = 1
+                while j < half:
+                    steps.append((j * place, ranks("0" * j * place + "1" * j * place)))
+                    j <<= 1
+                plan.append((place, half * place, n % 2, low, tuple(reversed(steps))))
+            self._square_masks = tuple(plan)
+        return self._square_masks
+
+    def square_bits(self, bits: int) -> int:
+        """Support bitset of x**2 for x = bits: every digit doubled, factor by factor."""
+        for place, high, odd, low, steps in self._square_plan():
+            a = bits & low
+            b = (bits ^ a) >> high
+            for shift, mask in steps:
+                m = a & mask
+                a ^= m ^ m << shift
+                m = b & mask
+                b ^= m ^ m << shift
+            bits = a | b << place if odd else a ^ b
+        return bits
+
     def close_bits(self, bits: int, g: GroupElement) -> int:
         """The bitset of <S, g> for the bitset of a subgroup S: after the step by
         g**(2**i) it is the union of the cosets g**j S, j < 2**(i+1), and a step
@@ -170,11 +232,12 @@ class AbelianGroup:
     def multiple_ranks(self, g: GroupElement, count: int) -> list[int]:
         """Entry t is the rank of g**t, for t < count."""
         self._require_factor_count(g)
-        ranks = [0] * count
+        ranks: Iterable[int] = repeat(0, count)
         for c, n, place in zip(g, self.factor_orders, self._places):
-            if c:
-                ranks = [r + t * c % n * place for t, r in enumerate(ranks)]
-        return ranks
+            if c:  # factor i of g**t has period n in t
+                period = [t * c % n * place for t in range(min(n, count))]
+                ranks = map(operator.add, ranks, cycle(period))
+        return list(ranks)
 
     def linear_values(self, images: Sequence[int], modulus: int) -> list[int]:
         """Entry r is sum(images[i] * e[i]) mod modulus for the rank-r element e."""
@@ -283,17 +346,11 @@ class AlgebraElement:
     def frobenius(self) -> "AlgebraElement":
         """The square: in characteristic 2 it is the sum of g**2 over the support.
 
-        For odd |G| squaring permutes the coordinates, so the square is one
-        gather through the power table of the square root g**((N + 1) / 2), N
-        the exponent.  For even |G| distinct g share a square and their terms
-        cancel in pairs; the product sums them.
+        One AbelianGroup.square_bits call for every group: it doubles each
+        digit with block masks, and for even |G| the terms of distinct g that
+        share a square cancel in pairs on the way.
         """
-        group = self.group
-        if not group.is_odd:
-            return self * self
-        roots = group.power_ranks((math.lcm(*group.factor_orders) + 1) // 2)
-        square = gather_bits(self.bits, group.order, roots)
-        return AlgebraElement(group, square)
+        return AlgebraElement(self.group, self.group.square_bits(self.bits))
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -327,11 +384,12 @@ class AlgebraElement:
 def gather_bits(bits: int, width: int, sources: Sequence[int]) -> int:
     """The word whose bit j is bit sources[j] of the width-bit word `bits`.
 
-    One string view of `bits` (bit r at index r), one indexed read per entry
-    of `sources`, and one conversion back; the result has len(sources) bits.
+    One string view of `bits` (bit r at index r), one operator.itemgetter
+    read of all of `sources` (a tuple of characters, or one character for a
+    single source), and one conversion back; the result has len(sources) bits.
     """
     view = format(bits, f"0{width}b")[::-1]
-    return int("".join(map(view.__getitem__, sources))[::-1], 2)
+    return int("".join(operator.itemgetter(*sources)(view))[::-1], 2)
 
 
 class Subgroup(NamedTuple):

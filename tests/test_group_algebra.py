@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelcodes import codes
+from abelcodes import codes, group_algebra
 from abelcodes.group_algebra import (
     AbelianGroup,
     AlgebraElement,
@@ -15,8 +15,9 @@ from abelcodes.group_algebra import (
     as_cyclic,
     cyclic_exponent,
     from_cyclic_exponents,
+    gather_bits,
 )
-from abelcodes.idempotents import family_pq
+from abelcodes.idempotents import family_pq, family_prime_power
 from oracles import all_subgroups, per_bit_square, searched_subgroup_ranks
 
 C15 = AbelianGroup([15])
@@ -177,6 +178,37 @@ class TestFrobenius:
         c5 = AbelianGroup([5])
         x = AlgebraElement.from_terms(c5, [(1,), (4,)])
         assert x.frobenius() == AlgebraElement.from_terms(c5, [(2,), (3,)])
+
+    @pytest.mark.parametrize("orders", [[2], [3], [4], [6], [2, 2], [2, 3], [3, 4], [2, 2, 3]])
+    def test_every_word_of_a_small_group(self, orders):
+        # odd and even factors, one to three of them: each digit is doubled on its own
+        group = AbelianGroup(orders)
+        for bits in range(1 << group.order):
+            x = AlgebraElement(group, bits)
+            assert x.frobenius() == per_bit_square(x), bits
+
+    @pytest.mark.parametrize("orders", [[27, 25], [4, 6, 5]])
+    def test_no_product_and_no_gather(self, orders, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the square made a product, a gather or a power table")
+
+        group = AbelianGroup(orders)
+        x = AlgebraElement(group, random.Random(group.order).getrandbits(group.order))
+        expected = per_bit_square(x)
+        monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+        monkeypatch.setattr(group_algebra, "gather_bits", refuse)
+        monkeypatch.setattr(AbelianGroup, "power_ranks", refuse)
+        assert x.frobenius() == expected
+
+    @pytest.mark.parametrize("orders", [[27, 25], [2, 4], [3, 5, 11]])
+    def test_the_masks_are_built_once_per_group(self, orders):
+        group = AbelianGroup(orders)
+        plan = group._square_plan()
+        AlgebraElement.all_ones(group).frobenius()
+        assert group._square_plan() is plan
+        # 1 + ceil(log2 h) masks per factor of order n, h = ceil(n / 2)
+        for n, (_, _, _, _, steps) in zip(orders, plan):
+            assert len(steps) == ((n + 1) // 2 - 1).bit_length()
 
 
 class TestPower:
@@ -390,6 +422,25 @@ class TestRankTables:
                 group.rank(group.scale(g, t)) for t in range(group.order)
             ]
 
+    @pytest.mark.parametrize(
+        "orders, g, count",
+        [
+            ([9, 25], (0, 5), 5),  # a u/v block's count = prime, below the order 25
+            ([27, 25], (3, 0), 3),
+            ([3, 5, 11], (1, 2, 3), 4),  # below two of the orders
+            ([3, 5, 11], (2, 1, 7), 17),  # not a multiple of 3, 5 or 11
+            ([27, 9, 5], (1, 1, 1), 301),
+            ([6], (4,), 7),  # period 3 in an even order
+            ([9, 25], (0, 0), 7),  # the identity: all ranks 0
+            ([3, 5], (1, 1), 0),
+        ],
+    )
+    def test_multiple_ranks_for_any_count(self, orders, g, count):
+        group = AbelianGroup(orders)
+        assert group.multiple_ranks(g, count) == [
+            group.rank(group.scale(g, t)) for t in range(count)
+        ]
+
     @pytest.mark.parametrize("orders", TABLE_GROUPS)
     def test_linear_values(self, orders):
         group = AbelianGroup(orders)
@@ -407,6 +458,21 @@ class TestRankTables:
         elements = list(group.elements())
         assert [group.rank(e) for e in elements] == list(range(group.order))
         assert all(0 <= x < n for e in elements for x, n in zip(e, orders))
+
+
+class TestGatherBits:
+    def test_each_single_source(self):
+        # one source: itemgetter returns one character, not a tuple
+        word = 0b1011001
+        for r in range(7):
+            assert gather_bits(word, 7, [r]) == word >> r & 1
+
+    def test_the_quotient_of_the_whole_group_hat_is_one_coset(self):
+        # I0 is the hat of G: G/H is trivial, n' = 1, and its word is read from one source
+        fam = family_prime_power(3, 2, 5, 2)
+        quotient = codes._cyclic_quotient(fam.elements["I0"])
+        assert (quotient.order, quotient.word) == (1, 1)
+        assert quotient.lift(1) == fam.elements["I0"].bits
 
 
 class TestCyclicBridge:
