@@ -49,6 +49,7 @@ from .gf2 import (
     poly_gcd,
     poly_is_irreducible,
     poly_mulmod,
+    poly_mulmod_cyclic,
 )
 from .group_algebra import (
     AbelianGroup,
@@ -248,18 +249,17 @@ class _Ideal:
 def _checked_ideal(e: AlgebraElement) -> _Ideal:
     """The record of F2[G]e, whose dimension is certified to be k = deg h.
     The basis is the translates of e by t * gamma, t < k: they lift
-    x**t * e-bar (_Quotient).  check_basis must find all k of them
-    independent, so dim >= k.  And h * e-bar must vanish mod x**n' + 1: h is
-    monic of degree k, so x**k * e-bar, and by induction every later shift,
-    lies in the span of the first k, so dim <= k."""
+    x**t * e-bar (_Quotient), and AbelianGroup.orbit_bits builds them from
+    one rotation plan of gamma.  check_basis must find all k of them
+    independent, so dim >= k.  And h * e-bar must vanish mod x**n' + 1
+    (gf2.poly_mulmod_cyclic, one shift per term of h): h is monic of degree
+    k, so x**k * e-bar, and by induction every later shift, lies in the span
+    of the first k, so dim <= k."""
     group, quotient = e.group, _cyclic_quotient(e)
     k = quotient.dimension
-    if poly_mulmod(quotient.word, quotient.check, 1 << quotient.order | 1):
+    if poly_mulmod_cyclic(quotient.word, quotient.check, quotient.order):
         raise FalsificationError(f"the check polynomial of degree {k} does not annihilate e-bar")
-    rows = [e.bits]
-    while len(rows) < k:
-        rows.append(group.translate_bits(rows[-1], quotient.gamma))
-    del rows[k:]  # k == 0 only for e == 0
+    rows = group.orbit_bits(e.bits, quotient.gamma, k)  # k == 0 only for e == 0
     if check_basis(rows, e) != k:
         raise FalsificationError(f"the translates do not give {k} independent rows")
     return _Ideal(e, tuple(AlgebraElement(group, row) for row in rows), quotient)
@@ -915,26 +915,25 @@ def table_witness_words(family: IdempotentFamily) -> dict[str, AlgebraElement]:
     """Codewords attaining the single-factor weight values of a prime-power family.
 
     For I0j the word is (1 + b**q**(j-1)) hat(a) hat(b**q**j), symmetrically
-    for Ii0; a weight other than the table's falsifies the construction.
+    for Ii0; a weight other than the table's falsifies the construction.  The
+    two hats are the hat of the subgroup <a, b**q**j>, one closure, and the
+    factor 1 + g is one translate and an XOR, so no product is taken.
     """
     if family.shape != "prime_power":
         raise ValueError("witness words are defined for the prime-power shape")
     p, q = int(family.params["p"]), int(family.params["q"])
     m, n = int(family.params["m"]), int(family.params["n"])
     group = family.group
-    one = AlgebraElement.one(group)
-    a_hat = Subgroup.from_generators(group, [(1, 0)]).hat()
-    b_hat = Subgroup.from_generators(group, [(0, 1)]).hat()
     out: dict[str, AlgebraElement] = {}
     for label, (i, j) in family.levels.items():
         if i == 0 and j > 0:
-            hat_bj = Subgroup.from_generators(group, [(0, q**j % q**n)]).hat()
-            word = (one + AlgebraElement.monomial(group, (0, q ** (j - 1)))) * a_hat * hat_bj
+            generators, step = [(1, 0), (0, q**j % q**n)], (0, q ** (j - 1))
         elif j == 0 and i > 0:
-            hat_ai = Subgroup.from_generators(group, [(p**i % p**m, 0)]).hat()
-            word = (one + AlgebraElement.monomial(group, (p ** (i - 1), 0))) * hat_ai * b_hat
+            generators, step = [(p**i % p**m, 0), (0, 1)], (p ** (i - 1), 0)
         else:
             continue
+        hat = Subgroup.from_generators(group, generators).hat()
+        word = hat + hat.translated(step)
         expected = _table_weight(p, m, q, n, i, j)
         if word.weight != expected:
             raise FalsificationError(

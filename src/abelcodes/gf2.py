@@ -68,6 +68,16 @@ def poly_mulmod(a: int, b: int, f: int) -> int:
     return out
 
 
+def poly_mulmod_cyclic(a: int, b: int, n: int) -> int:
+    """a * b mod x**n + 1 over GF(2), for deg a < n and deg b <= n: one shift
+    and XOR per set bit of b, then one fold of the degree < 2n product, as
+    x**n == 1."""
+    out = 0
+    for i in bit_indices(b):
+        out ^= a << i
+    return out & ((1 << n) - 1) ^ out >> n
+
+
 def poly_gcd(a: int, b: int) -> int:
     """Greatest common divisor over GF(2)."""
     while b:
@@ -99,6 +109,7 @@ __all__ = [
     "independent_row_indices",
     "poly_mod",
     "poly_mulmod",
+    "poly_mulmod_cyclic",
     "poly_gcd",
     "poly_is_irreducible",
 ]

@@ -28,8 +28,17 @@ Adding s to factor i moves each rank by s*places[i] inside its block of
 places[i]*orders[i] consecutive ranks, wrapping at the block end, so each factor
 with a nonzero shift costs two masks, two shifts and an OR.  The only state this
 needs is one block-repeat pattern per factor (a 1 at the start of every block),
-built on first use; the masks are formed from it per call.  Multiplication is
-the XOR of the translates of one operand over the support of the other.
+built on first use; the masks are formed from it per call.  orbit_bits builds
+those masks once for a run of steps by one element.
+
+Multiplication is the integer product of the two bitsets when the operands
+come from complementary factors (F2[G] = F2[A] (x) F2[B], A the first i
+factors and B the rest): x has bits only below the place P_i of factor i,
+and y only at multiples of P_i.  Then every pair of support terms r, s gives
+its own rank r + s, so the shifted copies x << s fill disjoint blocks and the
+product carries nothing.  Any other pair is the XOR of the translates of one
+operand over the support of the other; tests/oracles.per_term_product is
+that loop, for the tests.
 
 Squaring, g -> g**2, doubles every digit modulo its factor order, one factor
 at a time, with the same kind of block masks (square_bits).  The ranks whose
@@ -48,6 +57,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from functools import reduce
 from itertools import cycle, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -172,6 +182,29 @@ class AbelianGroup:
                 low = bits & ((pattern << stay) - pattern)
                 bits = (low << s * place) | ((bits ^ low) >> stay)
         return bits
+
+    def orbit_bits(self, bits: int, shift: GroupElement, count: int) -> list[int]:
+        """[g**t * x for t < count], x = bits, g = shift: the block rotations of
+        translate_bits, with each moved factor's (mask, up, down) built once
+        and count - 1 steps of a mask, two shifts, an XOR and an OR per factor.
+
+        translate_bits keeps its own per-call masks: it is the hot path of a
+        single translate, and routing it through a shared mask helper measured
+        about +0.25 us on its 1.05 us at 675 bits.
+        """
+        plan = []
+        for s, n, place, pattern in zip(shift, self.factor_orders, self._places, self._patterns()):
+            s %= n
+            if s:
+                stay = (n - s) * place
+                plan.append(((pattern << stay) - pattern, s * place, stay))
+        out = [bits][:count]
+        for _ in range(count - 1):
+            for mask, up, down in plan:
+                low = bits & mask
+                bits = low << up | (bits ^ low) >> down
+            out.append(bits)
+        return out
 
     def _square_plan(self) -> tuple[tuple, ...]:
         """Per factor of order n and place P, with h = ceil(n/2): (P, h*P, n odd,
@@ -331,10 +364,22 @@ class AlgebraElement:
         return AlgebraElement(self.group, self.bits ^ other.bits)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        """Convolution over G: XOR a translated copy of the denser operand per support term."""
+        """Convolution over G.
+
+        Tried in both operand orders: with i the least factor whose place
+        P_i is at least a.bit_length(), if b has bits only at multiples of
+        P_i (the ones of _patterns()[i - 1]), the product is the integer
+        product a * b, which carries nothing (module docstring).  Otherwise
+        XOR a translated copy of the denser operand per support term.
+        """
         self._require_same_group(other)
         g = self.group
         x, y = self.bits, other.bits
+        places = g._places
+        for a, b in ((x, y), (y, x)):
+            i = bisect_left(places, a.bit_length(), 1)
+            if i < len(places) and b & g._patterns()[i - 1] == b:
+                return AlgebraElement(g, a * b)
         if x.bit_count() > y.bit_count():
             x, y = y, x
         out = 0

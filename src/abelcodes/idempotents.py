@@ -109,7 +109,15 @@ def split_pair(
     ub: UVBlock,
     vb: UVBlock,
 ) -> tuple[AlgebraElement, AlgebraElement]:
-    """Split the product idempotent e_H * e_K into its two primitive halves."""
+    """Split the product idempotent e_H * e_K into its two primitive halves.
+
+    f1 = u*v + u2*v2 and f2 = u*v2 + u2*v, each product a block of one
+    factor times a block of the other (an integer product, see
+    AlgebraElement.__mul__).  Checked: both halves square to themselves;
+    f1 * f2 = 0, computed as (f1*u)*v2 + (f1*u2)*v, the same product since
+    f2 = u*v2 + u2*v, so each step translates only over a block's support;
+    and f1 + f2 = e_H * e_K.
+    """
     u, u2 = ub.element, ub.conjugate
     v, v2 = vb.element, vb.conjugate
     f1 = u * v + u2 * v2
@@ -117,7 +125,7 @@ def split_pair(
     zero = AlgebraElement.zero(e_h.group)
     if f1.frobenius() != f1 or f2.frobenius() != f2:
         raise ConsistencyError("split produced a non-idempotent element")
-    if f1 * f2 != zero:
+    if (f1 * u) * v2 + (f1 * u2) * v != zero:
         raise ConsistencyError("split halves are not orthogonal")
     if f1 + f2 != e_h * e_k:
         raise ConsistencyError("split halves do not sum to the product idempotent")

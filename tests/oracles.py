@@ -62,6 +62,17 @@ def per_bit_square(x: AlgebraElement) -> AlgebraElement:
     return per_bit_power(x, 2)
 
 
+def per_term_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """x * y as the XOR of the translates of the denser operand, one per
+    support term of the sparser: the product loop with no carry-free path."""
+    group = x.group
+    a, b = sorted((x.bits, y.bits), key=int.bit_count)
+    out = 0
+    for r in bit_indices(a):
+        out ^= group.translate_bits(b, group.unrank(r))
+    return AlgebraElement(group, out)
+
+
 def berlekamp_massey(seq: Sequence[int]) -> int:
     """Minimal polynomial of a 0/1 sequence: the monic f of least degree L with
     sum(f_j * seq[t + j] for j in 0..L) == 0 for every t + L < len(seq).

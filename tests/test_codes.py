@@ -29,7 +29,7 @@ from abelcodes.codes import (
     weight_distribution,
 )
 from abelcodes.gf2 import bit_indices, gf2_rank, independent_row_indices, poly_mulmod
-from abelcodes.group_algebra import AbelianGroup, AlgebraElement, gather_bits
+from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup, gather_bits
 from abelcodes.idempotents import (
     family_pq,
     family_prime_power,
@@ -48,6 +48,7 @@ from oracles import (
     naive_weight_distribution,
     orbit_walk,
     per_bit_power,
+    per_term_product,
     poly_powmod,
     quotient_is_cyclic,
     replace_elements,
@@ -1257,6 +1258,29 @@ class TestTheory:
         assert witnesses["I01"].weight == 18
         assert witnesses["I10"].weight == 30
         assert witnesses["I20"].weight == 10
+
+    @pytest.mark.parametrize("spec", [(3, 2, 5, 1), (3, 2, 5, 2), (3, 3, 5, 2)], ids=str)
+    def test_witness_words_take_no_product(self, spec, monkeypatch):
+        fam = family_prime_power(*spec)
+        p, m, q, n = spec
+        group = fam.group
+        one = AlgebraElement.one(group)
+        expected = {}
+        for label, (i, j) in fam.levels.items():
+            # the product formula (1 + g) * hat(A_i) * hat(B_j)
+            if i == 0 and j > 0:
+                g, gens = (0, q ** (j - 1)), ([(1, 0)], [(0, q**j % q**n)])
+            elif j == 0 and i > 0:
+                g, gens = (p ** (i - 1), 0), ([(p**i % p**m, 0)], [(0, 1)])
+            else:
+                continue
+            hats = [Subgroup.from_generators(group, x).hat() for x in gens]
+            word = per_term_product(one + AlgebraElement.monomial(group, g), hats[0])
+            expected[label] = per_term_product(word, hats[1])
+        products = _count_calls(monkeypatch, AlgebraElement, "__mul__")
+        assert table_witness_words(fam) == expected
+        assert products == []
+        assert len(expected) == m + n
 
     def test_swap_map(self, fam15, fam33):
         assert split_swap_map_matches(fam15)

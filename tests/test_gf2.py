@@ -9,6 +9,7 @@ from abelcodes.gf2 import (
     poly_is_irreducible,
     poly_mod,
     poly_mulmod,
+    poly_mulmod_cyclic,
 )
 from oracles import berlekamp_massey, poly_powmod
 
@@ -89,3 +90,12 @@ def test_rank_counts_the_span(rows):
     for row in rows:
         span |= {x ^ row for x in span}
     assert 2 ** gf2_rank(rows) == len(span)
+
+
+class TestCyclicMulmod:
+    @given(st.integers(1, 90), st.data())
+    def test_matches_poly_mulmod_by_x_n_plus_1(self, n, data):
+        a = data.draw(st.integers(0, (1 << n) - 1))
+        b = data.draw(st.integers(0, (1 << n + 1) - 1))  # deg b == n too: b may be x**n + 1
+        assert poly_mulmod_cyclic(a, b, n) == poly_mulmod(a, b, 1 << n | 1)
+        assert poly_mulmod_cyclic(a, b, n) == poly_mod(clmul(a, b), 1 << n | 1)

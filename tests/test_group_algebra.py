@@ -18,7 +18,7 @@ from abelcodes.group_algebra import (
     gather_bits,
 )
 from abelcodes.idempotents import family_pq, family_prime_power
-from oracles import all_subgroups, per_bit_square, searched_subgroup_ranks
+from oracles import all_subgroups, per_bit_square, per_term_product, searched_subgroup_ranks
 
 C15 = AbelianGroup([15])
 C3x5 = AbelianGroup([3, 5])
@@ -149,6 +149,85 @@ class TestMultiplication:
         x = AlgebraElement(group, data.draw(bits))
         y = AlgebraElement(group, data.draw(bits))
         assert x * y == reference_product(x, y)
+
+
+# (factor orders, split point i): F2[G] = F2[A] (x) F2[B], A the first i factors
+SPLIT_POINTS = [
+    ([27, 25], 1),
+    ([9, 25], 1),
+    ([3, 5, 11], 1),
+    ([3, 5, 11], 2),
+    ([4, 6, 5], 1),
+    ([4, 6, 5], 2),
+]
+
+
+def _factor_words(group, i):
+    """Words of A (bits below the place P of factor i) and of B (bits at
+    multiples of P): 0, 1, each hat, a word with bit P - 1, and random ones."""
+    rng = random.Random(group.order + i)
+    place = math.prod(group.factor_orders[:i])
+    count = group.order // place
+    low = [0, 1, (1 << place) - 1, 1 << place - 1, rng.getrandbits(place)]
+    spread = [sum(rng.getrandbits(1) << place * t for t in range(count)) for _ in range(2)]
+    high = [0, 1, sum(1 << place * t for t in range(count)), 1 << place, *spread]
+    return low, high
+
+
+class TestCarryFreeProduct:
+    @pytest.mark.parametrize("orders,i", SPLIT_POINTS, ids=str)
+    def test_cross_factor_products_are_integer_products(self, orders, i, monkeypatch):
+        group = AbelianGroup(orders)
+        low, high = _factor_words(group, i)
+        pairs = [(AlgebraElement(group, x), AlgebraElement(group, y)) for x in low for y in high]
+        expected = [per_term_product(x, y) for x, y in pairs]
+
+        def refuse(*args):
+            raise AssertionError("a cross-factor product took the translate loop")
+
+        monkeypatch.setattr(AbelianGroup, "translate_bits", refuse)
+        for (x, y), product in zip(pairs, expected):
+            assert x * y == product == y * x, (x.bits, y.bits)
+            assert product.bits == x.bits * y.bits
+
+    @pytest.mark.parametrize("orders,i", SPLIT_POINTS, ids=str)
+    def test_same_factor_pairs_take_the_loop(self, orders, i, monkeypatch):
+        group = AbelianGroup(orders)
+        place = math.prod(orders[:i])
+        rng = random.Random(group.order - i)
+        # two words of factor 0 off the identity, and two of the last factor
+        first = [1 | 2, 2 | rng.getrandbits(orders[0]) << 1 & (1 << orders[0]) - 1]
+        last_place = group.order // orders[-1]
+        last = [(1 << last_place) | (1 << 2 * last_place), 1 << last_place | 1]
+        pairs = [(x, y) for words in (first, last) for x in words for y in words]
+        pairs.append((rng.getrandbits(group.order), rng.getrandbits(place)))
+        calls = []
+        translate = AbelianGroup.translate_bits
+
+        def counted(*args):
+            calls.append(args)
+            return translate(*args)
+
+        for x, y in pairs:
+            x, y = AlgebraElement(group, x), AlgebraElement(group, y)
+            expected = per_term_product(x, y)
+            monkeypatch.setattr(AbelianGroup, "translate_bits", counted)
+            calls.clear()
+            assert x * y == expected, (x.bits, y.bits)
+            assert calls, (x.bits, y.bits)
+            monkeypatch.undo()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SPLIT_POINTS), st.data())
+    def test_any_split_pair_matches_the_per_term_product(self, split, data):
+        orders, i = split
+        group = AbelianGroup(orders)
+        place = math.prod(orders[:i])
+        x = data.draw(st.integers(0, (1 << place) - 1))
+        cosets = data.draw(st.integers(0, (1 << group.order // place) - 1))
+        y = sum(1 << place * t for t in range(group.order // place) if cosets >> t & 1)
+        x, y = AlgebraElement(group, x), AlgebraElement(group, y)
+        assert x * y == per_term_product(x, y) == reference_product(x, y)
 
 
 class TestFrobenius:
@@ -284,6 +363,33 @@ closure_orders = st.one_of(
     st.sampled_from(NAMED_TRANSLATE_GROUPS + [[4, 6], [9, 3, 5]]),
     st.lists(st.integers(2, 9), min_size=1, max_size=3).filter(lambda o: math.prod(o) <= 300),
 )
+
+
+class TestOrbitBits:
+    @pytest.mark.parametrize("orders", [[15], [9, 25], [2, 4], [3, 5, 11], [3, 3, 11]])
+    def test_matches_iterated_translates(self, orders):
+        group = AbelianGroup(orders)
+        rng = random.Random(group.order)
+        bits = rng.getrandbits(group.order)
+        shifts = [
+            group.identity(),
+            group.generator(0),
+            group.generator(len(orders) - 1),
+            (1,) * len(orders),
+            group.unrank(rng.randrange(group.order)),
+        ]
+        for shift in shifts:
+            period = math.lcm(*(n // math.gcd(s, n) for s, n in zip(shift, orders)))
+            for count in (0, 1, 2, period, period + 3):
+                expected, row = [], bits
+                for _ in range(count):
+                    expected.append(row)
+                    row = group.translate_bits(row, shift)
+                assert group.orbit_bits(bits, shift, count) == expected, (shift, count)
+
+    def test_a_zero_shift_repeats_the_word(self):
+        group = AbelianGroup([3, 5, 11])
+        assert group.orbit_bits(0b1011, (0, 5, 11), 4) == [0b1011] * 4
 
 
 class TestAugmentation:

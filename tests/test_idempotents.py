@@ -29,7 +29,9 @@ from abelcodes.idempotents import (
     family_prime_power,
     family_three_primes,
     family_two_factor,
+    UVBlock,
     p_group_idempotents,
+    split_pair,
     uv_block,
 )
 from abelcodes.number_theory import (
@@ -47,6 +49,7 @@ from oracles import (
     every_character_kernel,
     gray_flip_sequence,
     per_bit_square,
+    per_term_product,
     quotient_is_cyclic,
     replace_elements,
     stabilizer,
@@ -88,6 +91,44 @@ class TestUVBlocks:
         assert block.element + block.conjugate == block.unity
         assert block.element**3 == block.unity
         assert block.element.augmentation() == 0
+
+
+class TestSplitChecks:
+    """Each check of split_pair runs and fails on blocks built to break it."""
+
+    group = AbelianGroup([3, 5])
+    one, zero = AlgebraElement.one(group), AlgebraElement.zero(group)
+    a = Subgroup.from_generators(group, [(1, 0)]).hat()
+    b = Subgroup.from_generators(group, [(0, 1)]).hat()
+
+    def test_real_blocks_split_the_product_of_the_sides(self):
+        ub, vb = uv_block(self.group, (1, 0), 3), uv_block(self.group, (0, 1), 5)
+        e_h, e_k = self.one + self.a, self.one + self.b
+        f1, f2 = split_pair(e_h, e_k, ub, vb)
+        u, u2, v, v2 = ub.element, ub.conjugate, vb.element, vb.conjugate
+        assert f1 == per_term_product(u, v) + per_term_product(u2, v2)
+        assert f2 == per_term_product(u, v2) + per_term_product(u2, v)
+        assert per_term_product(f1, f2) == self.zero
+        assert f1 + f2 == per_term_product(e_h, e_k)
+
+    def test_a_half_that_is_not_idempotent(self):
+        ub = UVBlock(self.one, self.zero, self.one)
+        vb = UVBlock(AlgebraElement.monomial(self.group, (0, 1)), self.zero, self.b)
+        with pytest.raises(ConsistencyError, match="split produced a non-idempotent element"):
+            split_pair(self.one, self.one, ub, vb)
+
+    def test_halves_that_are_idempotent_but_not_orthogonal(self):
+        # f1 = f2 = hat(a) * hat(b), the idempotent hat of the whole group
+        ub = UVBlock(self.a, self.a, self.a)
+        vb = UVBlock(self.b, self.zero, self.b)
+        assert per_term_product(self.a * self.b, self.a * self.b) != self.zero
+        with pytest.raises(ConsistencyError, match="split halves are not orthogonal"):
+            split_pair(self.one, self.one, ub, vb)
+
+    def test_halves_that_do_not_sum_to_the_product(self):
+        ub, vb = uv_block(self.group, (1, 0), 3), uv_block(self.group, (0, 1), 5)
+        with pytest.raises(ConsistencyError, match="do not sum to the product idempotent"):
+            split_pair(self.one, self.one, ub, vb)
 
 
 class TestFamilyPQ:
