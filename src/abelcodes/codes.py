@@ -6,33 +6,24 @@ are exact whenever 2**dim fits the enumeration budget and the N cosets the
 scan folds fit MAX_SCAN_ENTRIES; otherwise honest bounds are reported, with
 the provenance of each bound recorded.
 
-Each ideal F2[G]e is read on its quotient G/H, H the stabilizer of e
-(_cyclic_quotient): G/H = <gamma> is cyclic of order n', e is the
-|H|-fold coset lift of the n'-bit word e-bar, e-bar_t = e(t * gamma), and the
-ideal is the lift of the cyclic code of e-bar, of dimension k = deg h for
-h = (x**n' + 1)/gcd(e-bar, x**n' + 1) (MacWilliams & Sloane, The Theory of
-Error-Correcting Codes, ch. 7).  Each ideal has one cached record: that
-quotient, its basis, and, once a weight is asked for, its one enumeration
-(minimum weight, a witness word and the weight histogram).  The basis is the
-k translates of e by t * gamma, t < k, the lifts of the first k cyclic shifts
-of e-bar.  check_basis certifies them independent at full width, so the
-dimension is at least k, and h * e-bar == 0 mod x**n' + 1 puts every later
-shift in their span, so it is at most k; the dimension reads the basis, and
-primitivity counts idempotents in F2[x]/h, on k-bit rows.  An element whose
-G/H is not cyclic is not a minimal ideal, and a NotMinimalIdealError (a
-ValueError) refuses it; a sum of minimal ideals with a cyclic G/H keeps its
-basis, dimension and idempotent count.
+Each ideal F2[G]e is read on its quotient G/H, H the stabilizer of e: G/H =
+<gamma> is cyclic of order n', and the ideal is the |H|-fold coset lift of
+the cyclic code of an n'-bit word e-bar (MacWilliams & Sloane, The Theory of
+Error-Correcting Codes, ch. 7-8).  Each ideal has one cached record, _Ideal:
+its quotient (_Quotient, all that a scan reads), its basis, certified of
+dimension k = deg h (_checked_ideal), and, once a weight is asked for, its
+one scan or the refusal of that scan.  An element whose G/H is not cyclic,
+or, when a scan is asked for, that is not a field, is not a minimal ideal,
+and a NotMinimalIdealError (a ValueError) refuses it; a sum of minimal
+ideals with a cyclic G/H keeps its basis, dimension and idempotent count.
 
-A minimal code is a field (ibid., ch. 8), scanned on its quotient, on
-n'-bit words, one scan per n', carried to the other codes of that length by
-multipliers x -> x**u.  scan_codewords describes the two exact scans: a
-high-rate code takes the MacWilliams identity over the words of its small
-dual code, and any other the bit-sliced fold over the N = (2**k - 1)/n'
-cosets of K*/T, with O(n') big-int operations per block of cosets and no
-Python loop over the N of them.  An ideal that is not a field is not a
-minimal ideal, and its scan is refused with a NotMinimalIdealError.  Only a
-family built under overridden hypotheses has such members; analyze_code
-reports weight bounds and a refused distribution for them.
+A minimal code is a field (ibid., ch. 8), scanned on n'-bit words once per
+n' and carried to the other codes of that length by multipliers x -> x**u
+(_carried_scan).  scan_codewords picks one of two exact scans: _dual_scan,
+by the MacWilliams identity over the words of a small dual code, or
+_coset_fold, bit-sliced over the N cosets of K*/T.  Only a family built
+under overridden hypotheses has members that are not minimal ideals;
+analyze_code reports weight bounds and a refused distribution for them.
 """
 
 from __future__ import annotations
@@ -78,9 +69,9 @@ _FOLD_BLOCK = 1 << 18
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration was refused because 2**dim exceeds the budget, or, with
-    `entries`, because its fold would span more than MAX_SCAN_ENTRIES cosets of
-    K*/T, the limit then reported as the budget."""
+    """An enumeration was refused because 2**dim exceeds the budget (entries
+    is 0), or because its fold would span `entries` cosets of K*/T, over
+    MAX_SCAN_ENTRIES, the limit then reported as the budget."""
 
     def __init__(self, dimension: int, budget: int, *, entries: int = 0):
         if entries:
@@ -97,6 +88,7 @@ class BudgetExceededError(RuntimeError):
         self.dimension = dimension
         self.required_budget = 1 << dimension
         self.budget = budget
+        self.entries = entries
 
 
 class FalsificationError(AssertionError):
@@ -128,14 +120,16 @@ def ideal_basis(e: AlgebraElement) -> list[AlgebraElement]:
 
 
 class _Quotient(NamedTuple):
-    """G/H = <gamma> for H the stabilizer of e, and e read on it.
+    """G/H = <gamma> for H the stabilizer of e, e read on it, and what every
+    scan of the ideal reads.
 
     gamma generates G/H; coefficients[i] is the c with g_i = c * gamma
     modulo H, g_i the generator of factor i; order is n' = |G/H|; word is
-    the n'-bit e-bar whose bit t is the coefficient of e at t * gamma; check
-    is h = (x**n' + 1) / gcd(e-bar, x**n' + 1).  c -> c * e-bar maps F2[x]/h
-    onto the cyclic code of e-bar, so the ideal, the |H|-fold coset lift of
-    that code, has dimension deg h.
+    the n'-bit e-bar whose bit t is the coefficient of e at t * gamma;
+    generator is g = gcd(e-bar, x**n' + 1) and check is h = (x**n' + 1)/g.
+    c -> c * e-bar maps F2[x]/h onto the cyclic code of e-bar, generated by
+    g, so the ideal, the |H|-fold coset lift of that code, has dimension
+    k = deg h.
     """
 
     group: AbelianGroup
@@ -143,11 +137,22 @@ class _Quotient(NamedTuple):
     coefficients: tuple[int, ...]
     order: int
     word: int
+    generator: int
     check: int
 
     @property
     def dimension(self) -> int:
         return self.check.bit_length() - 1
+
+    @property
+    def cosets(self) -> int:
+        """N = (2**k - 1) // n', the cosets of K*/T when the ideal is a field."""
+        return ((1 << self.dimension) - 1) // self.order
+
+    @property
+    def squares(self) -> list[int]:
+        """x**(2i) mod h for i < k: the rows of y -> y**2 on F2[x]/h."""
+        return _shift_images(1, self.check, 2 * self.dimension)[::2]
 
     def coset_indices(self) -> list[int]:
         """Entry r is the t with the rank-r element in t * gamma * H."""
@@ -206,8 +211,9 @@ def _cyclic_quotient(e: AlgebraElement) -> _Quotient:
         coefficients.append(c)
     word = gather_bits(bits, group.order, group.multiple_ranks(gamma_element, order))
     modulus = 1 << order | 1
-    check = _poly_quotient(modulus, poly_gcd(modulus, word))
-    return _Quotient(group, gamma_element, tuple(coefficients), order, word, check)
+    g = poly_gcd(modulus, word)
+    h = _poly_quotient(modulus, g)
+    return _Quotient(group, gamma_element, tuple(coefficients), order, word, g, h)
 
 
 def _poly_quotient(a: int, b: int) -> int:
@@ -221,25 +227,35 @@ def _poly_quotient(a: int, b: int) -> int:
 
 
 class _Ideal:
-    """The checked basis of F2[G]e, the quotient record and, once read, the
-    one scan of the code, with dual_dimension, the m of scan_codewords when
-    the scan came from the 2**m words of the dual code and 0 otherwise."""
+    """The checked basis of F2[G]e, its quotient record and, once read, the
+    one scan of the code (dual_dimension: the m of scan_codewords for a scan
+    of the 2**m dual words, else 0) or its refusal (NotMinimalIdealError or
+    scan-limit BudgetExceededError)."""
 
     def __init__(
         self, e: AlgebraElement, basis: tuple[AlgebraElement, ...], quotient: _Quotient
     ) -> None:
         self.e, self.basis, self.quotient = e, basis, quotient
         self.dual_dimension = 0
+        self.refusal: NotMinimalIdealError | BudgetExceededError | None = None
 
     @cached_property
     def scan(self) -> tuple[int, int, dict[int, int]]:
         """scan_codewords of the ideal, run once; callers copy the histogram.
+        A refusal is kept and raised again on every later read, so the ideal
+        is scanned or refused once until clear_caches drops the record.
 
         The histogram is checked against the number of nonzero codewords and
         the scan's own minimum before it is kept.
         """
+        if self.refusal is not None:
+            raise self.refusal
         rows = [x.bits for x in self.basis]
-        best, word, hist = scan_codewords(rows, e=self.e)
+        try:
+            best, word, hist = scan_codewords(rows, e=self.e)
+        except (NotMinimalIdealError, BudgetExceededError) as exc:
+            self.refusal = exc
+            raise
         if sum(hist.values()) != (1 << len(rows)) - 1 or min(hist) != best:
             raise RuntimeError("weight histogram failed its internal consistency checks")
         return best, word, hist
@@ -296,9 +312,8 @@ def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> d
     if e.frobenius() != e:
         raise ValueError("element is not idempotent")
     quotient = _checked_ideal(e).quotient
-    h, k = quotient.check, quotient.dimension
-    squares = _shift_images(1, h, 2 * k)[::2]
-    fixed = k - gf2_rank([y ^ 1 << i for i, y in enumerate(squares)])
+    k = quotient.dimension
+    fixed = k - gf2_rank([y ^ 1 << i for i, y in enumerate(quotient.squares)])
     return {
         "dimension": k,
         "predicted_dimension": predicted_dim,
@@ -308,34 +323,31 @@ def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> d
     }
 
 
-def _certify_field(quotient: _Quotient, k: int) -> None:
-    """Certify the ideal, of dimension k, as the field K = F2[x]/h; an ideal
-    that is not a field is not a minimal ideal and raises
-    NotMinimalIdealError.
+def _certify_field(quotient: _Quotient) -> None:
+    """Certify the ideal as the field K = F2[x]/h; an ideal that is not a
+    field is not a minimal ideal and raises NotMinimalIdealError.
 
     x -> x * e-bar maps F2[x]/h onto the quotient code of e, so the ideal is
     a field exactly when h is irreducible (Rabin test).  The Rabin test runs
-    only when |G| is odd, n' > 1 divides 2**k - 1 and k == ord_n'(2), as for
-    every field ideal scan_codewords passes here (it is F2[T], T the n'
-    rotations of e-bar; the repetition code, n' == 1, takes the N == 1
-    shortcut).  scan_codewords calls it once, before either scan.
+    only when |G| is odd, n' > 1 and k == ord_n'(2), so that n' divides
+    2**k - 1, as for every field ideal (it is F2[T], T the n' rotations of
+    e-bar).
     """
     orbit = quotient.order
     if (
         not quotient.group.is_odd
         or orbit < 2
-        or ((1 << k) - 1) % orbit
-        or multiplicative_order(2, orbit) != k
+        or multiplicative_order(2, orbit) != quotient.dimension
         or not poly_is_irreducible(quotient.check)
     ):
         raise NotMinimalIdealError("F2[G]e is not a field, so it is not a minimal ideal")
 
 
-def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, list[int], list[list[int]]]:
+def _orbit_multiplier(quotient: _Quotient) -> tuple[int, list[int], list[list[int]]]:
     """Find z of degree k in the field K = F2[x]/h, certified by the caller,
     that generates K*/T; return (z, coordinates, square) with coordinates =
     _power_coordinates(z, h, k) and square the split tables of y -> y**2 in
-    K, the one table set the fold builds.
+    K (the record's squares), the one table set the fold builds.
 
     T, the n' rotations of e-bar, is the unique subgroup of order n' of the
     cyclic group K*, so z generates K*/T, cyclic of order N = (2**k - 1)/n',
@@ -347,9 +359,9 @@ def _orbit_multiplier(quotient: _Quotient, k: int) -> tuple[int, list[int], list
     no basis of K, so the search moves on.  A primitive element of K passes
     both tests, so the search always ends.
     """
-    f, total = quotient.check, (1 << k) - 1
-    exponents = [total // r for r in factorize(total // quotient.order)]
-    square = _split_tables(_shift_images(1, f, 2 * k)[::2], -(-k // 3))
+    f, k = quotient.check, quotient.dimension
+    exponents = [((1 << k) - 1) // r for r in factorize(quotient.cosets)]
+    square = _split_tables(quotient.squares, -(-k // 3))
     for z in range(3, 1 << k):
         if all(_table_power(square, z, f, m) != 1 for m in exponents):
             coordinates = _power_coordinates(z, f, k)
@@ -505,14 +517,43 @@ def _count_masks(planes: list[int], full: int, top: int) -> Iterator[tuple[int, 
 
 
 def _coset_fold(
-    quotient: _Quotient, k: int, z: int, coordinates: list[int], square: list[list[int]]
+    quotient: _Quotient, z: int, coordinates: list[int], square: list[list[int]]
 ) -> tuple[int, int, dict[int, int]]:
-    """Minimum weight, a minimum word and the histogram of the quotient code,
-    on n'-bit words, by the bit-sliced fold that scan_codewords describes,
-    from the (z, coordinates, square) of _orbit_multiplier; the word of y in
-    K is the sum of beta**i, e-bar rotated by i, over the set bits i of y."""
+    """Minimum weight, a minimum word and the histogram of the quotient code
+    of a field ideal, on n'-bit words, by the bit-sliced fold over the N
+    cosets of K*/T, from the (z, coordinates, square) of _orbit_multiplier.
+
+    The n' rotations of e-bar form a group T of units, and every weight is
+    constant on the cosets yT; the word of y in K = F2[x]/h is the sum of
+    beta**i, e-bar rotated by i, over the set bits i of y.  z generates
+    K*/T, so the words z**j, 0 <= j < N, meet each coset once, and the
+    histogram is n' times that of wt(z**j) over j < N.  Those N weights are
+    computed bit-sliced.  Window c is the int V_c whose bit j is bit 0 of
+    the word of x**c * z**j, which is bit -c mod n' of the word of z**j; so
+    wt(z**j) is the number of windows c < n' with bit j set.  V_0 is the
+    linear recurring sequence j -> bit 0 of the word of z**j, extended by
+    doubling: with z**D = sum of d_b z**b, s_(j + D) = sum of d_b s_(j + b),
+    the coordinates from one elimination over z**0, ..., z**(k - 1)
+    (_power_coordinates).  V_(c + 1) is the XOR of V_c >> b over the b with
+    x = sum of z**b, two shifts when z = x + 1; each window loses as many
+    bits at its top as its largest shift b < k, so V_0 carries n' * b bits
+    of margin.  A ripple-carry counter of n'.bit_length() planes adds the n'
+    windows, and the count of weight w is the popcount of the AND of the
+    planes (or their complements) that spell w, one AND chain per weight,
+    cut short at the first empty prefix (_count_masks).  The exponents are
+    folded in blocks of _FOLD_BLOCK, each block's V_0 started from z**start,
+    so the memory does not grow with N.  The witness is the word of z**j for
+    the least j of minimum weight; squaring permutes the cosets, so that j
+    is the least of its doubling orbit.
+
+    Four certificates close the fold, each a RuntimeError: window n' equals
+    window 0 in every block (x**n' = 1 in K); every exponent gets a weight
+    from 1 to n'; the weights add up to 2**(k - 1), as each coordinate of a
+    nonzero cyclic code is 1 on half of its words; and the witness,
+    recomputed through _table_power, has the minimum weight.
+    """
     n, f, bar = quotient.order, quotient.check, quotient.word
-    cosets = ((1 << k) - 1) // n
+    k, cosets = quotient.dimension, quotient.cosets
     powers = [(bar << i | bar >> (n - i)) & ((1 << n) - 1) for i in range(k)]
     # bit 0 of the word of y is the parity of y & probe
     probe = sum((word & 1) << i for i, word in enumerate(powers))
@@ -595,19 +636,18 @@ def _macwilliams(n: int, dual: Sequence[int], k: int) -> dict[int, int]:
     return {j: c >> m for j, c in enumerate(sums) if j and c}
 
 
-def _dual_scan(quotient: _Quotient, k: int) -> tuple[int, int, dict[int, int]] | None:
-    """Minimum weight, a minimum word and the histogram of the quotient code,
-    on n'-bit words, from its dual code; None when the generator polynomial
-    is not a minimum word.
+def _dual_scan(quotient: _Quotient) -> tuple[int, int, dict[int, int]] | None:
+    """Minimum weight, a minimum word and the histogram of the quotient code
+    of a field ideal, on n'-bit words, from its dual code; None when the
+    generator polynomial g is not a minimum word.
 
-    scan_codewords has certified the ideal a field (_certify_field).  The
-    quotient code is the cyclic code generated by g = (x**n' + 1)/h, and its
-    dual is generated by x**k h(1/x), the reciprocal of h (MacWilliams &
-    Sloane, ch. 7): the span of its m = n' - k shifts, 2**m words, whose
-    weight counts _macwilliams turns into the code's.  g is a codeword, so
+    The quotient code is the cyclic code generated by g, and its dual is
+    generated by x**k h(1/x), the reciprocal of h (MacWilliams & Sloane,
+    ch. 7): the span of its m = n' - k shifts, 2**m words, whose weight
+    counts _macwilliams turns into the code's.  g is a codeword, so
     wt(g) >= d, and it is the minimum word kept when wt(g) == d.
     """
-    n, h = quotient.order, quotient.check
+    n, h, k = quotient.order, quotient.check, quotient.dimension
     reciprocal = int(format(h, "b")[::-1], 2)
     words = [0]
     for i in range(n - k):
@@ -618,88 +658,52 @@ def _dual_scan(quotient: _Quotient, k: int) -> tuple[int, int, dict[int, int]] |
         dual[w.bit_count()] += 1
     hist = _macwilliams(n, dual, k)
     best = min(hist)
-    g = _poly_quotient(1 << n | 1, h)
-    if g.bit_count() != best:
+    if quotient.generator.bit_count() != best:
         return None
-    return best, g, hist
+    return best, quotient.generator, hist
 
 
 def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int, dict[int, int]]:
     """Minimum weight, the first word attaining it, and the weight histogram
     of the nonzero words of the ideal F2[G]e, whose basis rows are `rows`.
 
-    The ideal is the |H|-fold coset lift of the cyclic code of e-bar on G/H
-    (_Quotient), so its weights are |H| times those of that code, and the
-    scan runs on n'-bit words.  Each code with N = (2**k - 1)/n' > 1 and no
-    kept scan is certified a field once, by _certify_field, and takes the
-    cheaper of two exact scans.  With m = n' - k, the dual side runs when
-    2**m <= N // k, at most one dual word for every k cosets the fold would count: _dual_scan counts
-    the 2**m words of the dual code and turns their weights into the code's
-    by the MacWilliams identity, with the generator polynomial
-    g = (x**n' + 1)/h as its minimum word.  It is taken only when wt(g) is
-    the minimum; otherwise, and for every other code, the fold runs.
+    The ideal is the |H|-fold coset lift of its quotient code (_Quotient),
+    so its weights are |H| times those of that code: the scan runs on
+    n'-bit words, and its minimum word is lifted to G, one coset of H per
+    set bit.  When 2**k - 1 == n' the translates of e are all the nonzero
+    words.  A code whose n' has a kept scan takes it (_carried_scan).  Any
+    other is certified a field once (_certify_field) and takes the cheaper
+    of two exact scans, which is then kept for its n': with m = n' - k,
+    _dual_scan when 2**m <= N // k, at most one dual word for every k
+    cosets the fold would count, and taken only when g is a minimum word;
+    otherwise _coset_fold.
 
-    The fold: the n' rotations of e-bar form a group T of units, and every
-    weight is constant on the cosets yT.  With the field K = F2[x]/h and z
-    of degree k generating K*/T (_orbit_multiplier), the words z**j,
-    0 <= j < N, meet each coset once, so the histogram is n' times that of
-    wt(z**j) over j < N.  Those N weights are computed bit-sliced.  Window c
-    is the int V_c whose bit j is bit 0 of the word of x**c * z**j, which is
-    bit -c mod n' of the word of z**j; so wt(z**j) is the number of windows
-    c < n' with bit j set.  V_0 is the linear recurring sequence j -> bit 0
-    of the word of z**j, extended by doubling: with z**D = sum of d_b z**b,
-    s_(j + D) = sum of d_b s_(j + b), the coordinates from one elimination
-    over z**0, ..., z**(k - 1) (_power_coordinates).  V_(c + 1) is the XOR
-    of V_c >> b over the b with x = sum of z**b, two shifts when z = x + 1;
-    each window loses as many bits at its top as its largest shift b < k,
-    so V_0 carries n' * b bits of margin.  A ripple-carry counter of
-    n'.bit_length() planes adds the n' windows, and the count of weight w is
-    the popcount of the AND of the planes (or their complements) that spell
-    w, one AND chain per weight, cut short at the first empty prefix
-    (_count_masks).  The exponents are folded in blocks of _FOLD_BLOCK, each
-    block's V_0 started from z**start, so the memory does not grow with N.
-    The witness is the word of z**j for the least j of minimum weight;
-    squaring permutes the cosets, so that j is the least of its doubling
-    orbit.
-
-    Four certificates close the fold, each a RuntimeError: window n' equals
-    window 0 in every block (x**n' = 1 in K); every exponent gets a weight
-    from 1 to n'; the weights add up to 2**(k - 1), as each coordinate of a
-    nonzero cyclic code is 1 on half of its words; and the witness,
-    recomputed through _table_power, has the minimum weight.
-
-    One scan, dual or folded, is kept per n' (_carried_scan): a later code
-    of the same n' that a multiplier maps it onto takes its histogram and
-    minimum word.  The minimum word is lifted to G, one coset of H per set
-    bit.
-
-    When N == 1 the translates of e are all the nonzero words.  Any other
-    ideal that _certify_field cannot certify as a field (a sum of minimal
+    An ideal that _certify_field cannot certify as a field (a sum of minimal
     ideals, the zero ideal, an ideal of an even group) is not a minimal ideal
     and raises NotMinimalIdealError, on either side.  An N over
-    MAX_SCAN_ENTRIES raises BudgetExceededError before that certificate, and
-    a row count other than the dimension of the ideal raises ValueError
-    before any scan.
+    MAX_SCAN_ENTRIES raises BudgetExceededError, with entries = N, before
+    that certificate, and a row count other than the dimension of the ideal
+    raises ValueError before any scan.
     """
     k = len(rows)
     ideal = _checked_ideal(e)
     if k != len(ideal.basis):
         raise ValueError(f"scan_codewords takes {len(ideal.basis)} basis rows, got {k}")
-    quotient, total = ideal.quotient, (1 << k) - 1
-    orbit = quotient.order
-    if total == orbit:
+    quotient = ideal.quotient
+    orbit, cosets = quotient.order, quotient.cosets
+    if (1 << k) - 1 == orbit:
         w = e.weight
         return w, e.bits, {w: orbit}
-    if total // orbit > MAX_SCAN_ENTRIES:
-        raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=total // orbit)
+    if cosets > MAX_SCAN_ENTRIES:
+        raise BudgetExceededError(k, MAX_SCAN_ENTRIES, entries=cosets)
     faithful = _carried_scan(quotient)
     if faithful is None:
-        _certify_field(quotient, k)
+        _certify_field(quotient)
         m = orbit - k
         # 2**m <= N // k
-        scanned = _dual_scan(quotient, k) if k << m <= total // orbit else None
+        scanned = _dual_scan(quotient) if k << m <= cosets else None
         if scanned is None:
-            m, scanned = 0, _coset_fold(quotient, k, *_orbit_multiplier(quotient, k))
+            m, scanned = 0, _coset_fold(quotient, *_orbit_multiplier(quotient))
         faithful = (*scanned, m)
         if len(_faithful_scans) < MAX_CACHED_CODES:
             _faithful_scans.setdefault(orbit, (quotient.word, *faithful))
@@ -750,8 +754,7 @@ def minimum_weight(
     budget or the scan limit (MAX_SCAN_ENTRIES), with a note naming which.
     Within both, an ideal that is not minimal raises NotMinimalIdealError.
     """
-    basis = ideal_basis(e)
-    k = len(basis)
+    k = len(ideal_basis(e))
     if (1 << k) > budget:
         note = f"enumeration refused: 2**{k} exceeds budget {budget}"
     else:
@@ -812,8 +815,7 @@ def weight_distribution(e: AlgebraElement, *, budget: int = DEFAULT_BUDGET) -> d
     """Full weight histogram of the nonzero codewords; raises
     BudgetExceededError beyond the budget or the scan limit, and within both
     NotMinimalIdealError for an ideal that is not minimal."""
-    basis = ideal_basis(e)
-    k = len(basis)
+    k = len(ideal_basis(e))
     if (1 << k) > budget:
         raise BudgetExceededError(k, budget)
     return dict(_checked_ideal(e).scan[2])
@@ -1075,26 +1077,20 @@ def analyze_code(
     result = None
     distribution = None
     refused = None
-    not_minimal = None  # the scan's refusal, asked for at most once
     if want_distribution:
         try:
             distribution = weight_distribution(e, budget=budget)
         except BudgetExceededError as exc:
-            refused = exc.required_budget if exc.required_budget > budget else str(exc)
+            refused = str(exc) if exc.entries else exc.required_budget
         except NotMinimalIdealError as exc:
-            refused = not_minimal = str(exc)
+            refused = str(exc)
     if want_weights or want_distribution:
         theory_lower = theory.lower if theory.kind == "bounds" else None
         probe_words = [probes[label]] if label in probes else []
-        if not_minimal is None:
-            try:
-                result = minimum_weight(
-                    e, budget=budget, theory_lower=theory_lower, probes=probe_words
-                )
-            except NotMinimalIdealError as exc:
-                not_minimal = str(exc)
-        if not_minimal is not None:
-            note = f"enumeration refused: {not_minimal}"
+        try:
+            result = minimum_weight(e, budget=budget, theory_lower=theory_lower, probes=probe_words)
+        except NotMinimalIdealError as exc:
+            note = f"enumeration refused: {exc}"
             result = _weight_bounds(e, note, theory_lower, probe_words)
 
     match: bool | None = None

@@ -77,6 +77,9 @@ def uv_block(
     H is `level_subgroup` (trivial when omitted); base must generate the
     unique subgroup H* with [H* : H] = p.  The even powers of 2 mod p are
     exactly the nonzero quadratic residues, so the inner sum runs over them.
+    Checked: u + u**2 and u * u**2 are the component unity, so the support of
+    u is even, as the augmentation is a ring map onto F2:
+    aug(u) = aug(u * u**2) = aug(unity) = |H|(1 + p) mod 2 = 0.
     """
     if not is_odd_prime(prime):
         raise ValueError(f"{prime} is not an odd prime")
@@ -98,8 +101,6 @@ def uv_block(
         raise ConsistencyError("block element plus its conjugate is not the component unity")
     if u * u2 != unity:
         raise ConsistencyError("block element cubed is not the component unity")
-    if u.augmentation() != 0:
-        raise ConsistencyError("block element has odd support size")
     return UVBlock(element=u, conjugate=u2, unity=unity)
 
 
@@ -114,9 +115,10 @@ def split_pair(
     f1 = u*v + u2*v2 and f2 = u*v2 + u2*v, each product a block of one
     factor times a block of the other (an integer product, see
     AlgebraElement.__mul__).  Checked: both halves square to themselves;
-    f1 * f2 = 0, computed as (f1*u)*v2 + (f1*u2)*v, the same product since
-    f2 = u*v2 + u2*v, so each step translates only over a block's support;
-    and f1 + f2 = e_H * e_K.
+    f1 * f2 = (u + u2)**2 * (v*v2) + (u*u2) * (v + v2)**2 = 0, exact in any
+    commutative ring of characteristic 2, where only u*u2 and v*v2 stay
+    within one factor and both cross products are integer products; and
+    f1 + f2 = e_H * e_K.
     """
     u, u2 = ub.element, ub.conjugate
     v, v2 = vb.element, vb.conjugate
@@ -125,7 +127,7 @@ def split_pair(
     zero = AlgebraElement.zero(e_h.group)
     if f1.frobenius() != f1 or f2.frobenius() != f2:
         raise ConsistencyError("split produced a non-idempotent element")
-    if (f1 * u) * v2 + (f1 * u2) * v != zero:
+    if (u + u2).frobenius() * (v * v2) + (u * u2) * (v + v2).frobenius() != zero:
         raise ConsistencyError("split halves are not orthogonal")
     if f1 + f2 != e_h * e_k:
         raise ConsistencyError("split halves do not sum to the product idempotent")

@@ -201,7 +201,7 @@ def doubling_orbit_leaders(n: int) -> tuple[array, bytes]:
     return leaders, bytes(sizes)
 
 
-def orbit_walk(quotient, k: int, z: int) -> tuple[int, int, dict[int, int]]:
+def orbit_walk(quotient, z: int) -> tuple[int, int, dict[int, int]]:
     """Minimum weight, a minimum word and the histogram of the quotient code of
     a field ideal, on n'-bit words, by the leader walk over K*/T.
 
@@ -216,7 +216,7 @@ def orbit_walk(quotient, k: int, z: int) -> tuple[int, int, dict[int, int]]:
     leader's weight n' times the orbit size.  A last jump reaches z**N, which
     must map to a rotation of e-bar.
     """
-    orbit, f, bar = quotient.order, quotient.check, quotient.word
+    orbit, f, bar, k = quotient.order, quotient.check, quotient.word, quotient.dimension
     powers = [(bar << i | bar >> (orbit - i)) & ((1 << orbit) - 1) for i in range(k)]
     width = -(-k // 3)
     mask, high = (1 << width) - 1, 2 * width
@@ -226,7 +226,7 @@ def orbit_walk(quotient, k: int, z: int) -> tuple[int, int, dict[int, int]]:
     best, best_word = orbit + 1, 0
     hist = [0] * (orbit + 1)
     x, at = 1, 0
-    for lead, size in zip(*doubling_orbit_leaders(((1 << k) - 1) // orbit)):
+    for lead, size in zip(*doubling_orbit_leaders(quotient.cosets)):
         gap, at = lead - at, lead
         while gap >> len(jumps):
             t0, t1, t2 = jumps[-1]

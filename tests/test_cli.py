@@ -57,6 +57,13 @@ IDEMPOTENT_EXPORTS = json.loads(
 LARGE_GROUP_STDOUT = json.loads(
     (Path(__file__).parent / "data" / "large_group_stdout_sha256.json").read_text()
 )
+# sha256 of the JSON stdout and the exit code of the two runs whose refusals
+# come from a scan: members that are not minimal ideals (3x5x13 under
+# overridden hypotheses) and a scan over the scan limit (9x25 at 2^64),
+# recorded before each ideal kept the refusal of its one scan
+REFUSAL_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "refusal_stdout_sha256.json").read_text()
+)
 
 
 class TestClosedStdout:
@@ -352,9 +359,9 @@ class TestMembersThatAreNotMinimal:
         refused = []
         original = codes._certify_field
 
-        def counted(quotient, k):
+        def counted(quotient):
             try:
-                return original(quotient, k)
+                return original(quotient)
             except codes.NotMinimalIdealError:
                 refused.append(quotient.word)
                 raise
@@ -363,6 +370,27 @@ class TestMembersThatAreNotMinimal:
         code, report, _ = self._run("weights", "distribution")
         assert code == EXIT_BUDGET
         assert len(refused) == len(self.SUMS)
+        for label in self.SUMS:
+            assert "not a minimal ideal" in report["weights"][label]["min_weight"]["notes"][0]
+            assert "not a minimal ideal" in report["distributions"][label]["reason"]
+
+    def test_each_label_is_scanned_once_across_the_analysis_and_the_verification(
+        self, monkeypatch
+    ):
+        # each sum's refusal is kept by its ideal record: the --verify pass raises
+        # it again without a second scan, so 14 scans where there were 20
+        scanned = []
+        original = codes.scan_codewords
+
+        def counted(rows, *, e):
+            scanned.append(e)
+            return original(rows, e=e)
+
+        monkeypatch.setattr(codes, "scan_codewords", counted)
+        code, report, _ = self._run("weights", "distribution", "verify")
+        assert code == EXIT_FALSIFIED
+        labels = report["group"]["labels"]
+        assert len(labels) == len(scanned) == len(set(scanned)) == 14
         for label in self.SUMS:
             assert "not a minimal ideal" in report["weights"][label]["min_weight"]["notes"][0]
             assert "not a minimal ideal" in report["distributions"][label]["reason"]
@@ -587,6 +615,13 @@ class TestWorkloadStdout:
     @pytest.mark.parametrize("spec", sorted(LARGE_GROUP_STDOUT))
     def test_large_group_json_stdout_is_unchanged(self, spec, capsys):
         pinned = LARGE_GROUP_STDOUT[spec]
+        assert main(pinned["argv"]) == pinned["exit"]
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == pinned["stdout_sha256"]
+
+    @pytest.mark.parametrize("spec", sorted(REFUSAL_STDOUT))
+    def test_refused_scans_leave_the_json_stdout_unchanged(self, spec, capsys):
+        pinned = REFUSAL_STDOUT[spec]
         assert main(pinned["argv"]) == pinned["exit"]
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == pinned["stdout_sha256"]

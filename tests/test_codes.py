@@ -350,6 +350,65 @@ class TestNotAMinimalIdeal:
         assert certificates == []
 
 
+class TestKeptRefusals:
+    """Each ideal is scanned or refused once until clear_caches: its record
+    keeps the refusal and raises it again on every later read."""
+
+    def test_a_not_minimal_refusal_is_raised_again_without_a_second_scan(
+        self, fam15, monkeypatch
+    ):
+        e = fam15.elements["e3"] + fam15.elements["e4"]
+        codes.clear_caches()
+        scans = _count_calls(monkeypatch, codes, "scan_codewords")
+        raised = []
+        for enumerate_ in (weight_distribution, minimum_weight, weight_distribution):
+            with pytest.raises(NotMinimalIdealError, match="not a minimal ideal") as exc:
+                enumerate_(e, budget=1 << 10)
+            raised.append(exc.value)
+        ideal = codes._checked_ideal(e)
+        assert len(scans) == 1 and "scan" not in vars(ideal)
+        assert all(exc is ideal.refusal for exc in raised)
+
+    def test_a_scan_limit_refusal_is_kept_and_carries_n(self, monkeypatch):
+        e = family_prime_power(3, 2, 5, 2).elements["I22*"]
+        codes.clear_caches()
+        quotient = codes._checked_ideal(e).quotient
+        scans = _count_calls(monkeypatch, codes, "scan_codewords")
+        raised = []
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError, match="over the scan limit") as exc:
+                weight_distribution(e, budget=1 << 64)
+            raised.append(exc.value)
+        result = minimum_weight(e, budget=1 << 64)
+        assert len(scans) == 1 and raised[0] is raised[1] is codes._checked_ideal(e).refusal
+        assert result.notes[0] == f"enumeration refused: {raised[0]}" and not result.exact
+        n = quotient.cosets
+        assert raised[0].entries == n == ((1 << 60) - 1) // quotient.order > codes.MAX_SCAN_ENTRIES
+        # the budget refuses before any scan, and its refusal carries no entries
+        with pytest.raises(BudgetExceededError, match="exceeds the budget") as exc:
+            weight_distribution(e, budget=1 << 20)
+        assert (exc.value.entries, exc.value.required_budget) == (0, 1 << 60)
+        assert len(scans) == 1
+
+    def test_clear_caches_forgets_a_refusal(self, fam15, monkeypatch):
+        # e3 + e4 on 15 spans 17 cosets: over a scan limit of 10, not of 100
+        e = fam15.elements["e3"] + fam15.elements["e4"]
+        codes.clear_caches()
+        scans = _count_calls(monkeypatch, codes, "scan_codewords")
+        monkeypatch.setattr(codes, "MAX_SCAN_ENTRIES", 10)
+        with pytest.raises(BudgetExceededError, match="needs 17 entries"):
+            weight_distribution(e, budget=1 << 10)
+        monkeypatch.setattr(codes, "MAX_SCAN_ENTRIES", 100)
+        with pytest.raises(BudgetExceededError, match="needs 17 entries"):
+            weight_distribution(e, budget=1 << 10)
+        assert len(scans) == 1
+        codes.clear_caches()
+        with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
+            weight_distribution(e, budget=1 << 10)
+        assert len(scans) == 2
+        assert isinstance(codes._checked_ideal(e).refusal, NotMinimalIdealError)
+
+
 ORACLE_FAMILIES = {
     "15": lambda: family_pq(3, 5),
     "33": lambda: family_pq(3, 11),  # "3x11" names the same family
@@ -442,7 +501,9 @@ class TestOrbitWalk:
         for enumerate_ in (minimum_weight, weight_distribution):
             with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
                 enumerate_(e, budget=1 << 20)
-        assert folds == [] and "scan" not in vars(codes._checked_ideal(e))
+        ideal = codes._checked_ideal(e)
+        assert folds == [] and "scan" not in vars(ideal)
+        assert isinstance(ideal.refusal, NotMinimalIdealError)
         # the oracle still walks the sum: its lightest word has weight 4
         best, word, _ = gray_scan_codewords(rows, ncols=fam.group.order)
         witness = AlgebraElement(fam.group, word)
@@ -463,7 +524,9 @@ class TestOrbitWalk:
         for enumerate_ in (minimum_weight, weight_distribution):
             with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
                 enumerate_(e, budget=1 << 20)
-        assert [args for args, _ in certificates] == [(quotient.check,)] * 2
+        # the ideal keeps the refusal of its one scan: one Rabin test for both reads
+        assert [args for args, _ in certificates] == [(quotient.check,)]
+        assert isinstance(codes._checked_ideal(e).refusal, NotMinimalIdealError)
 
     def test_cold_runs_give_the_same_witness(self):
         fam = family_three_primes(3, 5, 11)
@@ -518,7 +581,7 @@ class TestLeaderWalk:
         e, k = fam.elements[label], fam.predicted_dims[label]
         quotient = codes._checked_ideal(e).quotient
         f = quotient.check
-        z, _, square = codes._orbit_multiplier(quotient, k)
+        z, _, square = codes._orbit_multiplier(quotient)
         assert (f, z) == POWMOD_GENERATORS[spec, label]
         width = -(-k // 3)
         assert square == codes._split_tables(codes._shift_images(1, f, 2 * k)[::2], width)
@@ -626,6 +689,18 @@ class TestQuotientRecord:
             _assert_gamma_basis(e, (i, j))
             assert verify_primitivity(e)["idempotents_found"] == 4, (i, j)
         assert (outcomes.count(True), outcomes.count(False)) == (54, 37)
+
+    @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES))
+    def test_the_record_keeps_the_generator_and_the_squares(self, spec):
+        # g = gcd(e-bar, x**n' + 1) and g * h = x**n' + 1; N and x**(2i) mod h
+        for label, e in RANK_FAMILIES[spec]().elements.items():
+            quotient = codes._cyclic_quotient(e)
+            n, k, h, g = quotient.order, quotient.dimension, quotient.check, quotient.generator
+            modulus = 1 << n | 1
+            assert g == codes.poly_gcd(modulus, quotient.word), label
+            assert poly_mulmod(g, h, 1 << 2 * n + 1) == modulus, label
+            assert quotient.cosets == ((1 << k) - 1) // n, label
+            assert quotient.squares == [poly_powmod(2, 2 * i, h) for i in range(k)], label
 
     @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES))
     def test_gcd_dimension_matches_the_rank_of_the_translates(self, spec):
@@ -835,15 +910,15 @@ def _quotient_gray_scan(word, n, k):
     return gray_scan_codewords([_rotation(word, t, n) for t in range(k)], ncols=n)
 
 
-def _fold(quotient, k):
+def _fold(quotient):
     """The package's fold of the quotient code of a field ideal, on n'-bit words."""
-    return codes._coset_fold(quotient, k, *codes._orbit_multiplier(quotient, k))
+    return codes._coset_fold(quotient, *codes._orbit_multiplier(quotient))
 
 
-def _walk(quotient, k):
+def _walk(quotient):
     """The oracle leader walk of the same code, from the same z."""
-    z, _, _ = codes._orbit_multiplier(quotient, k)
-    return orbit_walk(quotient, k, z)
+    z, _, _ = codes._orbit_multiplier(quotient)
+    return orbit_walk(quotient, z)
 
 
 def _takes_the_fold(n, k):
@@ -890,11 +965,11 @@ class TestDualScan:
         codes.clear_caches()
         quotient = codes._checked_ideal(e).quotient
         n, k = quotient.order, quotient.dimension
-        dual = codes._dual_scan(quotient, k)
-        walk = _walk(quotient, k)
+        dual = codes._dual_scan(quotient)
+        walk = _walk(quotient)
         best, word, hist = dual
         assert (best, hist) == (walk[0], walk[2]), label
-        assert _fold(quotient, k) == walk, label
+        assert _fold(quotient) == walk, label
         gray_best, _, gray_hist = _quotient_gray_scan(quotient.word, n, k)
         assert (best, hist) == (gray_best, gray_hist), label
         _assert_generator_witness(quotient, dual, label)
@@ -922,13 +997,13 @@ class TestDualScan:
             if not _takes_the_dual_side(n, k):
                 continue
             picked += 1
-            dual = codes._dual_scan(quotient, k)
+            dual = codes._dual_scan(quotient)
             assert dual[2] == {w: math.comb(n, w) for w in range(2, n + 1, 2)}, (pair, label)
             _assert_generator_witness(quotient, dual, (pair, label))
-            fold = _fold(quotient, k)
+            fold = _fold(quotient)
             assert (dual[0], dual[2]) == (fold[0], fold[2]), (pair, label)
             if k <= 20:
-                assert _walk(quotient, k) == fold, (pair, label)
+                assert _walk(quotient) == fold, (pair, label)
         assert picked
 
     def test_the_transform_maps_the_simplex_code_to_the_hamming_code_and_back(self):
@@ -949,14 +1024,15 @@ class TestDualScan:
             codes._macwilliams(n, dual, k)
 
     def test_a_generator_heavier_than_the_minimum_falls_back_to_the_fold(self, monkeypatch):
-        # g * (x**3 + x + 1) = x**4 + x**3 + x**2 + 1 is a codeword of weight 4 > d = 2
+        # g * (x**3 + x + 1) = x**4 + x**3 + x**2 + 1 is a codeword of weight 4 > d = 2,
+        # put in the record in place of g
         e = family_pq(3, 11).elements["e1"]
         codes.clear_caches()
-        quotient = codes._checked_ideal(e).quotient  # built before the patch
-        original = codes._poly_quotient
-        monkeypatch.setattr(
-            codes, "_poly_quotient", lambda a, b: poly_mulmod(original(a, b), 0b1011, a)
-        )
+        ideal = codes._checked_ideal(e)
+        quotient = ideal.quotient
+        heavier = poly_mulmod(quotient.generator, 0b1011, 1 << quotient.order | 1)
+        assert heavier.bit_count() == 4 and quotient.generator.bit_count() == 2
+        monkeypatch.setattr(ideal, "quotient", quotient._replace(generator=heavier))
         duals = _returns(monkeypatch, codes, "_dual_scan")
         folds = _count_calls(monkeypatch, codes, "_coset_fold")
         certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
@@ -1023,8 +1099,8 @@ class TestCosetFold:
             n, k = quotient.order, quotient.dimension
             if not _takes_the_fold(n, k):
                 continue
-            fold = _fold(quotient, k)
-            assert fold == _walk(quotient, k), label
+            fold = _fold(quotient)
+            assert fold == _walk(quotient), label
             if k <= 12:
                 gray_best, _, gray_hist = _quotient_gray_scan(quotient.word, n, k)
                 assert (fold[0], fold[2]) == (gray_best, gray_hist), label
@@ -1039,8 +1115,8 @@ class TestCosetFold:
             quotient = codes._checked_ideal(e).quotient
             n, k = quotient.order, quotient.dimension
             if _takes_the_fold(n, k) and k <= 20:
-                fold = _fold(quotient, k)
-                assert fold == _walk(quotient, k), (pair, label)
+                fold = _fold(quotient)
+                assert fold == _walk(quotient), (pair, label)
                 if k <= 12:
                     gray_best, _, gray_hist = _quotient_gray_scan(quotient.word, n, k)
                     assert (fold[0], fold[2]) == (gray_best, gray_hist), (pair, label)
@@ -1054,11 +1130,10 @@ class TestCosetFold:
             label = {"33": "e3", "3x5x11": "e8"}[spec]
             fam = ORACLE_FAMILIES[spec]()
             quotient = codes._checked_ideal(fam.elements[label]).quotient
-            k = quotient.dimension
-            whole = _fold(quotient, k)
+            whole = _fold(quotient)
             with monkeypatch.context() as patch:
                 patch.setattr(codes, "_FOLD_BLOCK", block)
-                assert _fold(quotient, k) == whole, label
+                assert _fold(quotient) == whole, label
 
     def test_a_wrong_tap_set_does_not_close(self, monkeypatch):
         # x = z + 1 read as x = z: window n' is window 0 shifted by n'
@@ -1143,7 +1218,7 @@ class TestCosetFold:
         quotient = codes._checked_ideal(e).quotient
         with monkeypatch.context() as patch:
             powers = _count_calls(patch, codes, "_table_power")
-            _fold(quotient, quotient.dimension)
+            _fold(quotient)
         last = len(powers) - 1
         original = codes._table_power
         calls = []
@@ -1170,8 +1245,8 @@ class TestCosetFold:
             total = (1 << k) - 1
             if total == n or total // n > codes.MAX_SCAN_ENTRIES:
                 continue
-            codes._certify_field(quotient, k)
-            z, coordinates, _ = codes._orbit_multiplier(quotient, k)
+            codes._certify_field(quotient)
+            z, coordinates, _ = codes._orbit_multiplier(quotient)
             assert z == MULTIPLIERS[n], label
             powers = [poly_powmod(z, b, quotient.check) for b in range(k)]
             for t, coords in enumerate(coordinates):
@@ -1194,7 +1269,7 @@ class TestCosetFold:
         assert poly_powmod(0b111, 16, h) == 0b111
         assert poly_powmod(0b111, 255 // 3, h) != 1
         assert codes._power_coordinates(0b111, h, k) is None
-        z, coordinates, _ = codes._orbit_multiplier(quotient, k)
+        z, coordinates, _ = codes._orbit_multiplier(quotient)
         assert z > 0b111 and poly_powmod(z, 16, h) != z
         for t, coords in enumerate(coordinates):
             spelled = 0

@@ -111,6 +111,29 @@ class TestSplitChecks:
         assert per_term_product(f1, f2) == self.zero
         assert f1 + f2 == per_term_product(e_h, e_k)
 
+    @pytest.mark.parametrize(
+        "orders, u_level, v_level", [([3, 5], None, None), ([9, 25], (3, 0), (0, 5))], ids=str
+    )
+    def test_each_term_of_the_orthogonality_check_alone_is_not_zero(
+        self, orders, u_level, v_level
+    ):
+        # f1 * f2 = (u + u2)**2 * (v*v2) + (u*u2) * (v + v2)**2; on real blocks
+        # each term is the product of the two component unities, so a check
+        # that kept one term alone would refuse every split
+        group = AbelianGroup(orders)
+        ub, vb = (
+            uv_block(group, base, p, level and Subgroup.from_generators(group, [level]))
+            for base, p, level in (((1, 0), 3, u_level), ((0, 1), 5, v_level))
+        )
+        u, u2, v, v2 = ub.element, ub.conjugate, vb.element, vb.conjugate
+        su, sv = u + u2, v + v2
+        first = per_term_product(per_term_product(su, su), per_term_product(v, v2))
+        second = per_term_product(per_term_product(u, u2), per_term_product(sv, sv))
+        unities = per_term_product(ub.unity, vb.unity)
+        assert first == second == unities != AlgebraElement.zero(group)
+        f1, f2 = split_pair(ub.unity, vb.unity, ub, vb)
+        assert first + second == per_term_product(f1, f2) == AlgebraElement.zero(group)
+
     def test_a_half_that_is_not_idempotent(self):
         ub = UVBlock(self.one, self.zero, self.one)
         vb = UVBlock(AlgebraElement.monomial(self.group, (0, 1)), self.zero, self.b)
