@@ -13,7 +13,6 @@ from .group_algebra import (
     Subgroup,
     as_cyclic,
     cyclic_exponent,
-    from_cyclic_exponents,
 )
 from .number_theory import (
     ConsistencyError,
@@ -21,8 +20,6 @@ from .number_theory import (
     PrimePair,
     ResiduePartition,
     crt_inverses,
-    crt_recombine,
-    crt_split,
     joint_order_2,
     minus_one_is_residue,
     multiplicative_order,
@@ -87,14 +84,11 @@ __all__ = [
     "NotMinimalIdealError",
     "as_cyclic",
     "cyclic_exponent",
-    "from_cyclic_exponents",
     "multiplicative_order",
     "joint_order_2",
     "validate_hypotheses",
     "residue_partition",
     "minus_one_is_residue",
-    "crt_split",
-    "crt_recombine",
     "crt_inverses",
     "cyclotomic_classes",
     "class_count",

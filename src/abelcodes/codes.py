@@ -17,8 +17,11 @@ or, when a scan is asked for, that is not a field, is not a minimal ideal,
 and a NotMinimalIdealError (a ValueError) refuses it; a sum of minimal
 ideals with a cyclic G/H keeps its basis, dimension and idempotent count.
 
-A minimal code is a field (ibid., ch. 8), scanned on n'-bit words once per
-n' and carried to the other codes of that length by multipliers x -> x**u
+A minimal code is the field K = F2[x]/h (ibid., ch. 8), and one count
+decides that: Berlekamp's c = k - rank(Q + I) on the record's squares
+(_idempotent_count), read by verify_primitivity and by the scan's field
+certificate (_certify_field).  A field code is scanned on n'-bit words once
+per n' and carried to the other codes of that length by multipliers x -> x**u
 (_carried_scan).  scan_codewords picks one of two exact scans: _dual_scan,
 by the MacWilliams identity over the words of a small dual code, or
 _coset_fold, bit-sliced over the N cosets of K*/T.  Only a family built
@@ -38,7 +41,6 @@ from .gf2 import (
     gf2_rank,
     independent_row_indices,
     poly_gcd,
-    poly_is_irreducible,
     poly_mulmod,
     poly_mulmod_cyclic,
 )
@@ -51,7 +53,7 @@ from .group_algebra import (
     gather_bits,
 )
 from .idempotents import IdempotentFamily, _check
-from .number_theory import PrimePair, crt_inverses, factorize, multiplicative_order
+from .number_theory import PrimePair, crt_inverses, factorize
 
 DEFAULT_BUDGET = 1 << 24
 MIN_BUDGET = 1 << 10
@@ -301,19 +303,17 @@ def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> d
     """Count the idempotents of the ideal F2[G]e; e is primitive when there are two.
 
     The ideal is ring-isomorphic to K = F2[x]/h, h the check polynomial of
-    its quotient record (|H| is odd, as hat(H)**2 = |H| * hat(H)), and the
-    idempotents of K are the kernel of the F2-linear y -> y**2 + y.  With Q
-    the k x k matrix whose row i is x**(2i) mod h, it has dimension
-    c = k - rank(Q + I) (Berlekamp, Bell Syst. Tech. J. 46, 1967), so the
-    ideal holds 2**c idempotents: 0 and e exactly when c == 1.  The cost is
-    one rank of k rows of k bits.  An element whose G/H is not cyclic is not
-    a minimal ideal and raises NotMinimalIdealError.
+    its quotient record (|H| is odd, as hat(H)**2 = |H| * hat(H)), so it
+    holds 2**c idempotents, c = _idempotent_count(quotient): 0 and e
+    exactly when c == 1.  The cost is one rank of k rows of k bits.  An
+    element whose G/H is not cyclic is not a minimal ideal and raises
+    NotMinimalIdealError.
     """
     if e.frobenius() != e:
         raise ValueError("element is not idempotent")
     quotient = _checked_ideal(e).quotient
     k = quotient.dimension
-    fixed = k - gf2_rank([y ^ 1 << i for i, y in enumerate(quotient.squares)])
+    fixed = _idempotent_count(quotient)
     return {
         "dimension": k,
         "predicted_dimension": predicted_dim,
@@ -323,23 +323,41 @@ def verify_primitivity(e: AlgebraElement, predicted_dim: int | None = None) -> d
     }
 
 
+def _idempotent_count(quotient: _Quotient) -> int:
+    """c, for the 2**c idempotents of K = F2[x]/h: the package's one test
+    of whether K is a field.
+
+    The idempotents of K are the kernel of the F2-linear y -> y**2 + y.
+    With Q the k x k matrix whose row i is x**(2i) mod h (the record's
+    squares), it has dimension c = k - rank(Q + I) (Berlekamp, Bell Syst.
+    Tech. J. 46, 1967).
+    """
+    k = quotient.dimension
+    return k - gf2_rank([y ^ 1 << i for i, y in enumerate(quotient.squares)])
+
+
 def _certify_field(quotient: _Quotient) -> None:
-    """Certify the ideal as the field K = F2[x]/h; an ideal that is not a
-    field is not a minimal ideal and raises NotMinimalIdealError.
+    """Certify the ideal as the field K = F2[x]/h: |G| is odd and
+    _idempotent_count(quotient) == 1.  An ideal that is not a field is not
+    a minimal ideal and raises NotMinimalIdealError.
 
     x -> x * e-bar maps F2[x]/h onto the quotient code of e, so the ideal is
-    a field exactly when h is irreducible (Rabin test).  The Rabin test runs
-    only when |G| is odd, n' > 1 and k == ord_n'(2), so that n' divides
-    2**k - 1, as for every field ideal (it is F2[T], T the n' rotations of
-    e-bar).
+    a field exactly when K is.  |G| odd makes n' odd, so x**n' + 1 is
+    squarefree, and so is its factor h; K is then the product of the c
+    fields F2[x]/f over the irreducible factors f of h, and a field exactly
+    when c == 1.  (The odd |G| is needed: F2[C2] * 1 has h = (x + 1)**2 and
+    c == 1, and is not a field.)
+
+    Nothing else needs testing.  _cyclic_quotient makes the stabilizer of
+    e-bar among its n' rotations trivial.  A root of an irreducible h of
+    order d gives h | x**d + 1, so the rotation by d fixes e-bar, and
+    d == n': then k = deg h = ord_n'(2), and N = (2**k - 1)/n' is exact.
+    So neither a test of k == ord_n'(2) nor one of n' >= 2 could refuse a
+    code that c == 1 passes, but for n' == 1, k == 1, the repetition code,
+    which scan_codewords answers by its 2**k - 1 == n' shortcut before any
+    certificate.  e == 0 has k == 0 and c == 0, and is refused.
     """
-    orbit = quotient.order
-    if (
-        not quotient.group.is_odd
-        or orbit < 2
-        or multiplicative_order(2, orbit) != quotient.dimension
-        or not poly_is_irreducible(quotient.check)
-    ):
+    if not quotient.group.is_odd or _idempotent_count(quotient) != 1:
         raise NotMinimalIdealError("F2[G]e is not a field, so it is not a minimal ideal")
 
 
@@ -672,11 +690,11 @@ def scan_codewords(rows: Sequence[int], *, e: AlgebraElement) -> tuple[int, int,
     n'-bit words, and its minimum word is lifted to G, one coset of H per
     set bit.  When 2**k - 1 == n' the translates of e are all the nonzero
     words.  A code whose n' has a kept scan takes it (_carried_scan).  Any
-    other is certified a field once (_certify_field) and takes the cheaper
-    of two exact scans, which is then kept for its n': with m = n' - k,
-    _dual_scan when 2**m <= N // k, at most one dual word for every k
-    cosets the fold would count, and taken only when g is a minimum word;
-    otherwise _coset_fold.
+    other is certified a field once, by its idempotent count (_certify_field),
+    and takes the cheaper of two exact scans, which is then kept for its n':
+    with m = n' - k, _dual_scan when 2**m <= N // k, at most one dual word
+    for every k cosets the fold would count, and taken only when g is a
+    minimum word; otherwise _coset_fold.
 
     An ideal that _certify_field cannot certify as a field (a sum of minimal
     ideals, the zero ideal, an ideal of an even group) is not a minimal ideal

@@ -69,17 +69,6 @@ def class_sum(group: AbelianGroup, x: GroupElement) -> AlgebraElement:
     return AlgebraElement(group, bits)
 
 
-def classes_json(group: AbelianGroup) -> list[dict]:
-    return [
-        {
-            "representative_exponents": list(c.representative),
-            "size": c.size,
-            "members_as_ranks": list(c.member_ranks),
-        }
-        for c in cyclotomic_classes(group)
-    ]
-
-
 class ClassStructureReport(NamedTuple):
     """Comparison of the computed orbits of C_p x C_q with their residue description."""
 
@@ -152,6 +141,5 @@ __all__ = [
     "cyclotomic_classes",
     "class_count",
     "class_sum",
-    "classes_json",
     "verify_class_structure",
 ]

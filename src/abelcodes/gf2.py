@@ -1,14 +1,14 @@
 """GF(2) bitset helpers: bit iteration, rank, and GF(2)[x].
 
 Rows and vectors are plain Python ints used as bitsets; XOR is addition.  A
-polynomial over GF(2) is an int too: bit i is the coefficient of x**i.
+polynomial over GF(2) is an int too: bit i is the coefficient of x**i.  The
+module imports nothing from the package.  It has no irreducibility test:
+codes decides whether F2[x]/h is a field by counting its idempotents.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
-
-from .number_theory import factorize
 
 
 def bit_indices(bits: int) -> Iterator[int]:
@@ -85,24 +85,6 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def poly_is_irreducible(f: int) -> bool:
-    """Rabin's test: f of degree k >= 1 is irreducible over GF(2) iff
-    x**(2**k) == x (mod f) and gcd(x**(2**(k/r)) - x, f) == 1 for every prime r | k.
-    """
-    k = f.bit_length() - 1
-    x = poly_mod(0b10, f)
-
-    def frobenius_power(m: int) -> int:  # x**(2**m) mod f
-        y = x
-        for _ in range(m):
-            y = poly_mulmod(y, y, f)
-        return y
-
-    if frobenius_power(k) != x:
-        return False
-    return all(poly_gcd(f, frobenius_power(k // r) ^ x) == 1 for r in factorize(k))
-
-
 __all__ = [
     "bit_indices",
     "gf2_rank",
@@ -111,5 +93,4 @@ __all__ = [
     "poly_mulmod",
     "poly_mulmod_cyclic",
     "poly_gcd",
-    "poly_is_irreducible",
 ]

@@ -505,13 +505,6 @@ def as_cyclic(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(AbelianGroup([group.order]), gather_bits(x.bits, group.order, powers))
 
 
-def from_cyclic_exponents(group: AbelianGroup, exponents: Iterable[int]) -> AlgebraElement:
-    """Build an element of a coprime-factor group from single-generator exponents."""
-    orders = group.factor_orders
-    terms = [tuple(k % n for n in orders) for k in exponents]
-    return AlgebraElement.from_terms(group, terms)
-
-
 __all__ = [
     "GroupElement",
     "AbelianGroup",
@@ -520,5 +513,4 @@ __all__ = [
     "gather_bits",
     "cyclic_exponent",
     "as_cyclic",
-    "from_cyclic_exponents",
 ]

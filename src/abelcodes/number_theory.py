@@ -239,21 +239,6 @@ def minus_one_is_residue(p: int) -> bool:
     return brute
 
 
-def crt_split(i: int, p: int, q: int) -> tuple[int, int]:
-    """Exponent i in [0, pq) as the pair (i mod p, i mod q)."""
-    if not 0 <= i < p * q:
-        raise ValueError(f"exponent {i} is not in [0, {p * q})")
-    return i % p, i % q
-
-
-def crt_recombine(i1: int, i2: int, p: int, q: int) -> int:
-    """The unique exponent in [0, pq) that is i1 mod p and i2 mod q."""
-    if math.gcd(p, q) != 1:
-        raise ValueError("moduli must be coprime")
-    inv = pow(p, -1, q)
-    return (i1 + p * ((i2 - i1) * inv % q)) % (p * q)
-
-
 def crt_inverses(p: int, q: int) -> tuple[int, int]:
     """Smallest positive s, t with s*q == 1 (mod p) and t*p == 1 (mod q)."""
     if math.gcd(p, q) != 1:
@@ -275,7 +260,5 @@ __all__ = [
     "validate_hypotheses",
     "residue_partition",
     "minus_one_is_residue",
-    "crt_split",
-    "crt_recombine",
     "crt_inverses",
 ]

@@ -10,9 +10,10 @@ from array import array
 from typing import Sequence
 
 from abelcodes import codes
-from abelcodes.gf2 import bit_indices, gf2_rank, poly_mod, poly_mulmod
+from abelcodes.gf2 import bit_indices, gf2_rank, poly_gcd, poly_mod, poly_mulmod
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup
 from abelcodes.idempotents import IdempotentFamily
+from abelcodes.number_theory import factorize
 
 
 def replace_elements(
@@ -153,6 +154,25 @@ def poly_powmod(a: int, exp: int, f: int) -> int:
         if exp:
             a = poly_mulmod(a, a, f)
     return out
+
+
+def rabin_is_irreducible(f: int) -> bool:
+    """Rabin's test: f of degree k >= 1 is irreducible over GF(2) iff
+    x**(2**k) == x (mod f) and gcd(x**(2**(k/r)) - x, f) == 1 for every
+    prime r | k.  The reference for codes._idempotent_count == 1 on a
+    squarefree f."""
+    k = f.bit_length() - 1
+    x = poly_mod(0b10, f)
+
+    def frobenius_power(m: int) -> int:  # x**(2**m) mod f
+        y = x
+        for _ in range(m):
+            y = poly_mulmod(y, y, f)
+        return y
+
+    if frobenius_power(k) != x:
+        return False
+    return all(poly_gcd(f, frobenius_power(k // r) ^ x) == 1 for r in factorize(k))
 
 
 def doubling_orbit_sizes(n: int) -> bytes:

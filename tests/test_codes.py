@@ -51,6 +51,7 @@ from oracles import (
     per_term_product,
     poly_powmod,
     quotient_is_cyclic,
+    rabin_is_irreducible,
     replace_elements,
     stabilizer,
 )
@@ -253,7 +254,7 @@ class TestWeightDistribution:
         codes.clear_caches()
         rows = [x.bits for x in ideal_basis(e)]
         monkeypatch.setattr(codes, "MAX_SCAN_ENTRIES", limit)
-        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
+        certificates = _count_calls(monkeypatch, codes, "_idempotent_count")
         if limit < 17:
             with pytest.raises(BudgetExceededError, match="needs 17 entries"):
                 scan_codewords(rows, e=e)
@@ -340,11 +341,11 @@ class TestNotAMinimalIdeal:
         with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
             minimum_weight(one, budget=1 << 10)
 
-    def test_an_over_budget_sum_gets_bounds_without_a_rabin_test(self, monkeypatch):
+    def test_an_over_budget_sum_gets_bounds_without_a_field_test(self, monkeypatch):
         fam = family_pq(11, 13)
         e = fam.elements["e3"] + fam.elements["e4"]
         codes.clear_caches()
-        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
+        certificates = _count_calls(monkeypatch, codes, "_idempotent_count")
         result = minimum_weight(e, budget=1 << 20)
         assert (result.lower, result.upper, result.exact) == (2, 120, False)
         assert certificates == []
@@ -477,15 +478,16 @@ class TestOrbitWalk:
 
     @pytest.mark.parametrize("label", ["e8", "e9"])
     def test_one_field_certificate_per_code(self, label, monkeypatch):
-        # one irreducibility test, of the check polynomial h of the quotient record,
+        # one idempotent count, on the quotient record of check polynomial h,
         # and one table set, of y -> y**2 in F2[x]/h
         e = family_three_primes(3, 5, 11).elements[label]
         codes.clear_caches()
-        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
+        certificates = _count_calls(monkeypatch, codes, "_idempotent_count")
         tables = _count_calls(monkeypatch, codes, "_split_tables")
         assert minimum_weight(e, budget=1 << 20).value == 48
-        h = codes._checked_ideal(e).quotient.check
-        assert [args for args, _ in certificates] == [(h,)]
+        quotient = codes._checked_ideal(e).quotient
+        h = quotient.check
+        assert [args for args, _ in certificates] == [(quotient,)]
         assert [args for args, _ in tables] == [(codes._shift_images(1, h, 40)[::2], 7)]
 
     @pytest.mark.parametrize("fixture", ["fam15", "fam33"])
@@ -509,7 +511,7 @@ class TestOrbitWalk:
         witness = AlgebraElement(fam.group, word)
         assert best == witness.weight == 4 and witness * e == witness
 
-    def test_a_sum_that_passes_the_order_test_is_refused_by_the_rabin_test(
+    def test_a_sum_with_k_equal_to_the_order_of_2_is_refused_by_the_idempotent_count(
         self, fam45, monkeypatch
     ):
         # I20 + I01 + I10 on 45 has n' = 45 and k = 6 + 4 + 2 = 12 = ord_45(2), like a
@@ -520,12 +522,12 @@ class TestOrbitWalk:
         assert (quotient.order, quotient.dimension) == (45, 12)
         assert multiplicative_order(2, 45) == 12
         assert verify_primitivity(e)["idempotents_found"] == 8
-        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
+        certificates = _count_calls(monkeypatch, codes, "_idempotent_count")
         for enumerate_ in (minimum_weight, weight_distribution):
             with pytest.raises(NotMinimalIdealError, match="not a minimal ideal"):
                 enumerate_(e, budget=1 << 20)
-        # the ideal keeps the refusal of its one scan: one Rabin test for both reads
-        assert [args for args, _ in certificates] == [(quotient.check,)]
+        # the ideal keeps the refusal of its one scan: one count for both reads
+        assert [args for args, _ in certificates] == [(quotient,)]
         assert isinstance(codes._checked_ideal(e).refusal, NotMinimalIdealError)
 
     def test_cold_runs_give_the_same_witness(self):
@@ -807,6 +809,33 @@ class TestPrimitivityOracle:
         assert verify_primitivity(e3 + e4)["idempotents_found"] == 4
 
 
+class TestFieldCount:
+    """codes._idempotent_count, the package's one test of whether F2[x]/h is
+    a field, against Rabin's test of h (oracles.rabin_is_irreducible)."""
+
+    @pytest.mark.parametrize("spec", sorted(RANK_FAMILIES))
+    def test_the_count_matches_rabin_on_members_and_pairwise_sums(self, spec):
+        fam = RANK_FAMILIES[spec]()
+        members = [fam.elements[label] for label in fam.labels]
+        sums = [a + b for a, b in itertools.combinations(members, 2)]
+        fields, records = 0, 0
+        for e in members + sums:
+            try:
+                quotient = codes._cyclic_quotient(e)
+            except NotMinimalIdealError:
+                continue
+            records += 1
+            n, k = quotient.order, quotient.dimension
+            field = codes._idempotent_count(quotient) == 1
+            assert field == rabin_is_irreducible(quotient.check), (n, k, bin(quotient.word))
+            if field and n > 1:
+                # c == 1 gives k == ord_n'(2), so N = (2**k - 1)/n' is exact
+                assert multiplicative_order(2, n) == k, (n, k)
+                assert quotient.cosets * n == (1 << k) - 1, (n, k)
+            fields += field
+        assert fields == len(members) and records > len(members)
+
+
 def _folds_and_scans(fam, labels):
     folds = []
     original = codes._coset_fold
@@ -1035,11 +1064,11 @@ class TestDualScan:
         monkeypatch.setattr(ideal, "quotient", quotient._replace(generator=heavier))
         duals = _returns(monkeypatch, codes, "_dual_scan")
         folds = _count_calls(monkeypatch, codes, "_coset_fold")
-        certificates = _count_calls(monkeypatch, codes, "poly_is_irreducible")
+        certificates = _count_calls(monkeypatch, codes, "_idempotent_count")
         result = minimum_weight(e, budget=1 << 20)
         assert (quotient.order, duals, len(folds)) == (11, [None], 1)
-        # one Rabin test covers both sides
-        assert [args for args, _ in certificates] == [(quotient.check,)]
+        # one idempotent count covers both sides
+        assert [args for args, _ in certificates] == [(quotient._replace(generator=heavier),)]
         assert result.exact and result.value == result.witness.weight == 6
         assert result.notes == ("enumerated all 2**10 - 1 nonzero codewords",)
 

@@ -5,7 +5,6 @@ import pytest
 from abelcodes.cyclotomic import (
     class_count,
     class_sum,
-    classes_json,
     cyclotomic_classes,
     verify_class_structure,
 )
@@ -52,15 +51,6 @@ class TestClasses:
     def test_even_order_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             cyclotomic_classes(AbelianGroup([6]))
-
-    def test_json_report(self):
-        report = classes_json(AbelianGroup([15]))
-        assert report[0] == {
-            "representative_exponents": [0],
-            "size": 1,
-            "members_as_ranks": [0],
-        }
-        assert sum(item["size"] for item in report) == 15
 
 
 class TestClassSum:

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,40 @@ def test_every_private_helper_is_used_outside_its_definition():
             ):
                 orphans.append(f"{filename}:{node.name}")
     assert orphans == []
+
+
+ROOT = SRC.parent.parent
+# public functions kept with no caller in the package or the demos and no
+# mention in the README
+UNCALLED = {
+    # criterion 9 asserts the paper's identity ord_pq(2) = (p - 1)(q - 1)/2 through it
+    "joint_order_2",
+    # the paper's lemma that -1 is a square mod p exactly when p = 1 (mod 4),
+    # the case split of the u/v blocks, checked against the residue partition
+    "minus_one_is_residue",
+}
+
+
+def test_every_public_function_has_a_caller():
+    # a reference in the package or the demos outside the function's own body,
+    # imports and __all__ entries aside, or a mention in the README, which
+    # documents the library
+    demos = [ast.parse(path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    uncalled = []
+    for tree in SOURCES.values():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            inside = {id(sub) for sub in ast.walk(node)}
+            called = any(
+                name == node.name and id(sub) not in inside and not isinstance(sub, ast.alias)
+                for other in [*SOURCES.values(), *demos]
+                for sub, name in _names(other)
+            )
+            if not called and not re.search(rf"\b{node.name}\b", readme):
+                uncalled.append(node.name)
+    assert sorted(uncalled) == sorted(UNCALLED)
 
 
 def test_clear_caches_leaves_no_module_cache_holding_entries():

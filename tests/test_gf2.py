@@ -3,15 +3,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from abelcodes import codes
 from abelcodes.gf2 import (
     gf2_rank,
     poly_gcd,
-    poly_is_irreducible,
     poly_mod,
     poly_mulmod,
     poly_mulmod_cyclic,
 )
-from oracles import berlekamp_massey, poly_powmod
+from oracles import berlekamp_massey, poly_powmod, rabin_is_irreducible
 
 
 def clmul(a, b):
@@ -40,6 +40,17 @@ def has_no_factor(f):
     return all(poly_mod(f, d) for d in range(2, 1 << (deg // 2 + 1)))
 
 
+def is_squarefree(f):
+    """gcd(f, f') == 1; f' keeps the odd-degree terms, shifted down by one."""
+    return poly_gcd(f, f >> 1 & 0x5555555555555555) == 1
+
+
+def idempotent_count(f):
+    """codes._idempotent_count on a record whose check polynomial is f, the
+    one field the count reads."""
+    return codes._idempotent_count(codes._Quotient(None, None, (), 0, 0, 0, f))
+
+
 class TestBerlekampMassey:
     def test_least_degree_annihilator_of_random_sequences(self):
         rng = random.Random(3)
@@ -66,7 +77,19 @@ class TestPolynomials:
     @pytest.mark.parametrize("deg", range(1, 11))
     def test_irreducibility_matches_trial_division(self, deg):
         for f in range(1 << deg, 1 << (deg + 1)):
-            assert poly_is_irreducible(f) == has_no_factor(f), bin(f)
+            assert rabin_is_irreducible(f) == has_no_factor(f), bin(f)
+
+    @pytest.mark.parametrize("deg", range(1, 11))
+    def test_the_count_is_one_exactly_on_irreducible_squarefree_f(self, deg):
+        # F2[x]/f is a product of c fields for squarefree f, so a field iff c == 1
+        squarefree = [f for f in range(1 << deg, 1 << (deg + 1)) if is_squarefree(f)]
+        assert len(squarefree) == (1 << deg) - (1 << deg - 1 if deg > 1 else 0)
+        for f in squarefree:
+            assert (idempotent_count(f) == 1) == has_no_factor(f), bin(f)
+
+    def test_a_square_factor_is_what_the_count_cannot_see(self):
+        # (x + 1)**2: F2[x]/f is local, so c == 1, yet f is reducible
+        assert idempotent_count(0b101) == 1 and not has_no_factor(0b101)
 
     def test_powmod_and_gcd_match_schoolbook_products(self):
         rng = random.Random(5)

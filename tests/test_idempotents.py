@@ -148,6 +148,25 @@ class TestSplitChecks:
         with pytest.raises(ConsistencyError, match="split halves are not orthogonal"):
             split_pair(self.one, self.one, ub, vb)
 
+    def test_halves_that_pass_a_check_reading_the_unities_are_not_orthogonal(self):
+        # U = 1 + hat(a), V = 1 + hat(b): both halves are idempotent and sum to U*V,
+        # and a check that read ub.unity for u*u2 and vb.unity for v*v2 would give
+        # U*V + U*V = 0, yet f1 * f2 = U * hat(b) != 0
+        big_u, big_v = self.one + self.a, self.one + self.b
+        ub = UVBlock(big_u, self.zero, big_u)
+        vb = UVBlock(self.b, self.one, big_v)
+        f1, f2 = per_term_product(big_u, self.b), big_u
+        assert f1 + f2 == per_term_product(big_u, big_v)
+        assert per_term_product(f1, f1) == f1 and per_term_product(f2, f2) == f2
+        assert per_term_product(f1, f2) != self.zero
+        su, sv = ub.element + ub.conjugate, vb.element + vb.conjugate
+        read_unities = per_term_product(per_term_product(su, su), vb.unity) + per_term_product(
+            ub.unity, per_term_product(sv, sv)
+        )
+        assert read_unities == self.zero
+        with pytest.raises(ConsistencyError, match="split halves are not orthogonal"):
+            split_pair(big_u, big_v, ub, vb)
+
     def test_halves_that_do_not_sum_to_the_product(self):
         ub, vb = uv_block(self.group, (1, 0), 3), uv_block(self.group, (0, 1), 5)
         with pytest.raises(ConsistencyError, match="do not sum to the product idempotent"):

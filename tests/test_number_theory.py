@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from abelcodes.number_theory import (
     HypothesisError,
     crt_inverses,
-    crt_recombine,
-    crt_split,
     hypothesis_failures,
     is_odd_prime,
     is_prime,
@@ -171,21 +169,7 @@ class TestMinusOne:
 
 
 class TestCrt:
-    def test_split_examples(self):
-        assert crt_split(7, 3, 5) == (1, 2)
-        assert crt_split(0, 3, 5) == (0, 0)
-
-    def test_recombine_example(self):
-        assert crt_recombine(1, 0, 3, 5) == 10
-
     def test_inverses(self):
         assert crt_inverses(3, 5) == (2, 2)
         assert crt_inverses(3, 11) == (2, 4)
         assert crt_inverses(5, 11) == (1, 9)  # 11 = 1 mod 5 forces s = 1
-
-    @given(st.sampled_from([(3, 5), (3, 11), (5, 3), (11, 13)]), st.data())
-    def test_split_recombine_roundtrip(self, pq, data):
-        p, q = pq
-        i = data.draw(st.integers(0, p * q - 1))
-        i1, i2 = crt_split(i, p, q)
-        assert crt_recombine(i1, i2, p, q) == i
