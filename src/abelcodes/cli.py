@@ -5,17 +5,23 @@ Exit codes: 0 ok, 1 usage, 2 hypothesis failure, 3 refused distribution
 ideal), 4 falsified invariant.  A run builds one JSON report; the text view
 and the exit code are pure functions of it.  JSON output is byte-identical for
 a fixed config regardless of the thread count.
+
+The command line is read by `_parse_argv` off one table, `_OPTIONS`, which
+also renders the usage line and `--help`.  It accepts and refuses what the
+argparse parser it replaced did (`tests/oracles.argparse_reference`): long
+flags by unique prefix (`--dist`), a value as `-g X`, `-gX`, `-g=X`,
+`--group X` or `--group=X`, `--` to end the options, and a value that starts
+with "-" only if it reads as a negative number.  Building that parser, with
+its gettext and locale lookups, took about 2 ms of each cold `main` call.
 """
 
-from __future__ import annotations
-
-import argparse
 import contextlib
 import json
 import math
 import os
+import re
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import codes
 from .codes import DEFAULT_BUDGET, MIN_BUDGET, FalsificationError
@@ -45,12 +51,6 @@ MAX_THREADS = 64  # --threads is validated and kept for compatibility; enumerati
 
 class UsageError(ValueError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 class GroupShape(NamedTuple):
@@ -413,86 +413,195 @@ def _usage_failure(exc: ValueError, created: str | None) -> int:
     return EXIT_USAGE
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _Parser(
-        prog="analyze",
-        description=(
-            "Construct the primitive idempotents of a binary abelian group "
-            "algebra and analyze the minimal codes they generate."
-        ),
-    )
-    parser.add_argument(
-        "group",
-        nargs="?",
-        help=(
-            f"group spec, e.g. 15, 3x11, 9x25, 3x5x11 (order at most {MAX_GROUP_ORDER}, "
-            "the largest order whose --dims run was measured)"
-        ),
-    )
-    parser.add_argument("-g", "--group", dest="group_flag", help="group spec (flag form)")
-    parser.add_argument("--idempotents", action="store_true", help="export the idempotents")
-    parser.add_argument("--dims", action="store_true", help="computed vs predicted dimensions")
-    parser.add_argument("--weights", action="store_true", help="minimum weights vs theory")
-    parser.add_argument(
-        "--distribution", action="store_true", help="full weight distributions within budget"
-    )
-    parser.add_argument(
-        "--verify", action="store_true", help="run the full invariant suite"
-    )
-    parser.add_argument("--export", metavar="PATH", help="write the JSON report to a file")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="stdout format"
-    )
-    parser.add_argument(
-        "--budget",
-        default=str(DEFAULT_BUDGET),
-        help="enumeration budget as a codeword count, e.g. 2^20 (min 2^10, max 2^64)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"accepted and ignored, as enumeration is single-threaded; 1 to {MAX_THREADS}",
-    )
-    parser.add_argument(
-        "--allow-unverified-hypotheses",
-        action="store_true",
-        help="explore groups that fail the standing conditions (marked in output)",
-    )
-    args = parser.parse_args(argv)
+# Every argument `analyze` takes: (flags, destination, kind, default, metavar,
+# help).  The entry without flags is the positional group spec.  A "flag" is
+# set to True, a "value" keeps its text, an "int" goes through int(), and a
+# tuple of strings is a choice among them.
+_OPTIONS = (
+    ((), "group", "value", None, "group",
+     f"group spec, e.g. 15, 3x11, 9x25, 3x5x11 (order at most {MAX_GROUP_ORDER}, "
+     "the largest order whose --dims run was measured)"),
+    (("-h", "--help"), "help", "flag", False, None, "show this help and exit"),
+    (("-g", "--group"), "group_flag", "value", None, "SPEC", "group spec (flag form)"),
+    (("--idempotents",), "idempotents", "flag", False, None, "export the idempotents"),
+    (("--dims",), "dims", "flag", False, None, "computed vs predicted dimensions"),
+    (("--weights",), "weights", "flag", False, None, "minimum weights vs theory"),
+    (("--distribution",), "distribution", "flag", False, None,
+     "full weight distributions within budget"),
+    (("--verify",), "verify", "flag", False, None, "run the full invariant suite"),
+    (("--export",), "export", "value", None, "PATH", "write the JSON report to a file"),
+    (("--format",), "format", ("text", "json"), "text", "{text,json}", "stdout format"),
+    (("--budget",), "budget", "value", str(DEFAULT_BUDGET), "BUDGET",
+     "enumeration budget as a codeword count, e.g. 2^20 (min 2^10, max 2^64)"),
+    (("--threads",), "threads", "int", None, "THREADS",
+     f"accepted and ignored, as enumeration is single-threaded; 1 to {MAX_THREADS}"),
+    (("--allow-unverified-hypotheses",), "allow_unverified_hypotheses", "flag", False, None,
+     "explore groups that fail the standing conditions (marked in output)"),
+)
+_FLAGS = {flag: option for option in _OPTIONS for flag in option[0]}
+_DESCRIPTION = """\
+Construct the primitive idempotents of a binary abelian group algebra and
+analyze the minimal codes they generate."""
+_EXIT_CODES = (
+    (EXIT_OK, "ok"),
+    (EXIT_USAGE, "usage error"),
+    (EXIT_HYPOTHESIS, "hypothesis failure"),
+    (EXIT_BUDGET, "refused distribution (over budget, or a member that is not a minimal ideal)"),
+    (EXIT_FALSIFIED, "falsified invariant"),
+)
 
-    spec = args.group_flag or args.group
+
+def _wrap(words: list[str], lead: str, indent: str) -> list[str]:
+    """`lead` followed by the words, in lines of at most 79 columns; each
+    later line starts with `indent`."""
+    lines = [lead]
+    for word in words:
+        if len(lines[-1]) + 1 + len(word) > 79 and lines[-1].strip():
+            lines.append(indent)
+        lines[-1] += " " + word
+    return lines
+
+
+def _usage() -> str:
+    shown = [f"[{flags[0]} {metavar}]" if metavar else f"[{flags[0]}]"
+             for flags, _, _, _, metavar, _ in _OPTIONS[1:]]
+    return "\n".join(_wrap([*shown, f"[{_OPTIONS[0][4]}]"], "usage: analyze", " " * 14))
+
+
+def _help() -> str:
+    lines = [_usage(), "", _DESCRIPTION, "", "arguments:"]
+    for flags, _, _, _, metavar, text in _OPTIONS:
+        shown = ", ".join(f"{flag} {metavar}" if metavar else flag for flag in flags)
+        lines += [f"  {shown or metavar}", *_wrap(text.split(), " " * 7, " " * 7)]
+    lines += ["", "exit codes:", *(f"  {code}  {meaning}" for code, meaning in _EXIT_CODES)]
+    return "\n".join(lines) + "\n"
+
+
+def _fail(message: str) -> NoReturn:
+    """Refuse the command line: the usage line and the message on stderr, exit 1."""
+    sys.stderr.write(f"{_usage()}\nanalyze: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _lookup(token: str) -> tuple | None:
+    """The option a token names, the flag it matched and the value attached to
+    it; None for a positional, and (None, token, None) for an unknown option."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in _FLAGS:
+        return _FLAGS[token], token, None
+    name, eq, attached = token.partition("=")
+    if eq and name in _FLAGS:
+        return _FLAGS[name], name, attached
+    if token.startswith("--"):  # a unique prefix of a long flag, as in --dist
+        matches = [flag for flag in _FLAGS if flag.startswith(name)]
+        attached = attached if eq else None
+    else:  # a short flag with its value attached, as in -g15
+        matches = [token[:2]] if token[:2] in _FLAGS else []
+        attached = token[2:]
+    if len(matches) > 1:
+        _fail(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return _FLAGS[matches[0]], matches[0], attached
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number, or text with a space
+    return None, token, None
+
+
+def _parse_argv(argv: list[str]) -> dict:
+    """Each destination of `_OPTIONS` read off `argv`.  A malformed command line
+    is refused by `_fail`; --help prints the help and exits 0."""
+    values = {option[1]: option[3] for option in _OPTIONS}
+    end = argv.index("--") if "--" in argv else len(argv)  # the options end at "--"
+    found = [_lookup(token) for token in argv[:end]] + [None] * (len(argv) - end)
+    extras, group_open, i = [], True, 0
+    while i < len(argv):
+        if found[i] is None:
+            # the first run of positionals gives the group: one word, with the
+            # "--" before or after it; the later ones are all extra
+            if group_open:
+                group_open = False
+                i += i == end
+                if i < len(argv):
+                    values["group"] = argv[i]
+                    i += 1
+                    i += i == end
+            else:
+                extras.append(argv[i])
+                i += 1
+            continue
+        option, flag, attached = found[i]
+        i += 1
+        if option is None:
+            extras.append(flag)
+            continue
+        taken = []
+        while option[2] == "flag" and attached is not None:
+            # -hg15 is -h then -g15; any other value given to a flag is refused
+            if flag.startswith("--") or not attached or "-" + attached[0] not in _FLAGS:
+                _fail(f"argument {'/'.join(option[0])}: ignored explicit argument {attached!r}")
+            taken.append((option, True))
+            flag = "-" + attached[0]
+            option, attached = _FLAGS[flag], attached[1:] or None
+        if option[2] != "flag" and attached is None:
+            if i == end or i == len(argv) or found[i] is not None:
+                _fail(f"argument {'/'.join(option[0])}: expected one argument")
+            attached = argv[i]
+            i += 1
+        taken.append((option, True if option[2] == "flag" else attached))
+        for (flags, dest, kind, *_), value in taken:
+            if dest == "help":
+                sys.stdout.write(_help())
+                raise SystemExit(EXIT_OK)
+            if kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(f"argument {'/'.join(flags)}: invalid int value: {value!r}")
+            elif isinstance(kind, tuple) and value not in kind:
+                choices = ", ".join(map(repr, kind))
+                _fail(f"argument {'/'.join(flags)}: invalid choice: {value!r} (choose from {choices})")
+            values[dest] = value
+    if extras:
+        _fail(f"unrecognized arguments: {' '.join(extras)}")
+    return values
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+    spec = args["group_flag"] or args["group"]
     if not spec:
-        parser.error("a group specification is required")
-    if args.group and args.group_flag and args.group != args.group_flag:
-        parser.error("conflicting group specifications")
+        _fail("a group specification is required")
+    if args["group"] and args["group_flag"] and args["group"] != args["group_flag"]:
+        _fail("conflicting group specifications")
 
     analyses = [
         name
         for name in ("idempotents", "dims", "weights", "distribution", "verify")
-        if getattr(args, name)
+        if args[name]
     ]
     if not analyses:
         analyses = ["idempotents", "dims"]
 
-    created = None
+    export, created = args["export"], None
     try:
         config = RunConfig(
             group_spec=spec,
             analyses=tuple(analyses),
-            budget=parse_budget(args.budget),
-            override=args.allow_unverified_hypotheses,
+            budget=parse_budget(args["budget"]),
+            override=args["allow_unverified_hypotheses"],
         )
-        if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:
-            raise UsageError(f"--threads {args.threads} is outside 1..{MAX_THREADS}")
-        if args.export and _check_writable(args.export):
-            created = args.export
+        threads = args["threads"]
+        if threads is not None and not 1 <= threads <= MAX_THREADS:
+            raise UsageError(f"--threads {threads} is outside 1..{MAX_THREADS}")
+        if export and _check_writable(export):
+            created = export
         code, report, text = run(config)
     except ValueError as exc:
         return _usage_failure(exc, created)
 
     try:
-        if args.format == "json":
+        if args["format"] == "json":
             sys.stdout.write(render_json(report))
         else:
             print(text)
@@ -501,12 +610,12 @@ def main(argv: list[str] | None = None) -> int:
         # the reader left (say `| head`): drop the rest of stdout, so that the
         # flush at exit cannot raise again, and still export and exit as usual
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if args.export:
+    if export:
         try:
-            with open(args.export, "w", encoding="utf-8") as fh:
+            with open(export, "w", encoding="utf-8") as fh:
                 fh.write(render_json(report))
         except OSError as exc:
-            return _usage_failure(_cannot_write(args.export, exc), created)
+            return _usage_failure(_cannot_write(export, exc), created)
     return code
 
 

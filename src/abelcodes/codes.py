@@ -29,8 +29,6 @@ under overridden hypotheses has members that are not minimal ideals;
 analyze_code reports weight bounds and a refused distribution for them.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence

@@ -5,8 +5,6 @@ components of F2[G], so the orbit count doubles as a completeness certificate
 for a family of primitive idempotents.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .group_algebra import AbelianGroup, AlgebraElement, GroupElement

@@ -6,8 +6,6 @@ module imports nothing from the package.  It has no irreducibility test:
 codes decides whether F2[x]/h is a field by counting its idempotents.
 """
 
-from __future__ import annotations
-
 from typing import Iterator, Sequence
 
 

@@ -53,8 +53,6 @@ terms cancel.  The masks are built once per group, 1 + ceil(log2 h) words of
 |G| bits per factor.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from bisect import bisect_left

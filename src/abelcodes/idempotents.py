@@ -26,8 +26,6 @@ counts the ideal's idempotents in F2[x]/h, h the check polynomial of the
 same record, on k-bit rows.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

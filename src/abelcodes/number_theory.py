@@ -11,8 +11,6 @@ and at least one of the two primes is 3 mod 4; pair normalization relabels so
 that q is the one congruent to 3 mod 4.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -4,12 +4,16 @@ and the helpers the tests use to rebuild library records.
 No code path of the package calls these; the references are slow on purpose.
 """
 
+import argparse
 import itertools
 import math
+import sys
 from array import array
 from typing import Sequence
 
 from abelcodes import codes
+from abelcodes.cli import EXIT_USAGE, MAX_GROUP_ORDER, MAX_THREADS
+from abelcodes.codes import DEFAULT_BUDGET
 from abelcodes.gf2 import bit_indices, gf2_rank, poly_gcd, poly_mod, poly_mulmod
 from abelcodes.group_algebra import AbelianGroup, AlgebraElement, Subgroup
 from abelcodes.idempotents import IdempotentFamily
@@ -420,3 +424,60 @@ def embedded_sides(group: AbelianGroup, p: int, axes: range) -> tuple[int, list[
         bits = sub.hat().bits ^ cover.hat().bits
         sides.append((bits, dim, sub.element_ranks, cover.element_ranks, base))
     return embed(Subgroup.whole(local)).hat().bits, sides
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:  # type: ignore[override]
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def argparse_reference() -> argparse.ArgumentParser:
+    """The argparse parser that `analyze` read its command line with, built as
+    `cli.main` built it; the reference for `cli._parse_argv`."""
+    parser = _Parser(
+        prog="analyze",
+        description=(
+            "Construct the primitive idempotents of a binary abelian group "
+            "algebra and analyze the minimal codes they generate."
+        ),
+    )
+    parser.add_argument(
+        "group",
+        nargs="?",
+        help=(
+            f"group spec, e.g. 15, 3x11, 9x25, 3x5x11 (order at most {MAX_GROUP_ORDER}, "
+            "the largest order whose --dims run was measured)"
+        ),
+    )
+    parser.add_argument("-g", "--group", dest="group_flag", help="group spec (flag form)")
+    parser.add_argument("--idempotents", action="store_true", help="export the idempotents")
+    parser.add_argument("--dims", action="store_true", help="computed vs predicted dimensions")
+    parser.add_argument("--weights", action="store_true", help="minimum weights vs theory")
+    parser.add_argument(
+        "--distribution", action="store_true", help="full weight distributions within budget"
+    )
+    parser.add_argument(
+        "--verify", action="store_true", help="run the full invariant suite"
+    )
+    parser.add_argument("--export", metavar="PATH", help="write the JSON report to a file")
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text", help="stdout format"
+    )
+    parser.add_argument(
+        "--budget",
+        default=str(DEFAULT_BUDGET),
+        help="enumeration budget as a codeword count, e.g. 2^20 (min 2^10, max 2^64)",
+    )
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help=f"accepted and ignored, as enumeration is single-threaded; 1 to {MAX_THREADS}",
+    )
+    parser.add_argument(
+        "--allow-unverified-hypotheses",
+        action="store_true",
+        help="explore groups that fail the standing conditions (marked in output)",
+    )
+    return parser

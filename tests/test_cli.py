@@ -9,7 +9,7 @@ from datetime import timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelcodes import cli, codes
@@ -34,6 +34,8 @@ from abelcodes.cli import (
 )
 from abelcodes.codes import FalsificationError, family_verification
 from abelcodes.idempotents import family_pq, family_prime_power
+
+from oracles import argparse_reference
 
 # text stdout and exit code of thirteen commands: the first ten recorded before the
 # text view was derived from the JSON report, the next two (overridden hypotheses
@@ -163,6 +165,100 @@ class TestParserFuzz:
         assert MIN_BUDGET <= value <= MAX_BUDGET
 
 
+# command-line tokens: every flag but -h, unique and ambiguous prefixes of the
+# long ones, an unknown option, and values; "=" forms and attached short values
+# are built from these
+FLAG_TOKENS = [flag for flag in cli._FLAGS if flag not in ("-h", "--help")]
+PREFIX_TOKENS = ["--gr", "--idem", "--dim", "--dist", "--w", "--v", "--e", "--f", "--bud",
+                 "--t", "--allow", "--d", "--di", "--bogus"]
+VALUE_TOKENS = ["-", "-1", "-2^20", "json", "xml", "many", "15", "3x11", "9x25", "2^20", ""]
+TOKENS = st.one_of(
+    st.sampled_from([*FLAG_TOKENS, *PREFIX_TOKENS, *VALUE_TOKENS, "--"]),
+    st.builds("{}={}".format, st.sampled_from(FLAG_TOKENS + PREFIX_TOKENS),
+              st.sampled_from(VALUE_TOKENS)),
+    st.builds("-g{}".format, st.sampled_from(VALUE_TOKENS)),
+)
+
+
+def _parsed(parse, argv):
+    """What a parser makes of argv: its destinations, or the code it exits with."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _reference(argv):
+    return vars(argparse_reference().parse_args(argv))
+
+
+def _table(argv):
+    values = cli._parse_argv(argv)
+    assert values.pop("help") is False
+    return values
+
+
+class TestCommandLineGrammar:
+    @settings(max_examples=600, deadline=None)
+    @example(["15", "--dist", "--budget=2^20", "--f", "json"])  # prefixes and "=" values
+    @example(["-g15", "--dims"])  # a short flag with its value attached
+    @example(["-g=15", "--group", "15", "--dims"])  # the last of a repeated option wins
+    @example(["15", "--threads", "-1"])  # a negative number is a value
+    @example(["15", "--budget", "-2^20"])  # anything else starting with "-" is not
+    @example(["15", "--verify=1"])  # a flag takes no value
+    @example(["15", "--d"])  # an ambiguous prefix is refused
+    @example(["15", "3x11"])  # one positional only
+    @example(["--", "-1"])  # "--" ends the options
+    @example(["-", "--dims"])  # a lone "-" is a positional
+    @given(st.lists(TOKENS, max_size=6))
+    def test_the_table_parser_reads_argv_as_argparse_did(self, argv):
+        reference = _parsed(_reference, argv)
+        assert reference == EXIT_USAGE or isinstance(reference, dict)
+        assert _parsed(_table, argv) == reference
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], ["--he"], ["15", "-h"], ["-h", "--threads", "many"],
+         ["-hg15"], ["-hh"], ["-h=g5"], ["-h", "--bogus"], ["--budget", "-h"],
+         ["--threads", "many", "-h"], ["-hg"], ["-hx"], ["-h="], ["--help=1"], ["-h", "--d"]],
+    )
+    def test_help_exits_where_argparse_did(self, argv, capsys):
+        reference = _parsed(_reference, argv)
+        assert _parsed(_table, argv) == reference
+        # the help goes to stdout and ends the parse with 0; what comes before it decides
+        assert bool(capsys.readouterr().out) == (reference == EXIT_OK)
+
+    @pytest.mark.parametrize(
+        "argv", [["15", "--budget=--"], ["15", "--threads=--"], ["15", "--format=--"], ["-g--"]]
+    )
+    def test_an_attached_double_dash_is_a_value(self, argv, capsys):
+        # argparse dropped it and passed on an empty list: a traceback from
+        # --budget and --threads, a text run from --format
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        assert status == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'--'" in err and "Traceback" not in err
+
+    def test_help_names_every_option_and_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        shown = " ".join(captured.out.split())
+        for flags, _, _, _, metavar, text in cli._OPTIONS:
+            assert all(flag in shown for flag in flags) and metavar in (None, *shown.split())
+            assert " ".join(text.split()) in shown
+        codes_shown = [code for code, _ in cli._EXIT_CODES]
+        assert codes_shown == [EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_BUDGET, EXIT_FALSIFIED]
+        assert "\nexit codes:\n" in captured.out
+        for code, meaning in cli._EXIT_CODES:
+            assert f"\n  {code}  {meaning}\n" in captured.out
+
+
 class TestDigitNumerals:
     @pytest.mark.parametrize(
         "argv",
@@ -178,7 +274,7 @@ class TestDigitNumerals:
         ],
     )
     def test_signs_and_underscores_exit_1(self, argv, capsys):
-        # int() reads "-3^2" as 9 and "1_5" as 15; argparse itself refuses a
+        # int() reads "-3^2" as 9 and "1_5" as 15; the parser itself refuses a
         # separate "-2^20" as a missing --budget value
         try:
             status = main(argv)

@@ -5,6 +5,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -126,17 +127,47 @@ def test_clear_caches_leaves_no_module_cache_holding_entries():
 
 @pytest.mark.parametrize("module", ["abelcodes", "abelcodes.cli"])
 def test_a_cold_import_loads_neither_dataclasses_nor_inspect(module):
-    # together they cost a cold `analyze` run about 25 ms of set-up; -S keeps
-    # site hooks out, so only the package's own imports count
+    # together they cost a cold `analyze` run about 25 ms of set-up, and
+    # argparse with its gettext and locale lookups about 2 ms of each call;
+    # -S keeps site hooks out, so only the package's own imports count
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    probe = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    probe = (
+        f"import io, sys, {module}\n"
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "from abelcodes.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = main(['15', '--dims', '--format', 'json'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "cold = {'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}\n"
+        "print(code, sorted(loaded | cold & set(sys.modules)))\n"
+    )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "0 []\n"
 
 
 def test_no_source_mentions_dataclass():
     assert [path.name for path in SRC.glob("*.py") if "dataclass" in path.read_text()] == []
+
+
+def test_no_record_field_is_annotated_by_a_string():
+    # NamedTupleMeta compiles every string annotation into a ForwardRef at
+    # import: 74 of them cost a cold `import abelcodes.cli` about 4 ms
+    records = [
+        value
+        for module in MODULES
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+        and value.__module__ == module.__name__
+    ]
+    assert records
+    strings = [
+        f"{record.__name__}.{name}"
+        for record in records
+        for name, annotation in record.__annotations__.items()
+        if isinstance(annotation, (str, typing.ForwardRef))
+    ]
+    assert strings == []
